@@ -30,14 +30,22 @@ from .equivalences import (
     to_bicategory,
     to_category,
 )
-from .errors import OpetokitError, ParseError, UnknownKind
+from .errors import OpetokitError, ParseError, UnknownKind, UsageError
 from .universality import check_coherence, is_universal_2cell
 
 
 def _bound(args) -> int:
-    if getattr(args, "arity_bound", None):
-        return args.arity_bound
-    return int(os.environ.get("OPETOKIT_ARITY_BOUND", "4"))
+    if args.arity_bound is not None:
+        bound = args.arity_bound
+    else:
+        raw = os.environ.get("OPETOKIT_ARITY_BOUND", "4")
+        try:
+            bound = int(raw)
+        except ValueError:
+            raise UsageError(f"OPETOKIT_ARITY_BOUND must be an integer, got {raw!r}") from None
+    if bound < 0:
+        raise UsageError(f"the arity bound must not be negative, got {bound}")
+    return bound
 
 
 def _load(filename: str):
@@ -95,6 +103,10 @@ def cmd_universal(args) -> int:
     if kind != "op2cat":
         raise UnknownKind("universality checks need an op2cat file")
     X, _ = obj
+    validity = validate_op2(X)
+    if not validity.ok:
+        _emit(args, _report_payload(kind, validity))
+        return 1
     if args.cell is not None:
         verdict = is_universal_2cell(X, args.cell)
         payload = {"kind": kind, "ok": verdict, "cell": args.cell,
@@ -154,7 +166,10 @@ def cmd_convert(args) -> int:
     else:
         raise UnknownKind(f"unknown conversion target {args.to!r}")
     target = args.out or _default_out(args.file, out["kind"])
-    serialize.save_path(target, out)
+    try:
+        serialize.save_path(target, out)
+    except OSError as exc:
+        raise UsageError(f"cannot write {target}: {exc}") from None
     print(target)
     return 0
 
@@ -277,7 +292,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (ParseError, UnknownKind) as exc:
+    except (ParseError, UnknownKind, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OpetokitError as exc:

@@ -12,8 +12,8 @@ Cell equality is identifier equality throughout.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     ArityBoundExceeded,
@@ -150,6 +150,11 @@ class FiniteOpTwoCat:
     result stays within the arity bound, the target of the unique 3-cell
     pasting ``inner`` into the given source position of ``outer``.  ``ident2``
     names the 1-ary identity 2-cell on each 1-cell.
+
+    The niche index ``occupants`` is derived from ``cells2`` once per
+    structure, on first use, and kept for its lifetime.  The tables must
+    therefore not be mutated in place after a query; derive a changed
+    structure with ``dataclasses.replace``, which starts a fresh index.
     """
 
     objects: tuple[str, ...]
@@ -173,6 +178,17 @@ class FiniteOpTwoCat:
 
     def arity(self, alpha: str) -> int:
         return self.cell(alpha).source.arity
+
+    @cached_property
+    def occupants(self) -> dict[tuple, tuple[str, ...]]:
+        """2-cell ids by source-path key, each tuple in ``cells2`` order.
+
+        The key ``(1, f)`` gives the 1-ary cells on the edge ``f``.
+        """
+        index: dict[tuple, list[str]] = {}
+        for cid, cell in self.cells2.items():
+            index.setdefault(cell.source.key(), []).append(cid)
+        return {key: tuple(ids) for key, ids in index.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +317,6 @@ def validate_op1(X: FiniteOpOneCat) -> ValidationReport:
     return out.report(arity_bound=X.arity_bound)
 
 
-def _splice_check(X: FiniteOpTwoCat, outer: TwoCell, slot: int, inner: TwoCell) -> PastingPath:
-    return outer.source.splice(slot, inner.source)
-
-
 def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
     """Check frames, identities, and the grafting laws at the bound.
 
@@ -343,16 +355,24 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
     for f in set(X.ident2) - set(X.cells1):
         out.add("dangling id", (f,), "identity recorded for an unknown 1-cell")
 
-    # totality and frame agreement of the grafting table
+    # totality and frame agreement of the grafting table; an inner cell fits
+    # a slot of an outer cell of arity m when its arity is at most bound + 1 - m
+    bound = X.arity_bound
+    arity = {cid: cell.source.arity for cid, cell in X.cells2.items()}
     by_target: dict[str, list[str]] = {}
     for cid, cell in X.cells2.items():
         by_target.setdefault(cell.target, []).append(cid)
+    # fitting[f][k]: the cells into f of arity at most k, in cells2 order
+    fitting = {
+        f: [tuple(c for c in by_target.get(f, ()) if arity[c] <= k) for k in range(bound + 1)]
+        for f in X.cells1
+    }
     for cid, outer in sorted(X.cells2.items()):
+        room = bound + 1 - arity[cid]
+        if room < 0:
+            continue
         for slot, edge in enumerate(outer.source.edges):
-            for inner_id in by_target.get(edge, ()):
-                inner = X.cells2[inner_id]
-                if outer.source.arity + inner.source.arity - 1 > X.arity_bound:
-                    continue
+            for inner_id in fitting[edge][room]:
                 key = (cid, slot, inner_id)
                 if key not in X.graft:
                     out.add("totality", key, "in-bound graft has no table entry")
@@ -368,7 +388,7 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
             out.add("frame", (cid, slot, inner_id), "inner target differs from the slot edge")
             continue
         res = X.cells2[result]
-        if res.source != _splice_check(X, outer, slot, inner):
+        if res.source != outer.source.splice(slot, inner.source):
             out.add("frame", (cid, slot, inner_id), "result source is not the spliced path")
         if res.target != outer.target:
             out.add("frame", (cid, slot, inner_id), "result target differs from the outer target")
@@ -387,38 +407,62 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
         if X.graft.get(key) != cid:
             out.add("left unit", key, "grafting under an identity must not change the cell")
 
-    # sequential associativity: graft(graft(a,i,b), i+j, c) = graft(a, i, graft(b,j,c))
-    entries_by_inner: dict[str, list[tuple[str, int, str]]] = {}
-    for key in X.graft:
-        entries_by_inner.setdefault(key[2], []).append(key)
-    for (b, j, c), bc in X.graft.items():
-        for (a, i, _b) in entries_by_inner.get(b, ()):
-            ab = X.graft[(a, i, b)]
-            lhs = X.graft.get((ab, i + j, c))
-            rhs = X.graft.get((a, i, bc))
-            if lhs is None or rhs is None:
-                # the composite leaves the bound; nothing to compare
-                continue
-            if lhs != rhs:
-                out.add("sequential associativity", (a, i, b, j, c), f"{lhs} != {rhs}")
+    # The frame checks passed, so every graft result has the spliced source
+    # and a composite longer than the longest cell has no table entry.  The
+    # two laws below therefore skip, without generating them, the instances
+    # whose composite would be longer than ``top``.
+    graft_table = X.graft
+    top = max(arity.values(), default=0)
 
-    # parallel commutation for disjoint slots of one outer cell
-    by_outer: dict[str, list[tuple[int, str, str]]] = {}
-    for (a, i, b), r in X.graft.items():
-        by_outer.setdefault(a, []).append((i, b, r))
-    for a, rows in by_outer.items():
-        for (i, b, r_ib), (j, c, r_jc) in itertools.combinations(sorted(rows), 2):
-            if i == j:
-                continue
-            if i > j:
-                (i, b, r_ib), (j, c, r_jc) = (j, c, r_jc), (i, b, r_ib)
-            shift = X.cells2[b].source.arity - 1
-            lhs = X.graft.get((r_ib, j + shift, c))
-            rhs = X.graft.get((r_jc, i, b))
+    # sequential associativity: graft(graft(a,i,b), i+j, c) = graft(a, i, graft(b,j,c))
+    above: dict[str, list[tuple[str, int, str]]] = {}
+    for key in graft_table:
+        above.setdefault(key[2], []).append(key)
+    for rows in above.values():
+        rows.sort(key=lambda key: arity[key[0]])
+    found = []
+    for (b, j, c), bc in graft_table.items():
+        room = top + 2 - arity[b] - arity[c]
+        for key in above.get(b, ()):
+            a, i, _ = key
+            if arity[a] > room:
+                break
+            lhs = graft_table.get((graft_table[key], i + j, c))
+            rhs = graft_table.get((a, i, bc))
             if lhs is None or rhs is None:
                 continue
             if lhs != rhs:
-                out.add("parallel commutation", (a, i, b, j, c), f"{lhs} != {rhs}")
+                found.append(((a, i, b, j, c), f"{lhs} != {rhs}"))
+    if found:
+        # table order: by the row (b, j, c), then by the row (a, i, b)
+        position = {key: n for n, key in enumerate(graft_table)}
+        found.sort(key=lambda v: (position[v[0][2:]], position[v[0][:3]]))
+        for witness, message in found:
+            out.add("sequential associativity", witness, message)
+
+    # parallel commutation for disjoint slots i < j of one outer cell a
+    by_outer: dict[str, list[tuple[int, int, str, str]]] = {}
+    for (a, i, b), r in graft_table.items():
+        by_outer.setdefault(a, []).append((arity[b], i, b, r))
+    for a, rows in by_outer.items():
+        rows.sort()
+        room = top + 2 - arity[a]
+        found = []
+        for kb, i, b, r_ib in rows:
+            for kc, j, c, r_jc in rows:
+                if kb + kc > room:
+                    break
+                if j <= i:
+                    continue
+                lhs = graft_table.get((r_ib, j + kb - 1, c))
+                rhs = graft_table.get((r_jc, i, b))
+                if lhs is None or rhs is None:
+                    continue
+                if lhs != rhs:
+                    found.append(((a, i, b, j, c), f"{lhs} != {rhs}"))
+        # the order of pairs of a's rows sorted by (slot, inner cell)
+        for witness, message in sorted(found):
+            out.add("parallel commutation", witness, message)
     return out.report(arity_bound=X.arity_bound)
 
 
@@ -479,7 +523,7 @@ def composite_of_tree(X: FiniteOpTwoCat, t: TwoCellTree) -> str:
 def occupants_of_niche(X: FiniteOpTwoCat, p: PastingPath) -> set[str]:
     """All 2-cells whose source equals the given path (order-sensitive)."""
     path_endpoints(X, p)
-    return {cid for cid, cell in X.cells2.items() if cell.source == p}
+    return set(X.occupants.get(p.key(), ()))
 
 
 def hom_category_of_frame(X: FiniteOpTwoCat, a: str, b: str) -> FiniteOpOneCat:

@@ -59,7 +59,12 @@ from .bicat import (
     validate_bicategory,
     validate_category,
 )
-from .universality import check_coherence, is_universal_1cell, is_universal_2cell
+from .universality import (
+    _factorizations,
+    check_coherence,
+    is_universal_1cell,
+    is_universal_2cell,
+)
 
 
 @dataclass(frozen=True)
@@ -115,6 +120,8 @@ def from_set(elements) -> FiniteOpZeroCat:
 
 def to_category(X: FiniteOpOneCat, check: bool = True) -> FiniteCategory:
     """Read a category off the unique occupants of nullary and binary niches."""
+    if X.arity_bound < 2:
+        raise ArityBoundExceeded("reading a category needs arity bound at least 2")
     if check:
         report = validate_op1(X)
         if not report.ok:
@@ -245,12 +252,7 @@ def validate_biasing(X: FiniteOpTwoCat, b: Biasing) -> ValidationReport:
 
 def _solve_unique(X: FiniteOpTwoCat, base: str, composite: str, what: str) -> str:
     """The unique 1-ary cell whose graft over ``base`` equals ``composite``."""
-    src_needed = X.cells2[base].target
-    matches = [
-        t
-        for t, cell in X.cells2.items()
-        if cell.source == path(src_needed) and X.graft.get((t, 0, base)) == composite
-    ]
+    matches = _factorizations(X, base, composite)
     if not matches:
         raise NoSolution(f"no {what} over {base!r} reaching {composite!r}")
     if len(matches) > 1:

@@ -79,6 +79,10 @@ class UnknownKind(OpetokitError):
     """A structure file declares a kind this tool does not know."""
 
 
+class UsageError(OpetokitError):
+    """A command-line flag, environment variable or output path is unusable."""
+
+
 @dataclass(frozen=True)
 class Violation:
     """One violated rule with enough context to reproduce it."""

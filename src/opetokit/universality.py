@@ -14,6 +14,7 @@ grafting exactly one 1-ary 2-cell into the free slot.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import ArityError, DanglingId, NicheMismatch, Violation
@@ -26,6 +27,12 @@ from .core import (
 )
 
 
+def _factorizations(X: FiniteOpTwoCat, a: str, c: str) -> list[str]:
+    """The 1-ary b, in ``cells2`` order, with b grafted onto ``a`` equal to ``c``."""
+    wanted = X.occupants.get((1, X.cells2[a].target), ())
+    return [b for b in wanted if X.graft.get((b, 0, a)) == c]
+
+
 def factorizations_through(X: FiniteOpTwoCat, a: str, c: str) -> set[str]:
     """All 1-ary b with b grafted onto ``a`` equal to ``c``.
 
@@ -35,19 +42,14 @@ def factorizations_through(X: FiniteOpTwoCat, a: str, c: str) -> set[str]:
     cell_c = X.cell(c)
     if cell_a.source != cell_c.source:
         raise NicheMismatch(f"{a!r} and {c!r} occupy different niches")
-    wanted = path(cell_a.target)
-    return {
-        b
-        for b, cell in X.cells2.items()
-        if cell.source == wanted and X.graft.get((b, 0, a)) == c
-    }
+    return set(_factorizations(X, a, c))
 
 
 def is_universal_2cell(X: FiniteOpTwoCat, a: str) -> bool:
     """Every occupant of the niche factors through ``a`` exactly once."""
     cell = X.cell(a)
     for c in occupants_of_niche(X, cell.source):
-        if len(factorizations_through(X, a, c)) != 1:
+        if len(_factorizations(X, a, c)) != 1:
             return False
     return True
 
@@ -67,18 +69,13 @@ def is_universal_factorization_1(X: FiniteOpTwoCat, u: str) -> bool:
     for h, fr in X.cells1.items():
         if fr != frame:
             continue
-        probe = path(f, h)
-        for v, vc in X.cells2.items():
-            if vc.source != probe or vc.target != cell.target:
-                continue
-            matches = [
-                t
-                for t, tc in X.cells2.items()
-                if tc.source == path(h)
-                and tc.target == gbar
-                and X.graft.get((u, 1, t)) == v
-            ]
-            if len(matches) != 1:
+        reached = Counter(
+            X.graft.get((u, 1, t))
+            for t in X.occupants.get((1, h), ())
+            if X.cells2[t].target == gbar
+        )
+        for v in X.occupants.get((1, f, h), ()):
+            if X.cells2[v].target == cell.target and reached[v] != 1:
                 return False
     return True
 
@@ -93,20 +90,18 @@ def is_universal_1cell(X: FiniteOpTwoCat, f: str) -> bool:
     if f not in X.cells1:
         raise DanglingId(f"unknown 1-cell {f!r}")
     src_f = X.src1(f)
+    # the universal binary occupants with first edge f, by target
+    universal_through: dict[str, list[str]] = {}
+    for h in X.cells1:
+        for u in X.occupants.get((1, f, h), ()):
+            if is_universal_2cell(X, u):
+                universal_through.setdefault(X.cells2[u].target, []).append(u)
     for g, (s, _) in X.cells1.items():
         if s != src_f:
             continue
-        universal_through = [
-            u
-            for u, uc in X.cells2.items()
-            if uc.source.arity == 2
-            and uc.source.edges[0] == f
-            and uc.target == g
-            and is_universal_2cell(X, u)
-        ]
-        if not universal_through:
+        if g not in universal_through:
             return False
-        for u in universal_through:
+        for u in universal_through[g]:
             if not is_universal_factorization_1(X, u):
                 return False
     return True

@@ -238,3 +238,57 @@ def test_convert_outputs_are_deterministic(tmp_path, sign):
     assert main(["convert", b_path, "--to", "opic", "--out", out1]) == 0
     assert main(["convert", b_path, "--to", "opic", "--out", out2]) == 0
     assert Path(out1).read_bytes() == Path(out2).read_bytes()
+
+
+def test_universal_reports_invalid_structure_first(tmp_path, capsys):
+    doc = serialize.load_path(str(FIXTURE_DIR / "op2cat.json"))
+    doc["graft"] = [
+        r for r in doc["graft"] if (r["outer"], r["slot"], r["inner"]) != ("1e", 0, "1e")
+    ]
+    p = _write(tmp_path, "dropped.json", doc)
+    assert main(["validate", p]) == 1
+    report = capsys.readouterr().out
+    assert report == (
+        "op2cat: 1 violation(s)\n"
+        "  totality ('1e', 0, '1e') in-bound graft has no table entry\n"
+    )
+    for argv in (["--all"], ["--cell", "1e"], ["--all", "--direct-niche-search"]):
+        assert main(["universal", p, *argv]) == 1
+        assert capsys.readouterr().out == report
+    assert main(["validate", p, "--format", "json"]) == 1
+    as_json = capsys.readouterr().out
+    assert main(["universal", p, "--all", "--format", "json"]) == 1
+    assert capsys.readouterr().out == as_json
+
+
+def test_arity_bound_zero_is_honoured(tmp_path, capsys, z2cat):
+    c_path = _write(tmp_path, "c.json", serialize.to_doc(z2cat))
+    out = str(tmp_path / "o.json")
+    assert main(["convert", c_path, "--to", "opic", "--arity-bound", "0", "--out", out]) == 0
+    X = serialize.from_doc(serialize.load_path(out))
+    assert X.arity_bound == 0
+    assert set(X.comp) == {(0, a) for a in X.objects}
+    # no binary niches to read composition off: a domain error, not a traceback
+    assert main(["roundtrip", c_path, "--arity-bound", "0"]) == 1
+    assert "ArityBoundExceeded" in capsys.readouterr().err
+
+
+def test_unusable_arity_bounds_exit_2(tmp_path, capsys, monkeypatch, z2cat):
+    c_path = _write(tmp_path, "c.json", serialize.to_doc(z2cat))
+    convert = ["convert", c_path, "--to", "opic", "--out", str(tmp_path / "o.json")]
+    assert main([*convert, "--arity-bound", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: the arity bound must not be negative")
+    for value, message in (("-3", "must not be negative"), ("abc", "must be an integer")):
+        monkeypatch.setenv("OPETOKIT_ARITY_BOUND", value)
+        assert main(convert) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert main(["roundtrip", c_path]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_out_into_missing_directory_exits_2(tmp_path, capsys, z2cat):
+    c_path = _write(tmp_path, "c.json", serialize.to_doc(z2cat))
+    target = str(tmp_path / "missing" / "o.json")
+    assert main(["convert", c_path, "--to", "opic", "--out", target]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}")

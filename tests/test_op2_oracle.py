@@ -1,0 +1,423 @@
+"""Differential tests of the indexed niche lookups and law checks.
+
+The oracles below are the earlier linear-scan implementations, kept as they
+were (``validate_op2`` with its one-line splice helper inlined):
+``occupants_of_niche`` and ``factorizations_through`` scan all of ``cells2``,
+``validate_op2`` enumerates every law instance and skips the ones whose
+composites have no table entry, and the universality predicates and
+``_solve_unique`` scan ``cells2`` per query.  The library must agree with
+them, report for report and in the same order, on the shipped fixture, the
+generated structures and seeded corruptions of their grafting tables.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import itertools
+import random
+import re
+from pathlib import Path
+
+import pytest
+
+import opetokit.equivalences as eq
+import opetokit.universality as uni
+from opetokit import serialize
+from opetokit.core import (
+    FiniteOpTwoCat,
+    iter_paths,
+    occupants_of_niche,
+    path,
+    path_endpoints,
+    validate_op2,
+)
+from opetokit.errors import (
+    ArityError,
+    DanglingId,
+    FrameMismatch,
+    NicheMismatch,
+    NonUniqueSolution,
+    NoSolution,
+    ValidationReport,
+    _Collector,
+)
+from opetokit.fixtures import (
+    arrow_bicategory,
+    idempotent_bicategory,
+    sign_bicategory,
+)
+from opetokit.universality import factorizations_through
+
+FIXTURE = Path(__file__).resolve().parent.parent / "docs" / "fixtures" / "op2cat.json"
+
+
+# ---------------------------------------------------------------------------
+# oracles: the linear-scan implementations
+
+
+def oracle_occupants_of_niche(X, p):
+    path_endpoints(X, p)
+    return {cid for cid, cell in X.cells2.items() if cell.source == p}
+
+
+def oracle_factorizations_through(X, a, c):
+    cell_a = X.cell(a)
+    cell_c = X.cell(c)
+    if cell_a.source != cell_c.source:
+        raise NicheMismatch(f"{a!r} and {c!r} occupy different niches")
+    wanted = path(cell_a.target)
+    return {
+        b
+        for b, cell in X.cells2.items()
+        if cell.source == wanted and X.graft.get((b, 0, a)) == c
+    }
+
+
+def oracle_is_universal_2cell(X, a):
+    cell = X.cell(a)
+    for c in oracle_occupants_of_niche(X, cell.source):
+        if len(oracle_factorizations_through(X, a, c)) != 1:
+            return False
+    return True
+
+
+def oracle_is_universal_factorization_1(X, u):
+    cell = X.cell(u)
+    if cell.source.arity != 2:
+        raise ArityError(f"{u!r} has arity {cell.source.arity}, expected 2")
+    f, gbar = cell.source.edges
+    frame = X.cells1[gbar]
+    for h, fr in X.cells1.items():
+        if fr != frame:
+            continue
+        probe = path(f, h)
+        for v, vc in X.cells2.items():
+            if vc.source != probe or vc.target != cell.target:
+                continue
+            matches = [
+                t
+                for t, tc in X.cells2.items()
+                if tc.source == path(h)
+                and tc.target == gbar
+                and X.graft.get((u, 1, t)) == v
+            ]
+            if len(matches) != 1:
+                return False
+    return True
+
+
+def oracle_is_universal_1cell(X, f):
+    if f not in X.cells1:
+        raise DanglingId(f"unknown 1-cell {f!r}")
+    src_f = X.src1(f)
+    for g, (s, _) in X.cells1.items():
+        if s != src_f:
+            continue
+        universal_through = [
+            u
+            for u, uc in X.cells2.items()
+            if uc.source.arity == 2
+            and uc.source.edges[0] == f
+            and uc.target == g
+            and oracle_is_universal_2cell(X, u)
+        ]
+        if not universal_through:
+            return False
+        for u in universal_through:
+            if not oracle_is_universal_factorization_1(X, u):
+                return False
+    return True
+
+
+def oracle_solve_unique(X, base, composite, what):
+    src_needed = X.cells2[base].target
+    matches = [
+        t
+        for t, cell in X.cells2.items()
+        if cell.source == path(src_needed) and X.graft.get((t, 0, base)) == composite
+    ]
+    if not matches:
+        raise NoSolution(f"no {what} over {base!r} reaching {composite!r}")
+    if len(matches) > 1:
+        raise NonUniqueSolution(f"{what} over {base!r} not unique: {sorted(matches)}")
+    return matches[0]
+
+
+def oracle_validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
+    out = _Collector()
+    for f, (s, t) in X.cells1.items():
+        if s not in X.objects or t not in X.objects:
+            out.add("dangling id", (f,), "endpoint object missing")
+    for cid, cell in X.cells2.items():
+        if cid != cell.id:
+            out.add("dangling id", (cid,), "cell stored under a different id")
+        if cell.target not in X.cells1:
+            out.add("dangling id", (cid, cell.target), "target 1-cell missing")
+            continue
+        try:
+            s, t = path_endpoints(X, cell.source)
+        except (DanglingId, FrameMismatch) as exc:
+            out.add("dangling id", (cid,), str(exc))
+            continue
+        if X.cells1[cell.target] != (s, t):
+            out.add("frame", (cid,), "source path endpoints differ from target endpoints")
+    if out.items:
+        return out.report(arity_bound=X.arity_bound)
+
+    for f in X.cells1:
+        ident = X.ident2.get(f)
+        if ident is None or ident not in X.cells2:
+            out.add("identity", (f,), "no identity 2-cell recorded")
+            continue
+        cell = X.cells2[ident]
+        if cell.source != path(f) or cell.target != f:
+            out.add("identity", (f, ident), "identity 2-cell has the wrong frame")
+    for f in set(X.ident2) - set(X.cells1):
+        out.add("dangling id", (f,), "identity recorded for an unknown 1-cell")
+
+    # totality and frame agreement of the grafting table
+    by_target: dict[str, list[str]] = {}
+    for cid, cell in X.cells2.items():
+        by_target.setdefault(cell.target, []).append(cid)
+    for cid, outer in sorted(X.cells2.items()):
+        for slot, edge in enumerate(outer.source.edges):
+            for inner_id in by_target.get(edge, ()):
+                inner = X.cells2[inner_id]
+                if outer.source.arity + inner.source.arity - 1 > X.arity_bound:
+                    continue
+                key = (cid, slot, inner_id)
+                if key not in X.graft:
+                    out.add("totality", key, "in-bound graft has no table entry")
+    for (cid, slot, inner_id), result in X.graft.items():
+        if cid not in X.cells2 or inner_id not in X.cells2 or result not in X.cells2:
+            out.add("dangling id", (cid, slot, inner_id, result))
+            continue
+        outer, inner = X.cells2[cid], X.cells2[inner_id]
+        if not 0 <= slot < outer.source.arity:
+            out.add("frame", (cid, slot, inner_id), "slot out of range")
+            continue
+        if inner.target != outer.source.edges[slot]:
+            out.add("frame", (cid, slot, inner_id), "inner target differs from the slot edge")
+            continue
+        res = X.cells2[result]
+        if res.source != outer.source.splice(slot, inner.source):
+            out.add("frame", (cid, slot, inner_id), "result source is not the spliced path")
+        if res.target != outer.target:
+            out.add("frame", (cid, slot, inner_id), "result target differs from the outer target")
+    if out.items:
+        return out.report(arity_bound=X.arity_bound)
+
+    # unit laws
+    for cid, outer in X.cells2.items():
+        for slot, edge in enumerate(outer.source.edges):
+            key = (cid, slot, X.ident2[edge])
+            if X.graft.get(key) != cid:
+                out.add("right unit", key, "grafting an identity must not change the cell")
+    for cid, cell in X.cells2.items():
+        ident = X.ident2[cell.target]
+        key = (ident, 0, cid)
+        if X.graft.get(key) != cid:
+            out.add("left unit", key, "grafting under an identity must not change the cell")
+
+    # sequential associativity: graft(graft(a,i,b), i+j, c) = graft(a, i, graft(b,j,c))
+    entries_by_inner: dict[str, list[tuple[str, int, str]]] = {}
+    for key in X.graft:
+        entries_by_inner.setdefault(key[2], []).append(key)
+    for (b, j, c), bc in X.graft.items():
+        for (a, i, _b) in entries_by_inner.get(b, ()):
+            ab = X.graft[(a, i, b)]
+            lhs = X.graft.get((ab, i + j, c))
+            rhs = X.graft.get((a, i, bc))
+            if lhs is None or rhs is None:
+                # the composite leaves the bound; nothing to compare
+                continue
+            if lhs != rhs:
+                out.add("sequential associativity", (a, i, b, j, c), f"{lhs} != {rhs}")
+
+    # parallel commutation for disjoint slots of one outer cell
+    by_outer: dict[str, list[tuple[int, str, str]]] = {}
+    for (a, i, b), r in X.graft.items():
+        by_outer.setdefault(a, []).append((i, b, r))
+    for a, rows in by_outer.items():
+        for (i, b, r_ib), (j, c, r_jc) in itertools.combinations(sorted(rows), 2):
+            if i == j:
+                continue
+            if i > j:
+                (i, b, r_ib), (j, c, r_jc) = (j, c, r_jc), (i, b, r_ib)
+            shift = X.cells2[b].source.arity - 1
+            lhs = X.graft.get((r_ib, j + shift, c))
+            rhs = X.graft.get((r_jc, i, b))
+            if lhs is None or rhs is None:
+                continue
+            if lhs != rhs:
+                out.add("parallel commutation", (a, i, b, j, c), f"{lhs} != {rhs}")
+    return out.report(arity_bound=X.arity_bound)
+
+
+# ---------------------------------------------------------------------------
+# structures
+
+
+@functools.cache
+def _structures() -> dict[str, tuple]:
+    """Named (structure, biasing) pairs: the fixture and generated ones.
+
+    ``sign-5-at-4`` keeps the arity-5 cells of a bound-5 generation under
+    bound 4, so the table holds composites longer than the bound.
+    """
+    X5, b5 = eq.from_bicategory(sign_bicategory(), 5)
+    return {
+        "fixture": serialize.from_doc(serialize.load_path(str(FIXTURE))),
+        "sign": eq.from_bicategory(sign_bicategory()),
+        "sign-5": (X5, b5),
+        "sign-5-at-4": (dataclasses.replace(X5, arity_bound=4), b5),
+        "idempotent": eq.from_bicategory(idempotent_bicategory()),
+        "arrow": eq.from_bicategory(arrow_bicategory()),
+    }
+
+
+STRUCTURE_NAMES = ("fixture", "sign", "sign-5", "sign-5-at-4", "idempotent", "arrow")
+CORRUPTED_BASES = ("fixture", "sign", "idempotent", "arrow", "sign-5-at-4")
+
+
+def _corrupt(seed: int):
+    """A seeded corruption of one structure's grafting table.
+
+    Drops a row, swaps a row's result (any row's, or a unit row's) for
+    another occupant of its niche, or both.  Returns the corrupted structure
+    and the biasing of the original.
+    """
+    rng = random.Random(seed)
+    name = CORRUPTED_BASES[seed % len(CORRUPTED_BASES)]
+    X, b = _structures()[name]
+    table = dict(X.graft)
+    rows = list(table)
+    how = ("drop", "swap", "unit swap", "both")[seed // len(CORRUPTED_BASES) % 4]
+    if how == "unit swap":  # a row grafting or grafted into an identity
+        identities = set(X.ident2.values())
+        rows = [key for key in rows if key[0] in identities or key[2] in identities]
+    if how != "drop":
+        # another occupant with the same target keeps every frame intact
+        parallel: dict[tuple, list[str]] = {}
+        for cid, cell in X.cells2.items():
+            parallel.setdefault((cell.source.key(), cell.target), []).append(cid)
+
+        def others(key):
+            cell = X.cells2[table[key]]
+            return [c for c in parallel[(cell.source.key(), cell.target)] if c != table[key]]
+
+        key = rng.choice([key for key in rows if others(key)])
+        table[key] = rng.choice(others(key))
+    if how in ("drop", "both"):
+        del table[rng.choice(rows)]
+    return dataclasses.replace(X, graft=table), b
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the exception is part of the compared outcome
+        return (type(exc), str(exc))
+
+
+def _with_oracles(monkeypatch, fn, *args):
+    with monkeypatch.context() as m:
+        m.setattr(uni, "occupants_of_niche", oracle_occupants_of_niche)
+        m.setattr(uni, "is_universal_2cell", oracle_is_universal_2cell)
+        m.setattr(uni, "is_universal_1cell", oracle_is_universal_1cell)
+        m.setattr(eq, "occupants_of_niche", oracle_occupants_of_niche)
+        m.setattr(eq, "is_universal_2cell", oracle_is_universal_2cell)
+        m.setattr(eq, "_solve_unique", oracle_solve_unique)
+        return _outcome(fn, *args)
+
+
+def _assert_agrees(monkeypatch, X, b):
+    report = validate_op2(X)
+    assert report == oracle_validate_op2(X)
+    for cid, cell in X.cells2.items():
+        assert occupants_of_niche(X, cell.source) == oracle_occupants_of_niche(X, cell.source)
+        assert _outcome(uni.is_universal_2cell, X, cid) == _outcome(
+            oracle_is_universal_2cell, X, cid
+        ), cid
+        if cell.source.arity == 2:
+            assert _outcome(uni.is_universal_factorization_1, X, cid) == _outcome(
+                oracle_is_universal_factorization_1, X, cid
+            ), cid
+    niches: dict[tuple, list[str]] = {}
+    for cid, cell in X.cells2.items():
+        niches.setdefault(cell.source.key(), []).append(cid)
+    for niche in niches.values():
+        for a, c in itertools.product(niche, repeat=2):
+            assert factorizations_through(X, a, c) == oracle_factorizations_through(X, a, c)
+    for f in X.cells1:
+        assert uni.is_universal_1cell(X, f) == oracle_is_universal_1cell(X, f), f
+    for p in iter_paths(X):
+        assert occupants_of_niche(X, p) == oracle_occupants_of_niche(X, p)
+    for run in (
+        (uni.check_coherence, X),
+        (uni.check_coherence, X, True),
+        (eq.choose_biasing, X),
+        (eq.to_bicategory, X, b, False),
+    ):
+        assert _outcome(*run) == _with_oracles(monkeypatch, *run), run[0].__name__
+    return report
+
+
+@pytest.mark.parametrize("name", STRUCTURE_NAMES)
+def test_agrees_with_oracle_on_clean_structures(monkeypatch, name):
+    X, b = _structures()[name]
+    assert _assert_agrees(monkeypatch, X, b).ok
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_agrees_with_oracle_on_corruptions(monkeypatch, seed):
+    X, b = _corrupt(seed)
+    _assert_agrees(monkeypatch, X, b)
+
+
+def test_corruptions_reach_every_law():
+    rules: set[str] = set()
+    several_in_one_group = False
+    for seed in range(60):
+        X, _ = _corrupt(seed)
+        violations = validate_op2(X).violations
+        rules |= {v.rule for v in violations}
+        for rule in ("sequential associativity", "parallel commutation"):
+            witnesses = [v.witness for v in violations if v.rule == rule]
+            several_in_one_group |= len(witnesses) != len(set(w[2:] for w in witnesses))
+    assert {"totality", "right unit", "left unit", "sequential associativity",
+            "parallel commutation"} <= rules
+    assert several_in_one_group
+
+
+def test_solve_unique_wraps_the_shared_solver():
+    X, b = _structures()["idempotent"]
+    iota, t_iota = "@pt|1", "@pt|t"
+    assert eq._solve_unique(X, iota, t_iota, "probe") == oracle_solve_unique(X, iota, t_iota, "probe")
+    for raising in (eq._solve_unique, oracle_solve_unique):
+        with pytest.raises(NoSolution, match=re.escape("no probe over '@pt|t' reaching '@pt|1'")):
+            raising(X, t_iota, iota, "probe")
+    table = {**X.graft, ("1", 0, iota): t_iota}
+    Y = dataclasses.replace(X, graft=table)
+    assert _outcome(eq._solve_unique, Y, iota, t_iota, "probe") == _outcome(
+        oracle_solve_unique, Y, iota, t_iota, "probe"
+    )
+    with pytest.raises(NonUniqueSolution):
+        eq._solve_unique(Y, iota, t_iota, "probe")
+
+
+def test_binary_factorisation_reached_twice_or_never():
+    # grafting into slot 1 of u: one occupant reached by two 1-ary cells, or
+    # by none once a row is gone
+    X, b = _structures()["sign"]
+    u = b.c[("s", "s")]
+    first, second = sorted(
+        key for key in X.graft if key[:2] == (u, 1) and X.cells2[key[2]].source.arity == 1
+    )[:2]
+    twice = dataclasses.replace(X, graft={**X.graft, second: X.graft[first]})
+    never = dataclasses.replace(X, graft={k: r for k, r in X.graft.items() if k != second})
+    assert oracle_is_universal_factorization_1(X, u) and uni.is_universal_factorization_1(X, u)
+    for Y in (twice, never):
+        assert not oracle_is_universal_factorization_1(Y, u)
+        assert not uni.is_universal_factorization_1(Y, u)
