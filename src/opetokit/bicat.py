@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .core import composable_pairs, composable_triples
 from .errors import (
     DanglingId,
     MissingComposite,
@@ -389,10 +390,9 @@ def validate_category(C: FiniteCategory) -> ValidationReport:
             out.add("frame", (g, f), "entry for a non-composable pair")
         elif C.arrows[h] != (C.src(f), C.tgt(g)):
             out.add("frame", (g, f, h), "composite endpoints are wrong")
-    for f in C.arrows:
-        for g in C.arrows:
-            if C.tgt(f) == C.src(g) and (g, f) not in C.compose:
-                out.add("totality", (g, f), "composable pair missing from the table")
+    for f, g in composable_pairs(C.arrows):
+        if (g, f) not in C.compose:
+            out.add("totality", (g, f), "composable pair missing from the table")
     if out.items:
         return out.report()
     for f in C.arrows:
@@ -400,25 +400,16 @@ def validate_category(C: FiniteCategory) -> ValidationReport:
             out.add("unit", (f,), "left identity law fails")
         if C.then(C.identities[C.src(f)], f) != f:
             out.add("unit", (f,), "right identity law fails")
-    for f in C.arrows:
-        for g in C.arrows:
-            if C.tgt(f) != C.src(g):
-                continue
-            for h in C.arrows:
-                if C.tgt(g) != C.src(h):
-                    continue
-                if C.then(C.then(f, g), h) != C.then(f, C.then(g, h)):
-                    out.add("associativity", (h, g, f))
+    for f, g, h in composable_triples(C.arrows):
+        if C.then(C.then(f, g), h) != C.then(f, C.then(g, h)):
+            out.add("associativity", (h, g, f))
     return out.report()
 
 
 def _hom_pairs(B: FiniteBicategory):
     """2-cell pairs (b, a) whose object frames chain: a in hom(A,B), b in hom(B,C)."""
-    for a, (f1, _f2) in B.two_cells.items():
-        _, mid = B.one_cells[f1]
-        for b, (g1, _g2) in B.two_cells.items():
-            if B.one_cells[g1][0] == mid:
-                yield b, a
+    frames = {a: B.one_cells[f] for a, (f, _) in B.two_cells.items()}
+    return [(b, a) for a, b in composable_pairs(frames)]
 
 
 def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
@@ -451,42 +442,37 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
         if i is None or i not in B.two_cells or B.two_cells[i] != (f, f):
             out.add("hom category", (f,), "identity 2-cell missing or mistyped")
     for (b, a), c in B.vcomp.items():
-        if B.tgt2(a) != B.src2(b):
+        if not B.two_cells.keys() >= {b, a, c}:
+            out.add("dangling id", (b, a, c))
+        elif B.tgt2(a) != B.src2(b):
             out.add("hom category", (b, a), "vertical entry for a non-composable pair")
         elif B.two_cells[c] != (B.src2(a), B.tgt2(b)):
             out.add("hom category", (b, a, c), "vertical composite mistyped")
-    for a in B.two_cells:
-        for b in B.two_cells:
-            if B.tgt2(a) == B.src2(b) and (b, a) not in B.vcomp:
-                out.add("totality", (b, a), "vertical composite missing")
+    for a, b in composable_pairs(B.two_cells):
+        if (b, a) not in B.vcomp:
+            out.add("totality", (b, a), "vertical composite missing")
     if out.items:
         return out.report()
     for a in B.two_cells:
         if B.then2(a, B.id2[B.tgt2(a)]) != a or B.then2(B.id2[B.src2(a)], a) != a:
             out.add("hom category", (a,), "identity 2-cell is not neutral")
-    for a in B.two_cells:
-        for b in B.two_cells:
-            if B.tgt2(a) != B.src2(b):
-                continue
-            for c in B.two_cells:
-                if B.tgt2(b) != B.src2(c):
-                    continue
-                if B.then2(B.then2(a, b), c) != B.then2(a, B.then2(b, c)):
-                    out.add("hom category", (c, b, a), "vertical associativity fails")
+    for a, b, c in composable_triples(B.two_cells):
+        if B.then2(B.then2(a, b), c) != B.then2(a, B.then2(b, c)):
+            out.add("hom category", (c, b, a), "vertical associativity fails")
 
     # horizontal composition tables
-    comp1 = [
-        (g, f)
-        for f in B.one_cells
-        for g in B.one_cells
-        if B.tgt1(f) == B.src1(g)
-    ]
+    comp1 = [(g, f) for f, g in composable_pairs(B.one_cells)]
     for g, f in comp1:
         if (g, f) not in B.hcomp1:
             out.add("totality", (g, f), "1-cell composite missing")
     for (g, f), h in B.hcomp1.items():
-        if B.one_cells[h] != (B.src1(f), B.tgt1(g)):
+        if not B.one_cells.keys() >= {g, f, h}:
+            out.add("dangling id", (g, f, h))
+        elif B.one_cells[h] != (B.src1(f), B.tgt1(g)):
             out.add("frame", (g, f, h), "1-cell composite mistyped")
+    for (b, a), c in B.hcomp2.items():
+        if not B.two_cells.keys() >= {b, a, c}:
+            out.add("dangling id", (b, a, c))
     if out.items:
         return out.report()
     for b, a in _hom_pairs(B):
@@ -522,19 +508,14 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
                     out.add("interchange", (b2, b1, a2, a1))
 
     # associator: typing, invertibility, naturality
-    comp3 = [
-        (h, g, f)
-        for (g, f) in comp1
-        for h in B.one_cells
-        if B.tgt1(g) == B.src1(h)
-    ]
+    comp3 = [(h, g, f) for f, g, h in composable_triples(B.one_cells)]
     for h, g, f in comp3:
         a = B.assoc.get((h, g, f))
         if a is None:
             out.add("totality", (h, g, f), "associator component missing")
             continue
         want = (B.beside1(B.beside1(h, g), f), B.beside1(h, B.beside1(g, f)))
-        if B.two_cells[a] != want:
+        if B.two_cells.get(a) != want:
             out.add("frame", (h, g, f, a), "associator component mistyped")
         elif not is_invertible_2cell(B, a):
             out.add("associator invertible", (h, g, f, a))
@@ -652,13 +633,7 @@ def validate_lax_functor(F: LaxFunctor, B: FiniteBicategory, B2: FiniteBicategor
             out.add("totality", (a,), "2-cell has no image")
         elif B2.two_cells[fa] != (F.on_one_cells[x], F.on_one_cells[y]):
             out.add("frame", (a,), "2-cell image frame does not match")
-    comp1 = [
-        (g, f)
-        for f in B.one_cells
-        for g in B.one_cells
-        if B.tgt1(f) == B.src1(g)
-    ]
-    for g, f in comp1:
+    for f, g in composable_pairs(B.one_cells):
         p = F.phi_pair.get((g, f))
         if p is None or p not in B2.two_cells:
             out.add("totality", (g, f), "pair constraint missing")
@@ -696,24 +671,18 @@ def validate_lax_functor(F: LaxFunctor, B: FiniteBicategory, B2: FiniteBicategor
         if lhs != rhs:
             out.add("phi naturality", (b, a))
 
-    for f in B.one_cells:
-        for g in B.one_cells:
-            if B.tgt1(f) != B.src1(g):
-                continue
-            for h in B.one_cells:
-                if B.tgt1(g) != B.src1(h):
-                    continue
-                gf, hg = B.beside1(g, f), B.beside1(h, g)
-                lhs = B2.then2(
-                    B2.beside2(F.phi_pair[(h, g)], B2.id2[G1[f]]),
-                    B2.then2(F.phi_pair[(hg, f)], G2[B.assoc[(h, g, f)]]),
-                )
-                rhs = B2.then2(
-                    B2.assoc[(G1[h], G1[g], G1[f])],
-                    B2.then2(B2.beside2(B2.id2[G1[h]], F.phi_pair[(g, f)]), F.phi_pair[(h, gf)]),
-                )
-                if lhs != rhs:
-                    out.add("hexagon", (h, g, f))
+    for f, g, h in composable_triples(B.one_cells):
+        gf, hg = B.beside1(g, f), B.beside1(h, g)
+        lhs = B2.then2(
+            B2.beside2(F.phi_pair[(h, g)], B2.id2[G1[f]]),
+            B2.then2(F.phi_pair[(hg, f)], G2[B.assoc[(h, g, f)]]),
+        )
+        rhs = B2.then2(
+            B2.assoc[(G1[h], G1[g], G1[f])],
+            B2.then2(B2.beside2(B2.id2[G1[h]], F.phi_pair[(g, f)]), F.phi_pair[(h, gf)]),
+        )
+        if lhs != rhs:
+            out.add("hexagon", (h, g, f))
 
     for f, (s, t) in B.one_cells.items():
         lhs = B2.then2(

@@ -212,29 +212,61 @@ def path_endpoints(X, p: PastingPath) -> tuple[str, str]:
     return X.cells1[p.edges[0]][0], prev_tgt
 
 
-def iter_paths(X, max_len: int | None = None):
-    """All composable paths over ``X.cells1`` up to the arity bound."""
-    bound = X.arity_bound if max_len is None else max_len
+def _by_source(cells: dict[str, tuple[str, str]]) -> dict[str, list[str]]:
+    """Cell ids by source, each list in the dict order of ``cells``."""
+    after: dict[str, list[str]] = {}
+    for g, (s, _) in cells.items():
+        after.setdefault(s, []).append(g)
+    return after
+
+
+def iter_paths(X):
+    """All composable paths over ``X.cells1`` up to the arity bound.
+
+    Empty paths first, one per object in ``X.objects`` order, then paths by
+    length, each length in lexicographic order of its edges.
+    """
     for a in X.objects:
         yield empty_path(a)
-    by_src: dict[str, list[str]] = {}
-    for f, (s, _) in X.cells1.items():
-        by_src.setdefault(s, []).append(f)
+    by_src = _by_source(X.cells1)
     for bucket in by_src.values():
         bucket.sort()
     frontier = [(f,) for f in sorted(X.cells1)]
     length = 1
-    while frontier and length <= bound:
+    while frontier and length <= X.arity_bound:
         for edges in frontier:
             yield PastingPath(edges)
         length += 1
-        if length > bound:
+        if length > X.arity_bound:
             break
         frontier = [
             edges + (g,)
             for edges in frontier
             for g in by_src.get(X.cells1[edges[-1]][1], ())
         ]
+
+
+def composable_pairs(cells: dict[str, tuple[str, str]]) -> list[tuple[str, str]]:
+    """Pairs (f, g) of cells with ``tgt f == src g``.
+
+    ``cells`` maps an id to its (source, target); f runs in dict order and,
+    for each f, g runs in dict order.
+    """
+    after = _by_source(cells)
+    return [(f, g) for f, (_, t) in cells.items() for g in after.get(t, ())]
+
+
+def composable_triples(cells: dict[str, tuple[str, str]]) -> list[tuple[str, str, str]]:
+    """Triples (f, g, h): each composable pair (f, g), in the order of
+    ``composable_pairs``, extended by every h with ``tgt g == src h`` in dict
+    order."""
+    after = _by_source(cells)
+    return [
+        (f, g, h)
+        for f, (_, t) in cells.items()
+        for g in after.get(t, ())
+        for h in after.get(cells[g][1], ())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -544,27 +576,12 @@ def hom_category_of_frame(X: FiniteOpTwoCat, a: str, b: str) -> FiniteOpOneCat:
         if cell.source.arity == 1 and cell.source.edges[0] in obj_set
     }
     comp: dict[tuple, str] = {}
-    for f in objects:
-        comp[empty_path(f).key()] = X.ident2[f]
-    by_src: dict[str, list[str]] = {}
-    for cid, (s, _) in cells1.items():
-        by_src.setdefault(s, []).append(cid)
-    for bucket in by_src.values():
-        bucket.sort()
-    chains = [(cid,) for cid in sorted(cells1)]
-    length = 1
-    while chains and length <= X.arity_bound:
-        for chain in chains:
-            acc = chain[0]
-            for nxt in chain[1:]:
-                acc = graft(X, nxt, 0, acc)
-            comp[(1,) + chain] = acc
-        length += 1
-        if length > X.arity_bound:
-            break
-        chains = [
-            chain + (nxt,)
-            for chain in chains
-            for nxt in by_src.get(cells1[chain[-1]][1], ())
-        ]
+    for p in iter_paths(FiniteOpOneCat(objects, cells1, {}, X.arity_bound)):
+        if p.arity == 0:
+            comp[p.key()] = X.ident2[p.anchor]
+            continue
+        acc = p.edges[0]
+        for nxt in p.edges[1:]:
+            acc = graft(X, nxt, 0, acc)
+        comp[p.key()] = acc
     return FiniteOpOneCat(objects, cells1, comp, X.arity_bound)

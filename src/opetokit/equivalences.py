@@ -36,6 +36,8 @@ from .core import (
     FiniteOpZeroCat,
     PastingPath,
     TwoCell,
+    composable_pairs,
+    composable_triples,
     empty_path,
     iter_paths,
     occupants_of_niche,
@@ -127,12 +129,7 @@ def to_category(X: FiniteOpOneCat, check: bool = True) -> FiniteCategory:
         if not report.ok:
             raise InvalidInput(str(report))
     identities = {a: X.comp[empty_path(a).key()] for a in X.objects}
-    compose = {
-        (g, f): X.comp[path(f, g).key()]
-        for f, (_, t) in X.cells1.items()
-        for g, (s, _) in X.cells1.items()
-        if t == s
-    }
+    compose = {(g, f): X.comp[path(f, g).key()] for f, g in composable_pairs(X.cells1)}
     return FiniteCategory(
         tuple(sorted(X.objects)), dict(X.cells1), identities, compose
     )
@@ -199,18 +196,13 @@ def choose_biasing(X: FiniteOpTwoCat) -> Biasing:
             raise NoUniversalOccupant(f"nullary niche at {a!r}")
         iota[a] = found[0]
     c_table: dict[tuple[str, str], str] = {}
-    for f, (_, t) in X.cells1.items():
-        for g, (s, _) in X.cells1.items():
-            if t != s:
-                continue
-            found = sorted(
-                c
-                for c in occupants_of_niche(X, path(f, g))
-                if is_universal_2cell(X, c)
-            )
-            if not found:
-                raise NoUniversalOccupant(f"binary niche at ({f!r}, {g!r})")
-            c_table[(f, g)] = found[0]
+    for f, g in composable_pairs(X.cells1):
+        found = sorted(
+            c for c in occupants_of_niche(X, path(f, g)) if is_universal_2cell(X, c)
+        )
+        if not found:
+            raise NoUniversalOccupant(f"binary niche at ({f!r}, {g!r})")
+        c_table[(f, g)] = found[0]
     return Biasing(iota, c_table)
 
 
@@ -225,27 +217,19 @@ def validate_biasing(X: FiniteOpTwoCat, b: Biasing) -> ValidationReport:
             out.add("niche", (a, cell_id), "chosen cell not in the nullary niche")
         elif not is_universal_2cell(X, cell_id):
             out.add("universality", (a, cell_id), "chosen nullary occupant not universal")
-    for f, (_, t) in X.cells1.items():
-        for g, (s, _) in X.cells1.items():
-            if t != s:
-                continue
-            cell_id = b.c.get((f, g))
-            if cell_id is None or cell_id not in X.cells2:
-                out.add("totality", (f, g), "no chosen binary occupant")
-                continue
-            if X.cells2[cell_id].source != path(f, g):
-                out.add("niche", (f, g, cell_id), "chosen cell not in its binary niche")
-            elif not is_universal_2cell(X, cell_id):
-                out.add("universality", (f, g, cell_id), "chosen binary occupant not universal")
-    composable = {
-        (f, g)
-        for f, (_, t) in X.cells1.items()
-        for g, (s, _) in X.cells1.items()
-        if t == s
-    }
+    composable = composable_pairs(X.cells1)
+    for f, g in composable:
+        cell_id = b.c.get((f, g))
+        if cell_id is None or cell_id not in X.cells2:
+            out.add("totality", (f, g), "no chosen binary occupant")
+            continue
+        if X.cells2[cell_id].source != path(f, g):
+            out.add("niche", (f, g, cell_id), "chosen cell not in its binary niche")
+        elif not is_universal_2cell(X, cell_id):
+            out.add("universality", (f, g, cell_id), "chosen binary occupant not universal")
     for a in set(b.iota) - set(X.objects):
         out.add("niche", (a,), "choice for an unknown object")
-    for pair in set(b.c) - composable:
+    for pair in set(b.c) - set(composable):
         out.add("niche", (pair,), "choice for a non-composable pair")
     return out.report()
 
@@ -282,12 +266,7 @@ def to_bicategory(X: FiniteOpTwoCat, b: Biasing, check: bool = True) -> FiniteBi
         if cell.source.arity == 1
     }
     id2 = dict(X.ident2)
-    vcomp = {
-        (b2, a2): X.graft[(b2, 0, a2)]
-        for a2, (s1, t1) in two_cells.items()
-        for b2, (s2, _) in two_cells.items()
-        if t1 == s2
-    }
+    vcomp = {(b2, a2): X.graft[(b2, 0, a2)] for a2, b2 in composable_pairs(two_cells)}
     id1 = {a: X.cells2[b.iota[a]].target for a in X.objects}
     hcomp1 = {
         (g, f): X.cells2[b.c[(f, g)]].target
@@ -306,20 +285,12 @@ def to_bicategory(X: FiniteOpTwoCat, b: Biasing, check: bool = True) -> FiniteBi
             )
 
     assoc: dict[tuple[str, str, str], str] = {}
-    for f, (_, bf) in X.cells1.items():
-        for g, (sg, bg) in X.cells1.items():
-            if sg != bf:
-                continue
-            for h, (sh, _) in X.cells1.items():
-                if sh != bg:
-                    continue
-                gf = hcomp1[(g, f)]
-                hg = hcomp1[(h, g)]
-                head_first = X.graft[(b.c[(f, hg)], 1, b.c[(g, h)])]
-                tail_first = X.graft[(b.c[(gf, h)], 0, b.c[(f, g)])]
-                assoc[(h, g, f)] = _solve_unique(
-                    X, head_first, tail_first, "associator component"
-                )
+    for f, g, h in composable_triples(X.cells1):
+        gf = hcomp1[(g, f)]
+        hg = hcomp1[(h, g)]
+        head_first = X.graft[(b.c[(f, hg)], 1, b.c[(g, h)])]
+        tail_first = X.graft[(b.c[(gf, h)], 0, b.c[(f, g)])]
+        assoc[(h, g, f)] = _solve_unique(X, head_first, tail_first, "associator component")
 
     lunit: dict[str, str] = {}
     runit: dict[str, str] = {}
@@ -364,34 +335,11 @@ def _cell_name(p: PastingPath, alpha: str) -> str:
     return f"{';'.join(p.edges)}|{alpha}"
 
 
-def _bicat_paths(B: FiniteBicategory, bound: int):
-    for a in sorted(B.objects):
-        yield empty_path(a)
-    by_src: dict[str, list[str]] = {}
-    for f, (s, _) in B.one_cells.items():
-        by_src.setdefault(s, []).append(f)
-    for bucket in by_src.values():
-        bucket.sort()
-    frontier = [(f,) for f in sorted(B.one_cells)]
-    length = 1
-    while frontier and length <= bound:
-        for edges in frontier:
-            yield PastingPath(edges)
-        length += 1
-        if length > bound:
-            break
-        frontier = [
-            edges + (g,)
-            for edges in frontier
-            for g in by_src.get(B.one_cells[edges[-1]][1], ())
-        ]
-
-
 def _generate(B: FiniteBicategory, bound: int) -> _Generated:
     cells2: dict[str, TwoCell] = {}
     value_of: dict[str, tuple[PastingPath, str]] = {}
     cell_of: dict[tuple, str] = {}
-    for p in _bicat_paths(B, bound):
+    for p in iter_paths(FiniteOpOneCat(tuple(sorted(B.objects)), B.one_cells, {}, bound)):
         base = chain_value(B, p.edges, p.anchor)
         for alpha, (s, t) in B.two_cells.items():
             if s != base:
@@ -444,9 +392,7 @@ def _generate(B: FiniteBicategory, bound: int) -> _Generated:
         iota={a: cell_of[(empty_path(a).key(), B.id2[B.id1[a]])] for a in B.objects},
         c={
             (f, g): cell_of[(path(f, g).key(), B.id2[B.beside1(g, f)])]
-            for f, (_, t) in B.one_cells.items()
-            for g, (s, _) in B.one_cells.items()
-            if t == s
+            for f, g in composable_pairs(B.one_cells)
         },
     )
     return _Generated(X, biasing, value_of, cell_of)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 
 from .bicat import FiniteBicategory, FiniteCategory, LaxFunctor
+from .core import composable_pairs, composable_triples
 
 
 def _z2_mul(f: str, g: str) -> str:
@@ -170,34 +171,22 @@ def arrow_bicategory() -> FiniteBicategory:
         ("1k2", "a1"): "a1",
         ("1k2", "1k2"): "1k2",
     }
-    hcomp1 = {}
-    for f, (s, t) in one_cells.items():
-        for g, (s2, t2) in one_cells.items():
-            if t != s2:
-                continue
-            hcomp1[(g, f)] = f if g in ("iA", "iB") else g
+    hcomp1 = {
+        (g, f): f if g in ("iA", "iB") else g for f, g in composable_pairs(one_cells)
+    }
     hom_of = {
         "1iA": "iA", "1iB": "iB",
         "1k": "AB", "xk": "AB", "a0": "AB", "a1": "AB", "1k2": "AB",
     }
-    hcomp2 = {}
-    for a, (f1, _) in two_cells.items():
-        for b, (g1, _) in two_cells.items():
-            if one_cells[two_cells[a][0]][1] != one_cells[g1][0]:
-                continue
-            if hom_of[b] in ("iA", "iB"):
-                hcomp2[(b, a)] = a
-            else:
-                hcomp2[(b, a)] = b
-    assoc = {}
-    for f, (sf, tf) in one_cells.items():
-        for g, (sg, tg) in one_cells.items():
-            if tf != sg:
-                continue
-            for h, (sh, _) in one_cells.items():
-                if tg != sh:
-                    continue
-                assoc[(h, g, f)] = id2[hcomp1[(h, hcomp1[(g, f)])]]
+    frames = {a: one_cells[f] for a, (f, _) in two_cells.items()}
+    hcomp2 = {
+        (b, a): a if hom_of[b] in ("iA", "iB") else b
+        for a, b in composable_pairs(frames)
+    }
+    assoc = {
+        (h, g, f): id2[hcomp1[(h, hcomp1[(g, f)])]]
+        for f, g, h in composable_triples(one_cells)
+    }
     return FiniteBicategory(
         objects=objects,
         one_cells=one_cells,

@@ -4,34 +4,118 @@ One document per structure, discriminated by a top-level ``kind`` in
 {set, op1cat, op2cat, category, bicategory, opmorphism, laxfunctor}.
 Serialisation sorts every list by its natural key and every object by key, so
 parsing followed by dumping is byte-stable.
+
+Each kind is one entry of ``_SPEC``: its class and the ``(document field,
+attribute, codec)`` triples of its tables.  A codec converts one table shape
+in both directions, and its ``load`` is where input from outside the program
+is checked: a missing field, a value of the wrong JSON type, or a row that
+repeats an id or a table key raises ``ParseError``.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
+from operator import itemgetter
 
 from .bicat import FiniteBicategory, FiniteCategory, LaxFunctor
-from .core import (
-    FiniteOpOneCat,
-    FiniteOpTwoCat,
-    PastingPath,
-    TwoCell,
-    empty_path,
-)
+from .core import FiniteOpOneCat, FiniteOpTwoCat, PastingPath, TwoCell, empty_path
 from .equivalences import Biasing, OpMorphism
 from .errors import ParseError, UnknownKind
 
 KINDS = ("set", "op1cat", "op2cat", "category", "bicategory", "opmorphism", "laxfunctor")
 
-
-def _cells(table: dict[str, tuple[str, str]]) -> list[dict]:
-    return [
-        {"id": i, "src": s, "tgt": t} for i, (s, t) in sorted(table.items())
-    ]
+# JSON type of each row field; every field not named here holds an id string
+_FIELD_TYPES = {"slot": int, "source": dict}
+_TYPE_NAMES = {str: "a string", int: "an integer", dict: "an object"}
 
 
-def _read_cells(rows) -> dict[str, tuple[str, str]]:
-    return {row["id"]: (row["src"], row["tgt"]) for row in rows}
+def _check_rows(rows, fields: tuple[str, ...], where: str) -> None:
+    """Every row an object holding each named field, of its JSON type."""
+    if type(rows) is not list:
+        raise ParseError(f"{where} must be a list of objects")
+    for name in fields:
+        try:
+            found = set(map(type, map(itemgetter(name), rows)))
+        except KeyError:
+            raise ParseError(f"{where}: a row lacks field {name!r}") from None
+        except TypeError:  # a row that is not an object
+            raise ParseError(f"{where} must be a list of objects") from None
+        want = _FIELD_TYPES.get(name, str)
+        if not found <= {want}:
+            raise ParseError(f"{where}: field {name!r} must be {_TYPE_NAMES[want]}")
+
+
+def _repeated(keys, where: str):
+    """Raise on the first key that occurs more than once."""
+    repeated = next(k for k, n in Counter(keys).items() if n > 1)
+    raise ParseError(f"{where}: more than one entry for {repeated!r}")
+
+
+def _read_table(rows, keys: tuple[str, ...], values: tuple[str, ...], where: str) -> dict:
+    """``{key: value}`` over checked rows; a key or value of one field is that
+    field's value, of several fields the tuple of their values."""
+    _check_rows(rows, keys + values, where)
+    key = itemgetter(*keys)
+    table = dict(zip(map(key, rows), map(itemgetter(*values), rows)))
+    if len(table) != len(rows):
+        _repeated(map(key, rows), where)
+    return table
+
+
+class _Codec:
+    optional = False  # an absent optional field keeps the class default
+
+
+class _Ids(_Codec):
+    """A list of distinct ids <-> their sorted tuple."""
+
+    def dump(self, ids):
+        return sorted(ids)
+
+    def load(self, raw, where):
+        if type(raw) is not list or not set(map(type, raw)) <= {str}:
+            raise ParseError(f"{where} must be a list of strings")
+        if len(set(raw)) != len(raw):
+            _repeated(raw, where)
+        return tuple(sorted(raw))
+
+
+class _Cells(_Codec):
+    """``{id, src, tgt}`` rows <-> ``{id: (src, tgt)}``."""
+
+    def dump(self, table):
+        return [{"id": i, "src": s, "tgt": t} for i, (s, t) in sorted(table.items())]
+
+    def load(self, raw, where):
+        return _read_table(raw, ("id",), ("src", "tgt"), where)
+
+
+class _Map(_Codec):
+    """An object of id strings <-> a dict."""
+
+    def dump(self, table):
+        return dict(sorted(table.items()))
+
+    def load(self, raw, where):
+        if type(raw) is not dict or not set(map(type, raw.values())) <= {str}:
+            raise ParseError(f"{where} must be an object of strings")
+        return dict(raw)
+
+
+class _Rows(_Codec):
+    """Rows named by their fields <-> a dict keyed by the tuple of all fields
+    but the last, which holds the value."""
+
+    def __init__(self, *fields: str):
+        self.fields = fields
+
+    def dump(self, table):
+        fields = self.fields
+        return [dict(zip(fields, (*key, value))) for key, value in sorted(table.items())]
+
+    def load(self, raw, where):
+        return _read_table(raw, self.fields[:-1], self.fields[-1:], where)
 
 
 def _path_doc(p: PastingPath) -> dict:
@@ -40,196 +124,171 @@ def _path_doc(p: PastingPath) -> dict:
     return {"edges": list(p.edges)}
 
 
-def _read_path(doc) -> PastingPath:
-    edges = tuple(doc.get("edges", ()))
+def _read_path(doc: dict, where: str) -> PastingPath:
+    edges = doc.get("edges", [])
+    if type(edges) is not list or not set(map(type, edges)) <= {str}:
+        raise ParseError(f"{where}: 'edges' must be a list of strings")
     if edges:
-        return PastingPath(edges)
+        return PastingPath(tuple(edges))
+    if type(doc.get("anchor")) is not str:
+        raise ParseError(f"{where}: an empty path needs a string 'anchor'")
     return empty_path(doc["anchor"])
 
 
+class _Comp(_Codec):
+    """Path-keyed ``comp`` rows <-> ``{path key: 1-cell}``."""
+
+    def dump(self, table):
+        return [
+            {"anchor": key[1], "edges": [], "result": r} if key[0] == 0
+            else {"edges": list(key[1:]), "result": r}
+            for key, r in sorted(table.items())
+        ]
+
+    def load(self, raw, where):
+        _check_rows(raw, ("result",), where)
+        keys = [_read_path(row, where).key() for row in raw]
+        table = dict(zip(keys, map(itemgetter("result"), raw)))
+        if len(table) != len(keys):
+            _repeated(keys, where)
+        return table
+
+
+class _TwoCells(_Codec):
+    """``{id, source, target}`` rows <-> ``{id: TwoCell}``."""
+
+    def dump(self, table):
+        return [
+            {"id": cid, "source": _path_doc(cell.source), "target": cell.target}
+            for cid, cell in sorted(table.items())
+        ]
+
+    def load(self, raw, where):
+        rows = _read_table(raw, ("id",), ("source", "target"), where)
+        return {
+            cid: TwoCell(cid, _read_path(source, where), target)
+            for cid, (source, target) in rows.items()
+        }
+
+
+class _Bound(_Codec):
+    """``arity_bound``: an integer, the class default when absent."""
+
+    optional = True
+
+    def dump(self, bound):
+        return bound
+
+    def load(self, raw, where):
+        if type(raw) is not int:
+            raise ParseError(f"{where} must be an integer")
+        return raw
+
+
+_IDS, _CELLS, _MAP, _BOUND = _Ids(), _Cells(), _Map(), _Bound()
+
+_SPEC = {
+    "category": (FiniteCategory, (
+        ("objects", "objects", _IDS),
+        ("arrows", "arrows", _CELLS),
+        ("identities", "identities", _MAP),
+        ("compose", "compose", _Rows("g", "f", "result")),
+    )),
+    "op1cat": (FiniteOpOneCat, (
+        ("objects", "objects", _IDS),
+        ("one_cells", "cells1", _CELLS),
+        ("arity_bound", "arity_bound", _BOUND),
+        ("comp", "comp", _Comp()),
+    )),
+    "op2cat": (FiniteOpTwoCat, (
+        ("objects", "objects", _IDS),
+        ("one_cells", "cells1", _CELLS),
+        ("two_cells", "cells2", _TwoCells()),
+        ("identity_two_cells", "ident2", _MAP),
+        ("arity_bound", "arity_bound", _BOUND),
+        ("graft", "graft", _Rows("outer", "slot", "inner", "result")),
+    )),
+    "bicategory": (FiniteBicategory, (
+        ("objects", "objects", _IDS),
+        ("one_cells", "one_cells", _CELLS),
+        ("two_cells", "two_cells", _CELLS),
+        ("identity_two_cells", "id2", _MAP),
+        ("vertical", "vcomp", _Rows("after", "before", "result")),
+        ("identity_one_cells", "id1", _MAP),
+        ("horizontal_one", "hcomp1", _Rows("g", "f", "result")),
+        ("horizontal_two", "hcomp2", _Rows("beta", "alpha", "result")),
+        ("associator", "assoc", _Rows("h", "g", "f", "component")),
+        ("left_unitor", "lunit", _MAP),
+        ("right_unitor", "runit", _MAP),
+    )),
+    "opmorphism": (OpMorphism, (
+        ("objects", "on_objects", _MAP),
+        ("one_cells", "on_one_cells", _MAP),
+        ("two_cells", "on_two_cells", _MAP),
+    )),
+    "laxfunctor": (LaxFunctor, (
+        ("objects", "on_objects", _MAP),
+        ("one_cells", "on_one_cells", _MAP),
+        ("two_cells", "on_two_cells", _MAP),
+        ("pair_constraints", "phi_pair", _Rows("g", "f", "component")),
+        ("object_constraints", "phi_obj", _MAP),
+    )),
+}
+_SET = (("elements", "elements", _IDS),)
+# the optional ``biasing`` section of an op2cat document
+_BIASING = (
+    ("iota", "iota", _MAP),
+    ("c", "c", _Rows("f", "g", "cell")),
+)
+
+
+def _dump(obj, fields) -> dict:
+    return {name: codec.dump(getattr(obj, attr)) for name, attr, codec in fields}
+
+
+def _load(doc, where: str, fields) -> dict:
+    """Constructor arguments read off ``doc``, every field checked."""
+    if type(doc) is not dict:
+        raise ParseError(f"{where} must be an object")
+    values = {}
+    for name, attr, codec in fields:
+        if name in doc:
+            values[attr] = codec.load(doc[name], f"{where}.{name}")
+        elif not codec.optional:
+            raise ParseError(f"{where} document lacks field {name!r}")
+    return values
+
+
 def to_doc(obj, biasing: Biasing | None = None) -> dict:
-    if isinstance(obj, (set, frozenset, tuple, list)) and not isinstance(obj, PastingPath):
-        return {"kind": "set", "elements": sorted(obj)}
-    if isinstance(obj, FiniteCategory):
-        return {
-            "kind": "category",
-            "objects": sorted(obj.objects),
-            "arrows": _cells(obj.arrows),
-            "identities": dict(sorted(obj.identities.items())),
-            "compose": [
-                {"g": g, "f": f, "result": r}
-                for (g, f), r in sorted(obj.compose.items())
-            ],
-        }
-    if isinstance(obj, FiniteOpOneCat):
-        comp_rows = []
-        for key, r in sorted(obj.comp.items()):
-            if key[0] == 0:
-                comp_rows.append({"anchor": key[1], "edges": [], "result": r})
-            else:
-                comp_rows.append({"edges": list(key[1:]), "result": r})
-        return {
-            "kind": "op1cat",
-            "objects": sorted(obj.objects),
-            "one_cells": _cells(obj.cells1),
-            "arity_bound": obj.arity_bound,
-            "comp": comp_rows,
-        }
-    if isinstance(obj, FiniteOpTwoCat):
-        doc = {
-            "kind": "op2cat",
-            "objects": sorted(obj.objects),
-            "one_cells": _cells(obj.cells1),
-            "two_cells": [
-                {"id": cid, "source": _path_doc(cell.source), "target": cell.target}
-                for cid, cell in sorted(obj.cells2.items())
-            ],
-            "identity_two_cells": dict(sorted(obj.ident2.items())),
-            "arity_bound": obj.arity_bound,
-            "graft": [
-                {"outer": o, "slot": s, "inner": i, "result": r}
-                for (o, s, i), r in sorted(obj.graft.items())
-            ],
-        }
-        if biasing is not None:
-            doc["biasing"] = {
-                "iota": dict(sorted(biasing.iota.items())),
-                "c": [
-                    {"f": f, "g": g, "cell": cell}
-                    for (f, g), cell in sorted(biasing.c.items())
-                ],
-            }
-        return doc
-    if isinstance(obj, FiniteBicategory):
-        return {
-            "kind": "bicategory",
-            "objects": sorted(obj.objects),
-            "one_cells": _cells(obj.one_cells),
-            "two_cells": _cells(obj.two_cells),
-            "identity_two_cells": dict(sorted(obj.id2.items())),
-            "vertical": [
-                {"after": b, "before": a, "result": r}
-                for (b, a), r in sorted(obj.vcomp.items())
-            ],
-            "identity_one_cells": dict(sorted(obj.id1.items())),
-            "horizontal_one": [
-                {"g": g, "f": f, "result": r}
-                for (g, f), r in sorted(obj.hcomp1.items())
-            ],
-            "horizontal_two": [
-                {"beta": b, "alpha": a, "result": r}
-                for (b, a), r in sorted(obj.hcomp2.items())
-            ],
-            "associator": [
-                {"h": h, "g": g, "f": f, "component": r}
-                for (h, g, f), r in sorted(obj.assoc.items())
-            ],
-            "left_unitor": dict(sorted(obj.lunit.items())),
-            "right_unitor": dict(sorted(obj.runit.items())),
-        }
-    if isinstance(obj, OpMorphism):
-        return {
-            "kind": "opmorphism",
-            "objects": dict(sorted(obj.on_objects.items())),
-            "one_cells": dict(sorted(obj.on_one_cells.items())),
-            "two_cells": dict(sorted(obj.on_two_cells.items())),
-        }
-    if isinstance(obj, LaxFunctor):
-        return {
-            "kind": "laxfunctor",
-            "objects": dict(sorted(obj.on_objects.items())),
-            "one_cells": dict(sorted(obj.on_one_cells.items())),
-            "two_cells": dict(sorted(obj.on_two_cells.items())),
-            "pair_constraints": [
-                {"g": g, "f": f, "component": r}
-                for (g, f), r in sorted(obj.phi_pair.items())
-            ],
-            "object_constraints": dict(sorted(obj.phi_obj.items())),
-        }
+    if isinstance(obj, (set, frozenset, tuple, list)):
+        return {"kind": "set", "elements": _IDS.dump(obj)}
+    for kind, (cls, fields) in _SPEC.items():
+        if isinstance(obj, cls):
+            doc = {"kind": kind, **_dump(obj, fields)}
+            if kind == "op2cat" and biasing is not None:
+                doc["biasing"] = _dump(biasing, _BIASING)
+            return doc
     raise UnknownKind(f"cannot serialise {type(obj).__name__}")
 
 
 def from_doc(doc: dict):
-    """Structure (or (structure, biasing) for op2cat documents) from a doc."""
+    """Structure (or (structure, biasing) for op2cat documents) from a doc.
+
+    Raises ``ParseError`` on a missing field, a value of the wrong JSON type,
+    or a repeated id or table key.
+    """
     kind = doc.get("kind")
     if kind == "set":
-        return tuple(sorted(doc["elements"]))
-    if kind == "category":
-        return FiniteCategory(
-            objects=tuple(sorted(doc["objects"])),
-            arrows=_read_cells(doc["arrows"]),
-            identities=dict(doc["identities"]),
-            compose={(row["g"], row["f"]): row["result"] for row in doc["compose"]},
-        )
-    if kind == "op1cat":
-        comp = {}
-        for row in doc["comp"]:
-            p = _read_path(row)
-            comp[p.key()] = row["result"]
-        return FiniteOpOneCat(
-            objects=tuple(sorted(doc["objects"])),
-            cells1=_read_cells(doc["one_cells"]),
-            comp=comp,
-            arity_bound=doc.get("arity_bound", 4),
-        )
-    if kind == "op2cat":
-        cells2 = {
-            row["id"]: TwoCell(row["id"], _read_path(row["source"]), row["target"])
-            for row in doc["two_cells"]
-        }
-        X = FiniteOpTwoCat(
-            objects=tuple(sorted(doc["objects"])),
-            cells1=_read_cells(doc["one_cells"]),
-            cells2=cells2,
-            ident2=dict(doc["identity_two_cells"]),
-            graft={
-                (row["outer"], row["slot"], row["inner"]): row["result"]
-                for row in doc["graft"]
-            },
-            arity_bound=doc.get("arity_bound", 4),
-        )
-        if "biasing" in doc:
-            b = Biasing(
-                iota=dict(doc["biasing"]["iota"]),
-                c={(row["f"], row["g"]): row["cell"] for row in doc["biasing"]["c"]},
-            )
-            return X, b
-        return X, None
-    if kind == "bicategory":
-        return FiniteBicategory(
-            objects=tuple(sorted(doc["objects"])),
-            one_cells=_read_cells(doc["one_cells"]),
-            two_cells=_read_cells(doc["two_cells"]),
-            id2=dict(doc["identity_two_cells"]),
-            vcomp={(row["after"], row["before"]): row["result"] for row in doc["vertical"]},
-            id1=dict(doc["identity_one_cells"]),
-            hcomp1={(row["g"], row["f"]): row["result"] for row in doc["horizontal_one"]},
-            hcomp2={(row["beta"], row["alpha"]): row["result"] for row in doc["horizontal_two"]},
-            assoc={
-                (row["h"], row["g"], row["f"]): row["component"]
-                for row in doc["associator"]
-            },
-            lunit=dict(doc["left_unitor"]),
-            runit=dict(doc["right_unitor"]),
-        )
-    if kind == "opmorphism":
-        return OpMorphism(
-            on_objects=dict(doc["objects"]),
-            on_one_cells=dict(doc["one_cells"]),
-            on_two_cells=dict(doc["two_cells"]),
-        )
-    if kind == "laxfunctor":
-        return LaxFunctor(
-            on_objects=dict(doc["objects"]),
-            on_one_cells=dict(doc["one_cells"]),
-            on_two_cells=dict(doc["two_cells"]),
-            phi_pair={
-                (row["g"], row["f"]): row["component"]
-                for row in doc["pair_constraints"]
-            },
-            phi_obj=dict(doc["object_constraints"]),
-        )
-    raise UnknownKind(f"unknown kind {kind!r}")
+        return _load(doc, kind, _SET)["elements"]
+    if kind not in KINDS:
+        raise UnknownKind(f"unknown kind {kind!r}")
+    cls, fields = _SPEC[kind]
+    obj = cls(**_load(doc, kind, fields))
+    if kind != "op2cat":
+        return obj
+    if "biasing" not in doc:
+        return obj, None
+    return obj, Biasing(**_load(doc["biasing"], "op2cat.biasing", _BIASING))
 
 
 def dumps(doc: dict) -> str:

@@ -70,6 +70,22 @@ def test_category_associativity_violation():
 # -- bicategories ----------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "table, position",
+    [("vcomp", 1), ("vcomp", 2), ("hcomp1", 1), ("hcomp1", 2), ("hcomp2", 0), ("hcomp2", 2)],
+)
+def test_dangling_composition_entries_are_reported(sign, table, position):
+    # rename one id of the first row (key position 0 or 1, or the result)
+    rows = dict(getattr(sign, table))
+    (first, second), result = row = next(iter(rows.items()))
+    del rows[row[0]]
+    renamed = [first, second, result]
+    renamed[position] = "zz"
+    rows[tuple(renamed[:2])] = renamed[2]
+    report = validate_bicategory(dataclasses.replace(sign, **{table: rows}))
+    assert ("dangling id", tuple(renamed)) in [(v.rule, v.witness) for v in report.violations]
+
+
 def test_fixture_bicategories_are_clean(sign, idem, arrow, terminal):
     for B in (sign, idem, arrow, terminal):
         report = validate_bicategory(B)
