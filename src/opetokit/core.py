@@ -295,7 +295,17 @@ def validate_op1(X: FiniteOpOneCat) -> ValidationReport:
     Reported rules: ``dangling id``, ``totality``, ``endpoints``,
     ``singleton``, ``substitution``.  An empty report means every niche of
     arity at most the bound has the recorded unique occupant and the table is
-    closed under collapsing or expanding any contiguous segment.
+    closed under collapsing any contiguous segment ``[i:j]`` of a path.
+
+    Once every frame agrees, substitution is checked on the segments that
+    generate it, for a path of length m: ``[0:0]`` and ``[1:1]`` (the units)
+    if m = 1, ``[0:2]`` and ``[1:3]`` (the bracketings) if m = 3, ``[0:m-1]``
+    (peel off the last edge) if m >= 4, skipping a collapsed path longer than
+    the bound.  With the singleton rows, the peels make each row the left fold
+    of the binary table, which the bracketings make associative and the units
+    unital, so every collapsed path folds to the whole path's composite: the
+    verdict is that of checking every segment, at every bound; the witnesses
+    ``(path key, i, j)`` are the failing generating instances, in its order.
     """
     out = _Collector()
     for f, (s, t) in X.cells1.items():
@@ -305,47 +315,37 @@ def validate_op1(X: FiniteOpOneCat) -> ValidationReport:
         if result not in X.cells1:
             out.add("dangling id", (result,), f"comp{key} names an unknown 1-cell")
 
-    paths = list(iter_paths(X))
-    known = set(X.comp)
-    for p in paths:
-        if p.key() not in known:
-            out.add("totality", (p.key(),), "composable path has no recorded composite")
-    valid_keys = {p.key() for p in paths}
-    for key in known - valid_keys:
+    keys = [p.key() for p in iter_paths(X)]
+    comp, cells1 = X.comp, X.cells1
+    for key in keys:
+        if key not in comp:
+            out.add("totality", (key,), "composable path has no recorded composite")
+    for key in set(comp) - set(keys):
         out.add("dangling id", (key,), "comp entry for a path that does not exist at this bound")
-    if not out.items:
-        for p in paths:
-            result = X.comp[p.key()]
-            s, t = path_endpoints(X, p)
-            if X.cells1[result] != (s, t):
-                out.add("endpoints", (p.key(), result))
-            if p.arity == 1 and result != p.edges[0]:
-                out.add("singleton", (p.edges[0], result), "comp of a one-edge path must be that edge")
-        comp = X.comp
-        bound = X.arity_bound
-        for p in paths:
-            whole = comp[p.key()]
-            edges = p.edges
-            m = len(edges)
-            # objects sitting at positions 0..m along the path
-            if m == 0:
-                at = [p.anchor]
-            else:
-                at = [X.cells1[edges[0]][0]] + [X.cells1[e][1] for e in edges]
-            for i in range(m + 1):
-                prefix = edges[:i]
-                for j in range(i, m + 1):
-                    segment = edges[i:j]
-                    mid = comp[(1,) + segment if segment else (0, at[i])]
-                    collapsed = prefix + (mid,) + edges[j:]
-                    if len(collapsed) > bound:
-                        continue
-                    if comp[(1,) + collapsed] != whole:
-                        out.add(
-                            "substitution",
-                            (p.key(), i, j),
-                            f"comp disagrees after collapsing segment [{i}:{j}]",
-                        )
+    if out.items:
+        return out.report(arity_bound=X.arity_bound)
+    # frames read off the ends: the paths are composable chains of known 1-cells
+    for key in keys:
+        result = comp[key]
+        frame = (cells1[key[1]][0], cells1[key[-1]][1]) if key[0] else (key[1], key[1])
+        if cells1[result] != frame:
+            out.add("endpoints", (key, result))
+        if len(key) == 2 and key[0] and result != key[1]:
+            out.add("singleton", (key[1], result), "comp of a one-edge path must be that edge")
+    if any(v.rule == "endpoints" for v in out.items):
+        return out.report(arity_bound=X.arity_bound)
+    # the generating segments of a path of length m < 4; a longer one peels
+    generators = {0: (), 1: ((0, 0), (1, 1)), 2: (), 3: ((0, 2), (1, 3))}
+    for key in keys:
+        edges = key[1:] if key[0] else ()
+        for i, j in generators.get(len(edges), ((0, len(edges) - 1),)):
+            # an empty segment (m = 1) collapses to the identity at position i
+            segment = edges[i:j]
+            mid = comp[(1,) + segment if segment else (0, cells1[edges[0]][i])]
+            collapsed = edges[:i] + (mid,) + edges[j:]
+            if len(collapsed) <= X.arity_bound and comp[(1,) + collapsed] != comp[key]:
+                message = f"comp disagrees after collapsing segment [{i}:{j}]"
+                out.add("substitution", (key, i, j), message)
     return out.report(arity_bound=X.arity_bound)
 
 

@@ -9,7 +9,8 @@ Each kind is one entry of ``_SPEC``: its class and the ``(document field,
 attribute, codec)`` triples of its tables.  A codec converts one table shape
 in both directions, and its ``load`` is where input from outside the program
 is checked: a missing field, a value of the wrong JSON type, or a row that
-repeats an id or a table key raises ``ParseError``.
+repeats an id or a table key raises ``ParseError``; ``loads`` already
+rejects an object that repeats a key.
 """
 
 from __future__ import annotations
@@ -295,9 +296,17 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object; a key it repeats raises ``ParseError``."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        _repeated([key for key, _ in pairs], "JSON object")
+    return obj
+
+
 def loads(text: str) -> dict:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ParseError(str(exc), exc.lineno, exc.colno) from None
     if not isinstance(doc, dict) or "kind" not in doc:

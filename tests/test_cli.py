@@ -17,6 +17,7 @@ from opetokit.fixtures import (
     idempotent_bicategory,
     identity_lax_functor,
     sign_twisted_endofunctor,
+    small_category_family,
     terminal_bicategory,
 )
 
@@ -292,3 +293,30 @@ def test_out_into_missing_directory_exits_2(tmp_path, capsys, z2cat):
     target = str(tmp_path / "missing" / "o.json")
     assert main(["convert", c_path, "--to", "opic", "--out", target]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {target}")
+
+
+def test_misframed_comp_row_is_a_domain_error(tmp_path, capsys):
+    # the one-edge row of an arrow A -> B names the identity on its source:
+    # its endpoints are wrong, and no collapsed path through it is composable
+    C = next(
+        C for C in small_category_family()
+        if len(C.objects) == 2 and any(s != t for s, t in C.arrows.values())
+    )
+    doc = serialize.to_doc(from_category(C))
+    row = next(r for r in doc["comp"] if len(r["edges"]) == 1
+               and C.arrows[r["edges"][0]][0] != C.arrows[r["edges"][0]][1])
+    f = row["edges"][0]
+    row["result"] = C.identities[C.arrows[f][0]]
+    p = _write(tmp_path, "misframed.json", doc)
+    endpoints = f"endpoints: ((1, {f!r}), {row['result']!r})"
+    assert main(["validate", p]) == 1
+    captured = capsys.readouterr()
+    assert f"  endpoints ((1, {f!r}), {row['result']!r})" in captured.out.splitlines()
+    assert "substitution" not in captured.out
+    assert captured.err == ""
+    out = str(tmp_path / "c.json")
+    for argv in (["roundtrip", p], ["convert", p, "--to", "bicat", "--out", out]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: InvalidInput: {endpoints}\n")

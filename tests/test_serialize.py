@@ -3,8 +3,8 @@
 The spec-driven serialiser is checked against the hand-written per-kind
 serialiser it replaced, kept below verbatim as the oracle.  Malformed
 documents must give ``ParseError`` and exit 2 on the command line, and a fuzz
-of ``opetokit validate`` over mutated fixture documents must never let an
-exception escape.
+of the command line over mutated documents must never let an exception
+escape.
 """
 
 from __future__ import annotations
@@ -394,9 +394,10 @@ def test_decoder_checks_the_biasing_and_the_bound():
         serialize.from_doc(doc)
 
 
-# -- fuzz: mutated fixture documents through ``opetokit validate`` ---------------
+# -- fuzz: mutated documents through the command line ----------------------------
 
-# one stand-in per JSON type, and an id that no fixture uses
+# one stand-in per JSON type, and an id that no fixture uses; a replacement
+# may also be an id already used in the same document
 REPLACEMENTS = ("zz", None, 0, 2.5, True, [], {})
 
 
@@ -409,19 +410,40 @@ def _containers(node, path=()):
             yield from _containers(child, path + (key,))
 
 
+def _strings(node):
+    """Every string inside a document."""
+    if isinstance(node, str):
+        yield node
+    elif isinstance(node, (dict, list)):
+        for child in node.values() if isinstance(node, dict) else node:
+            yield from _strings(child)
+
+
+def _two_object_op1cat() -> dict:
+    # the shipped op1cat has one object, so no replaced row can break a frame
+    C = next(
+        C for C in small_category_family()
+        if len(C.objects) == 2 and any(s != t for s, t in C.arrows.values())
+    )
+    return serialize.to_doc(from_category(C))
+
+
 DOCS = {name: _fixture(name) for name in FIXTURES}
+DOCS["two-object op1cat"] = _two_object_op1cat()
 CONTAINERS = {name: list(_containers(doc)) for name, doc in DOCS.items()}
+USED = {name: tuple(sorted(set(_strings(doc)) - {doc["kind"]})) for name, doc in DOCS.items()}
 
 
 @st.composite
-def mutated_documents(draw):
-    """A fixture document with one entry dropped, duplicated or replaced.
+def mutated_documents(draw, names=tuple(sorted(DOCS))):
+    """A document with one entry dropped, duplicated or replaced.
 
-    An entry is a field of an object (a top-level field or a field of a row)
-    or an element of a list (a row or an id).  A replacement is a fresh id, a
-    value of another JSON type, or null.
+    The documents are the fixtures and an op1cat over two objects.  An entry
+    is a field of an object (a top-level field or a field of a row) or an
+    element of a list (a row or an id).  A replacement is a fresh id, an id
+    used elsewhere in the document, a value of another JSON type, or null.
     """
-    name = draw(st.sampled_from(FIXTURES))
+    name = draw(st.sampled_from(names))
     doc = copy.deepcopy(DOCS[name])
     path = draw(st.sampled_from(CONTAINERS[name]))
     node = doc
@@ -438,8 +460,18 @@ def mutated_documents(draw):
     elif op == "duplicate":
         node.insert(key, copy.deepcopy(node[key]))
     else:
-        node[key] = draw(st.sampled_from(REPLACEMENTS))
+        node[key] = draw(st.sampled_from(REPLACEMENTS + USED[name]))
     return doc
+
+
+def _run(argv: list[str]) -> None:
+    """Run one command: no exception escapes, and exit 2 names the error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -447,9 +479,31 @@ def mutated_documents(draw):
 def test_validate_never_lets_an_exception_escape(tmp_path_factory, doc):
     p = tmp_path_factory.mktemp("fuzz") / "doc.json"
     p.write_text(json.dumps(doc), encoding="utf-8")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["validate", str(p)])
-    assert code in (0, 1, 2)
-    if code == 2:
-        assert err.getvalue().startswith("error: ")
+    _run(["validate", str(p)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(doc=mutated_documents(names=("two-object op1cat",)))
+def test_op1cat_commands_never_let_an_exception_escape(tmp_path_factory, doc):
+    # a replaced ``result`` can name a 1-cell with the wrong endpoints
+    d = tmp_path_factory.mktemp("fuzz")
+    p = str(d / "doc.json")
+    (d / "doc.json").write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["validate", p], ["roundtrip", p],
+                 ["convert", p, "--to", "bicat", "--out", str(d / "out.json")]):
+        _run(argv)
+
+
+def test_repeated_json_key_exits_2(tmp_path, capsys):
+    text = json.dumps(_fixture("category.json")).replace(
+        '"identities": {"o": "e"}', '"identities": {"o": "s", "o": "e"}'
+    )
+    assert '"o": "s", "o": "e"' in text
+    with pytest.raises(ParseError, match="^JSON object: more than one entry for 'o'$"):
+        serialize.loads(text)
+    p = tmp_path / "repeated.json"
+    p.write_text(text, encoding="utf-8")
+    assert main(["validate", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: JSON object: more than one entry for 'o'\n"
