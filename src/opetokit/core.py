@@ -8,6 +8,10 @@ tables are fully materialised up to a fixed arity bound, every value is
 immutable after construction, and every operation here is a pure function.
 
 Cell equality is identifier equality throughout.
+
+Internally a path is its key: ``(1, *edges)``, or ``(0, anchor)`` for the
+empty path.  Keys index ``comp``, the niche index and violation witnesses;
+``PastingPath`` is the public form of a path, and ``PastingPath.key`` its key.
 """
 
 from __future__ import annotations
@@ -221,29 +225,52 @@ def _by_source(cells: dict[str, tuple[str, str]]) -> dict[str, list[str]]:
 
 
 def iter_paths(X):
-    """All composable paths over ``X.cells1`` up to the arity bound.
+    """The keys of all composable paths over ``X.cells1`` up to the bound.
 
     Empty paths first, one per object in ``X.objects`` order, then paths by
     length, each length in lexicographic order of its edges.
     """
     for a in X.objects:
-        yield empty_path(a)
+        yield (0, a)
     by_src = _by_source(X.cells1)
     for bucket in by_src.values():
         bucket.sort()
-    frontier = [(f,) for f in sorted(X.cells1)]
+    frontier = [(1, f) for f in sorted(X.cells1)]
     length = 1
     while frontier and length <= X.arity_bound:
-        for edges in frontier:
-            yield PastingPath(edges)
+        yield from frontier
         length += 1
         if length > X.arity_bound:
             break
         frontier = [
-            edges + (g,)
-            for edges in frontier
-            for g in by_src.get(X.cells1[edges[-1]][1], ())
+            key + (g,)
+            for key in frontier
+            for g in by_src.get(X.cells1[key[-1]][1], ())
         ]
+
+
+def fold_paths(X, units: dict[str, str], step) -> dict[tuple, str]:
+    """A table over the keys of ``iter_paths(X)``, each row from its prefix's.
+
+    The empty path at ``a`` gets ``units[a]``, a one-edge path its edge, and
+    a longer path ``step(row of the path without its last edge, last edge)``.
+    """
+    table: dict[tuple, str] = {}
+    for key in iter_paths(X):
+        if not key[0]:
+            table[key] = units[key[1]]
+        elif len(key) == 2:
+            table[key] = key[1]
+        else:
+            table[key] = step(table[key[:-1]], key[-1])
+    return table
+
+
+def key_image(key: tuple, on_objects: dict, on_one_cells: dict) -> tuple:
+    """The key of a path's image under maps of objects and of 1-cells."""
+    if key[0]:
+        return (1, *map(on_one_cells.__getitem__, key[1:]))
+    return (0, on_objects[key[1]])
 
 
 def composable_pairs(cells: dict[str, tuple[str, str]]) -> list[tuple[str, str]]:
@@ -315,13 +342,15 @@ def validate_op1(X: FiniteOpOneCat) -> ValidationReport:
         if result not in X.cells1:
             out.add("dangling id", (result,), f"comp{key} names an unknown 1-cell")
 
-    keys = [p.key() for p in iter_paths(X)]
+    keys = list(iter_paths(X))
     comp, cells1 = X.comp, X.cells1
     for key in keys:
         if key not in comp:
             out.add("totality", (key,), "composable path has no recorded composite")
-    for key in set(comp) - set(keys):
-        out.add("dangling id", (key,), "comp entry for a path that does not exist at this bound")
+    known = set(keys)
+    for key in comp:
+        if key not in known:
+            out.add("dangling id", (key,), "comp entry for a path that does not exist at this bound")
     if out.items:
         return out.report(arity_bound=X.arity_bound)
     # frames read off the ends: the paths are composable chains of known 1-cells
@@ -384,8 +413,9 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
         cell = X.cells2[ident]
         if cell.source != path(f) or cell.target != f:
             out.add("identity", (f, ident), "identity 2-cell has the wrong frame")
-    for f in set(X.ident2) - set(X.cells1):
-        out.add("dangling id", (f,), "identity recorded for an unknown 1-cell")
+    for f in X.ident2:
+        if f not in X.cells1:
+            out.add("dangling id", (f,), "identity recorded for an unknown 1-cell")
 
     # totality and frame agreement of the grafting table; an inner cell fits
     # a slot of an outer cell of arity m when its arity is at most bound + 1 - m
@@ -575,13 +605,6 @@ def hom_category_of_frame(X: FiniteOpTwoCat, a: str, b: str) -> FiniteOpOneCat:
         for cid, cell in X.cells2.items()
         if cell.source.arity == 1 and cell.source.edges[0] in obj_set
     }
-    comp: dict[tuple, str] = {}
-    for p in iter_paths(FiniteOpOneCat(objects, cells1, {}, X.arity_bound)):
-        if p.arity == 0:
-            comp[p.key()] = X.ident2[p.anchor]
-            continue
-        acc = p.edges[0]
-        for nxt in p.edges[1:]:
-            acc = graft(X, nxt, 0, acc)
-        comp[p.key()] = acc
+    H = FiniteOpOneCat(objects, cells1, {}, X.arity_bound)
+    comp = fold_paths(H, X.ident2, lambda acc, nxt: graft(X, nxt, 0, acc))
     return FiniteOpOneCat(objects, cells1, comp, X.arity_bound)

@@ -39,7 +39,9 @@ from .core import (
     composable_pairs,
     composable_triples,
     empty_path,
+    fold_paths,
     iter_paths,
+    key_image,
     occupants_of_niche,
     path,
     validate_op0,
@@ -100,14 +102,18 @@ class MorphismClassification:
         return self.verdict
 
 
+def _require(report, error=InvalidInput) -> None:
+    """Raise ``error`` with the report's text unless the report is ok."""
+    if not report.ok:
+        raise error(str(report))
+
+
 # ---------------------------------------------------------------------------
 # dimension 0
 
 
 def to_set(X: FiniteOpZeroCat) -> tuple[str, ...]:
-    report = validate_op0(X)
-    if not report.ok:
-        raise InvalidInput(str(report))
+    _require(validate_op0(X))
     return tuple(sorted(X.objects))
 
 
@@ -125,11 +131,9 @@ def to_category(X: FiniteOpOneCat, check: bool = True) -> FiniteCategory:
     if X.arity_bound < 2:
         raise ArityBoundExceeded("reading a category needs arity bound at least 2")
     if check:
-        report = validate_op1(X)
-        if not report.ok:
-            raise InvalidInput(str(report))
-    identities = {a: X.comp[empty_path(a).key()] for a in X.objects}
-    compose = {(g, f): X.comp[path(f, g).key()] for f, g in composable_pairs(X.cells1)}
+        _require(validate_op1(X))
+    identities = {a: X.comp[(0, a)] for a in X.objects}
+    compose = {(g, f): X.comp[(1, f, g)] for f, g in composable_pairs(X.cells1)}
     return FiniteCategory(
         tuple(sorted(X.objects)), dict(X.cells1), identities, compose
     )
@@ -140,20 +144,10 @@ def from_category(
 ) -> FiniteOpOneCat:
     """Materialise the composition table over all paths up to the bound."""
     if check:
-        report = validate_category(C)
-        if not report.ok:
-            raise InvalidInput(str(report))
+        _require(validate_category(C))
     bound = DEFAULT_ARITY_BOUND if arity_bound is None else arity_bound
     X = FiniteOpOneCat(tuple(sorted(C.objects)), dict(C.arrows), {}, bound)
-    comp: dict[tuple, str] = {}
-    for p in iter_paths(X):
-        if p.arity == 0:
-            comp[p.key()] = C.identities[p.anchor]
-            continue
-        acc = p.edges[0]
-        for e in p.edges[1:]:
-            acc = C.then(acc, e)
-        comp[p.key()] = acc
+    comp = fold_paths(X, C.identities, C.then)
     return FiniteOpOneCat(X.objects, X.cells1, comp, bound)
 
 
@@ -171,13 +165,10 @@ def functor_from_morphism(
                 raise InvalidInput(f"1-cell {f!r} has no valid image")
             if Y.cells1[ff] != (F.on_objects[s], F.on_objects[t]):
                 raise InvalidInput(f"image of {f!r} breaks its frame")
-        for p in iter_paths(X):
-            if p.arity == 0:
-                image = empty_path(F.on_objects[p.anchor])
-            else:
-                image = PastingPath(tuple(F.on_one_cells[e] for e in p.edges))
-            if Y.comp[image.key()] != F.on_one_cells[X.comp[p.key()]]:
-                raise InvalidInput(f"composition not preserved on {p!r}")
+        for key in iter_paths(X):
+            image = key_image(key, F.on_objects, F.on_one_cells)
+            if Y.comp[image] != F.on_one_cells[X.comp[key]]:
+                raise InvalidInput(f"composition not preserved on {key}")
     return CatFunctor(dict(F.on_objects), dict(F.on_one_cells))
 
 
@@ -227,10 +218,13 @@ def validate_biasing(X: FiniteOpTwoCat, b: Biasing) -> ValidationReport:
             out.add("niche", (f, g, cell_id), "chosen cell not in its binary niche")
         elif not is_universal_2cell(X, cell_id):
             out.add("universality", (f, g, cell_id), "chosen binary occupant not universal")
-    for a in set(b.iota) - set(X.objects):
-        out.add("niche", (a,), "choice for an unknown object")
-    for pair in set(b.c) - set(composable):
-        out.add("niche", (pair,), "choice for a non-composable pair")
+    objects, composable = set(X.objects), set(composable)
+    for a in b.iota:
+        if a not in objects:
+            out.add("niche", (a,), "choice for an unknown object")
+    for pair in b.c:
+        if pair not in composable:
+            out.add("niche", (pair,), "choice for a non-composable pair")
     return out.report()
 
 
@@ -249,15 +243,9 @@ def to_bicategory(X: FiniteOpTwoCat, b: Biasing, check: bool = True) -> FiniteBi
     if X.arity_bound < 3:
         raise ArityBoundExceeded("building a bicategory needs arity bound at least 3")
     if check:
-        report = validate_op2(X)
-        if not report.ok:
-            raise InvalidInput(str(report))
-        coherence = check_coherence(X)
-        if not coherence.ok:
-            raise InvalidInput(str(coherence))
-        breport = validate_biasing(X, b)
-        if not breport.ok:
-            raise InvalidBiasing(str(breport))
+        _require(validate_op2(X))
+        _require(check_coherence(X))
+        _require(validate_biasing(X, b), InvalidBiasing)
 
     one_cells = dict(X.cells1)
     two_cells = {
@@ -323,62 +311,65 @@ def to_bicategory(X: FiniteOpTwoCat, b: Biasing, check: bool = True) -> FiniteBi
 class _Generated:
     structure: FiniteOpTwoCat
     biasing: Biasing
-    value_of: dict[str, tuple[PastingPath, str]]
+    value_of: dict[str, tuple[tuple, str]]  # cell id -> (source path key, label)
     cell_of: dict[tuple, str]
 
 
-def _cell_name(p: PastingPath, alpha: str) -> str:
-    if p.arity == 1:
+def _cell_name(key: tuple, alpha: str) -> str:
+    if not key[0]:
+        return f"@{key[1]}|{alpha}"
+    if len(key) == 2:
         return alpha
-    if p.arity == 0:
-        return f"@{p.anchor}|{alpha}"
-    return f"{';'.join(p.edges)}|{alpha}"
+    return f"{';'.join(key[1:])}|{alpha}"
 
 
 def _generate(B: FiniteBicategory, bound: int) -> _Generated:
     cells2: dict[str, TwoCell] = {}
-    value_of: dict[str, tuple[PastingPath, str]] = {}
+    value_of: dict[str, tuple[tuple, str]] = {}
     cell_of: dict[tuple, str] = {}
-    for p in iter_paths(FiniteOpOneCat(tuple(sorted(B.objects)), B.one_cells, {}, bound)):
-        base = chain_value(B, p.edges, p.anchor)
+    for key in iter_paths(FiniteOpOneCat(tuple(sorted(B.objects)), B.one_cells, {}, bound)):
+        edges = key[1:] if key[0] else ()
+        base = chain_value(B, edges, None if key[0] else key[1])
+        source = PastingPath(edges) if edges else empty_path(key[1])
         for alpha, (s, t) in B.two_cells.items():
             if s != base:
                 continue
-            cid = _cell_name(p, alpha)
+            cid = _cell_name(key, alpha)
             if cid in cells2:
                 raise InvalidInput(f"generated cell id collision at {cid!r}")
-            cells2[cid] = TwoCell(cid, p, t)
-            value_of[cid] = (p, alpha)
-            cell_of[(p.key(), alpha)] = cid
+            cells2[cid] = TwoCell(cid, source, t)
+            value_of[cid] = (key, alpha)
+            cell_of[(key, alpha)] = cid
 
-    ident2 = {f: _cell_name(path(f), B.id2[f]) for f in B.one_cells}
+    ident2 = {f: _cell_name((1, f), B.id2[f]) for f in B.one_cells}
 
     graft_table: dict[tuple[str, int, str], str] = {}
-    by_target: dict[str, list[str]] = {}
-    for cid, cell in cells2.items():
-        by_target.setdefault(cell.target, []).append(cid)
-    for outer_id, outer in cells2.items():
-        p, alpha_o = value_of[outer_id]
-        for slot, edge in enumerate(p.edges):
-            for inner_id in by_target.get(edge, ()):
-                q, alpha_i = value_of[inner_id]
-                if p.arity + q.arity - 1 > bound:
+    # by target: (cell id, source path key, its edges, label)
+    by_target: dict[str, list[tuple]] = {}
+    for cid, (q, alpha) in value_of.items():
+        by_target.setdefault(cells2[cid].target, []).append((cid, q, q[1:] if q[0] else (), alpha))
+    for outer_id, (p, alpha_o) in value_of.items():
+        edges = p[1:] if p[0] else ()
+        for slot, edge in enumerate(edges):
+            for inner_id, q, inner, alpha_i in by_target.get(edge, ()):
+                if len(edges) + len(inner) - 1 > bound:
                     continue
-                spliced = p.splice(slot, q)
-                subtrees = [(_LEAF, e) for e in p.edges]
-                if q.arity == 0:
-                    subtrees[slot] = (_UNIT, q.anchor)
+                spliced = edges[:slot] + inner + edges[slot + 1 :]
+                subtrees = [(_LEAF, e) for e in edges]
+                if inner:
+                    subtrees[slot] = _comb_tree([(_LEAF, e) for e in inner])
                 else:
-                    subtrees[slot] = _comb_tree([(_LEAF, e) for e in q.edges])
+                    subtrees[slot] = (_UNIT, q[1])
                 _, _, sigma = _normalize(B, _comb_tree(subtrees))
                 coh = invert_two_cell(B, sigma)
                 if coh is None:
                     raise InvalidInput(f"normalisation leg {sigma!r} has no inverse")
-                vals = list(p.edges)
+                vals = list(edges)
                 vals[slot] = B.src2(alpha_i)
                 whisk = _whisker_at(B, vals, slot, alpha_i)
                 value = B.then2(B.then2(coh, whisk), alpha_o)
-                graft_table[(outer_id, slot, inner_id)] = cell_of[(spliced.key(), value)]
+                spliced_key = (1, *spliced) if spliced else q
+                graft_table[(outer_id, slot, inner_id)] = cell_of[(spliced_key, value)]
 
     X = FiniteOpTwoCat(
         objects=tuple(sorted(B.objects)),
@@ -389,9 +380,9 @@ def _generate(B: FiniteBicategory, bound: int) -> _Generated:
         arity_bound=bound,
     )
     biasing = Biasing(
-        iota={a: cell_of[(empty_path(a).key(), B.id2[B.id1[a]])] for a in B.objects},
+        iota={a: cell_of[((0, a), B.id2[B.id1[a]])] for a in B.objects},
         c={
-            (f, g): cell_of[(path(f, g).key(), B.id2[B.beside1(g, f)])]
+            (f, g): cell_of[((1, f, g), B.id2[B.beside1(g, f)])]
             for f, g in composable_pairs(B.one_cells)
         },
     )
@@ -410,9 +401,7 @@ def from_bicategory(
     if bound < 2:
         raise ArityBoundExceeded("generation needs arity bound at least 2")
     if check:
-        report = validate_bicategory(B)
-        if not report.ok:
-            raise InvalidInput(str(report))
+        _require(validate_bicategory(B))
     gen = _generate(B, bound)
     return gen.structure, gen.biasing
 
@@ -438,12 +427,9 @@ def _check_morphism_shape(
         img = F.on_two_cells.get(cid)
         if img is None or img not in X2.cells2:
             raise InvalidInput(f"2-cell {cid!r} has no valid image")
-        if cell.source.arity == 0:
-            want_src = empty_path(F.on_objects[cell.source.anchor])
-        else:
-            want_src = PastingPath(tuple(F.on_one_cells[e] for e in cell.source.edges))
+        want_src = key_image(cell.source.key(), F.on_objects, F.on_one_cells)
         target_cell = X2.cells2[img]
-        if target_cell.source != want_src or target_cell.target != F.on_one_cells[cell.target]:
+        if target_cell.source.key() != want_src or target_cell.target != F.on_one_cells[cell.target]:
             raise InvalidInput(f"image of 2-cell {cid!r} breaks its frame")
     for f in X.cells1:
         if F.on_two_cells[X.ident2[f]] != X2.ident2[F.on_one_cells[f]]:
@@ -517,17 +503,15 @@ def lax_functor_from_morphism(
     )
 
 
-def _phi_chain(G: LaxFunctor, B: FiniteBicategory, B2: FiniteBicategory, p: PastingPath) -> str:
+def _phi_chain(G: LaxFunctor, B: FiniteBicategory, B2: FiniteBicategory, key: tuple) -> str:
     """The canonical constraint composite along a head-first chain."""
-    if p.arity == 0:
-        return G.phi_obj[p.anchor]
-    if p.arity == 1:
-        return B2.id2[G.on_one_cells[p.edges[0]]]
-    head, tail = p.edges[0], PastingPath(p.edges[1:])
-    tail_phi = _phi_chain(G, B, B2, tail)
-    tail_val = chain_value(B, tail.edges)
-    whisk = B2.beside2(tail_phi, B2.id2[G.on_one_cells[head]])
-    return B2.then2(whisk, G.phi_pair[(tail_val, head)])
+    if not key[0]:
+        return G.phi_obj[key[1]]
+    if len(key) == 2:
+        return B2.id2[G.on_one_cells[key[1]]]
+    head, tail = key[1], key[2:]
+    whisk = B2.beside2(_phi_chain(G, B, B2, (1, *tail)), B2.id2[G.on_one_cells[head]])
+    return B2.then2(whisk, G.phi_pair[(chain_value(B, tail), head)])
 
 
 def morphism_from_lax_functor(
@@ -564,13 +548,9 @@ def morphism_from_lax_functor(
                 raise InvalidInput("vertical composition not preserved")
 
     on_two: dict[str, str] = {}
-    for cid, (p, alpha) in gen.value_of.items():
-        if p.arity == 0:
-            image_path = empty_path(G.on_objects[p.anchor])
-        else:
-            image_path = PastingPath(tuple(G.on_one_cells[e] for e in p.edges))
-        value = B2.then2(_phi_chain(G, B, B2, p), G.on_two_cells[alpha])
-        on_two[cid] = gen2.cell_of[(image_path.key(), value)]
+    for cid, (key, alpha) in gen.value_of.items():
+        value = B2.then2(_phi_chain(G, B, B2, key), G.on_two_cells[alpha])
+        on_two[cid] = gen2.cell_of[(key_image(key, G.on_objects, G.on_one_cells), value)]
     return OpMorphism(dict(G.on_objects), dict(G.on_one_cells), on_two)
 
 
@@ -583,9 +563,15 @@ def classify_morphism(
     check: bool = True,
 ) -> MorphismClassification:
     """Strict preserves the chosen occupants, weak preserves universality,
-    anything else is lax."""
+    anything else is lax.
+
+    With ``check``, the morphism's shape and both biasings are validated
+    first; a biasing that fails ``validate_biasing`` raises ``InvalidBiasing``.
+    """
     if check:
         _check_morphism_shape(F, X, X2)
+        _require(validate_biasing(X, b), InvalidBiasing)
+        _require(validate_biasing(X2, b2), InvalidBiasing)
 
     strict = True
     strict_witness: tuple = ()

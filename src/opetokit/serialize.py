@@ -119,10 +119,10 @@ class _Rows(_Codec):
         return _read_table(raw, self.fields[:-1], self.fields[-1:], where)
 
 
-def _path_doc(p: PastingPath) -> dict:
-    if p.arity == 0:
-        return {"anchor": p.anchor, "edges": []}
-    return {"edges": list(p.edges)}
+def _path_doc(key: tuple) -> dict:
+    if key[0]:
+        return {"edges": list(key[1:])}
+    return {"anchor": key[1], "edges": []}
 
 
 def _read_path(doc: dict, where: str) -> PastingPath:
@@ -140,11 +140,7 @@ class _Comp(_Codec):
     """Path-keyed ``comp`` rows <-> ``{path key: 1-cell}``."""
 
     def dump(self, table):
-        return [
-            {"anchor": key[1], "edges": [], "result": r} if key[0] == 0
-            else {"edges": list(key[1:]), "result": r}
-            for key, r in sorted(table.items())
-        ]
+        return [{**_path_doc(key), "result": r} for key, r in sorted(table.items())]
 
     def load(self, raw, where):
         _check_rows(raw, ("result",), where)
@@ -160,7 +156,7 @@ class _TwoCells(_Codec):
 
     def dump(self, table):
         return [
-            {"id": cid, "source": _path_doc(cell.source), "target": cell.target}
+            {"id": cid, "source": _path_doc(cell.source.key()), "target": cell.target}
             for cid, cell in sorted(table.items())
         ]
 
@@ -320,7 +316,7 @@ def load_path(filename: str) -> dict:
     try:
         with open(filename, "r", encoding="utf-8") as fh:
             return loads(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {filename}: {exc}") from None
 
 

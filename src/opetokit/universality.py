@@ -23,7 +23,6 @@ from .core import (
     FiniteOpTwoCat,
     iter_paths,
     occupants_of_niche,
-    path,
 )
 
 
@@ -122,7 +121,7 @@ def is_universal_1cell_op1(X: FiniteOpOneCat, f: str) -> bool:
         matches = [
             gbar
             for gbar, (s2, _) in X.cells1.items()
-            if s2 == tgt_f and X.comp.get(path(f, gbar).key()) == g
+            if s2 == tgt_f and X.comp.get((1, f, gbar)) == g
         ]
         if len(matches) != 1:
             return False
@@ -162,7 +161,10 @@ def check_coherence(X: FiniteOpTwoCat, direct_niche_search: bool = False) -> Coh
     Assumes the grafting tables already validate.  Nullary and binary
     2-niches are searched directly.  Higher arities are, by default, derived
     by grafting universal binary occupants together, which closure makes
-    universal; ``direct_niche_search`` forces the exhaustive search instead.
+    universal: a path's occupant is the least universal binary occupant of
+    (target of its prefix's occupant, last edge) grafted onto that occupant.
+    ``direct_niche_search`` forces the exhaustive search instead.  Violations
+    come in table order, never in hash order.
     """
     violations: list[Violation] = []
     u2 = frozenset(c for c in X.cells2 if is_universal_2cell(X, c))
@@ -175,44 +177,24 @@ def check_coherence(X: FiniteOpTwoCat, direct_niche_search: bool = False) -> Coh
             )
 
     niche_universals: dict[tuple, tuple[str, ...]] = {}
-
-    def binary_universal(f: str, g: str) -> str | None:
-        found = sorted(
-            c for c in occupants_of_niche(X, path(f, g)) if c in u2
-        )
-        return found[0] if found else None
-
-    for p in iter_paths(X):
-        if direct_niche_search or p.arity <= 2:
-            found = tuple(sorted(c for c in occupants_of_niche(X, p) if c in u2))
-            niche_universals[p.key()] = found
+    for key in iter_paths(X):
+        if direct_niche_search or len(key) <= 3:
+            found = tuple(sorted(c for c in X.occupants.get(key, ()) if c in u2))
+            niche_universals[key] = found
             if not found:
-                violations.append(
-                    Violation("niche without universal occupant", (p.key(),))
-                )
+                violations.append(Violation("niche without universal occupant", (key,)))
             continue
-        # derive an occupant by folding universal binary occupants
-        edges = p.edges
-        acc_cell = binary_universal(edges[0], edges[1])
-        ok = acc_cell is not None
-        if ok:
-            for e in edges[2:]:
-                step = binary_universal(X.cells2[acc_cell].target, e)
-                if step is None:
-                    ok = False
-                    break
-                acc_cell = X.graft.get((step, 0, acc_cell))
-                if acc_cell is None:
-                    ok = False
-                    break
-        if ok:
-            niche_universals[p.key()] = (acc_cell,)
-        else:
-            niche_universals[p.key()] = ()
+        # derive an occupant: graft the prefix's derived occupant under the
+        # least universal occupant of the binary niche (its target, last edge)
+        prefix = niche_universals[key[:-1]]
+        binary = prefix and niche_universals[(1, X.cells2[prefix[0]].target, key[-1])]
+        derived = X.graft.get((binary[0], 0, prefix[0])) if binary else None
+        niche_universals[key] = () if derived is None else (derived,)
+        if derived is None:
             violations.append(
                 Violation(
                     "niche without universal occupant",
-                    (p.key(),),
+                    (key,),
                     "no derivation from binary universals",
                 )
             )
@@ -223,9 +205,8 @@ def check_coherence(X: FiniteOpTwoCat, direct_niche_search: bool = False) -> Coh
             violations.append(
                 Violation("composite of universals not universal", (outer, slot, inner, result))
             )
-    for u in u2:
-        cell = X.cells2[u]
-        if cell.source.arity != 2:
+    for u, cell in X.cells2.items():
+        if u not in u2 or cell.source.arity != 2:
             continue
         f, g = cell.source.edges
         if f in u1 and g in u1 and cell.target not in u1:

@@ -320,3 +320,34 @@ def test_misframed_comp_row_is_a_domain_error(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: InvalidInput: {endpoints}\n")
+
+
+def test_document_that_is_not_utf8_exits_2(tmp_path, capsys):
+    p = tmp_path / "utf16.json"
+    p.write_bytes(b"\xff\xfe" + '{"kind": "set", "elements": []}'.encode("utf-16-le"))
+    for argv in (["validate", str(p)], ["roundtrip", str(p)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {p}: ")
+        assert "utf-8" in captured.err
+
+
+def test_classify_rejects_a_bad_stored_biasing(tmp_path, capsys):
+    doc = serialize.load_path(str(FIXTURE_DIR / "op2cat.json"))
+    good = _write(tmp_path, "good.json", doc)
+    morphism = str(FIXTURE_DIR / "opmorphism.json")
+    first = doc["biasing"]["c"][0]
+    lacking = {**doc, "biasing": {**doc["biasing"], "c": doc["biasing"]["c"][1:]}}
+    unknown = {**doc, "biasing": {**doc["biasing"], "c": [{**first, "cell": "nope"}]
+                                  + doc["biasing"]["c"][1:]}}
+    witness = f"totality: ({first['f']!r}, {first['g']!r}): no chosen binary occupant"
+    for name, bad in (("lacking.json", lacking), ("unknown.json", unknown)):
+        bad_path = _write(tmp_path, name, bad)
+        for argv in ([bad_path, good, morphism], [good, bad_path, morphism]):
+            assert main(["classify", *argv]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: InvalidBiasing: {witness}\n"
+    assert main(["classify", good, good, morphism]) == 0
+    assert capsys.readouterr().out == "strict\n"

@@ -21,10 +21,11 @@ import random
 
 import pytest
 
-from opetokit.core import FiniteOpOneCat, iter_paths, path_endpoints, validate_op1
+from opetokit.core import FiniteOpOneCat, path_endpoints, validate_op1
 from opetokit.equivalences import from_category
 from opetokit.errors import ValidationReport, _Collector
 from opetokit.fixtures import small_category_family, z2_category
+from path_oracles import iter_paths  # the enumerator of PastingPath objects
 
 # ---------------------------------------------------------------------------
 # oracle: the all-segments checker

@@ -26,7 +26,6 @@ import opetokit.universality as uni
 from opetokit import serialize
 from opetokit.core import (
     FiniteOpTwoCat,
-    iter_paths,
     occupants_of_niche,
     path,
     path_endpoints,
@@ -48,6 +47,7 @@ from opetokit.fixtures import (
     sign_bicategory,
 )
 from opetokit.universality import factorizations_through
+from path_oracles import iter_paths  # the enumerator of PastingPath objects
 
 FIXTURE = Path(__file__).resolve().parent.parent / "docs" / "fixtures" / "op2cat.json"
 
