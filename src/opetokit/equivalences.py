@@ -17,6 +17,8 @@ universal and of chosen occupants.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -324,9 +326,21 @@ def _cell_name(key: tuple, alpha: str) -> str:
 
 
 def _generate(B: FiniteBicategory, bound: int) -> _Generated:
+    """Cells as (source path key, label) pairs, then their grafting table.
+
+    Cells come path by path in ``iter_paths`` order, so each ``by_target``
+    bucket is sorted by arity and one ``bisect_right`` cuts off the cells too
+    long to graft.  Per outer path and slot, ``cohs`` caches the coherence leg
+    by inner path key and ``legs`` caches ``then2(coh, whisk)`` and the spliced
+    key by inner cell id, both filled lazily in visiting order (outer, slot,
+    inner).  So on any input, a corrupt ``B`` too, the tables, their order and
+    the first exception are those of the row-by-row loop in the test oracles.
+    """
     cells2: dict[str, TwoCell] = {}
     value_of: dict[str, tuple[tuple, str]] = {}
     cell_of: dict[tuple, str] = {}
+    by_target: dict[str, list[tuple]] = defaultdict(list)  # (cell id, path key, edges, label)
+    arities: dict[str, list[int]] = defaultdict(list)  # the source arities of a by_target bucket
     for key in iter_paths(FiniteOpOneCat(tuple(sorted(B.objects)), B.one_cells, {}, bound)):
         edges = key[1:] if key[0] else ()
         base = chain_value(B, edges, None if key[0] else key[1])
@@ -340,36 +354,35 @@ def _generate(B: FiniteBicategory, bound: int) -> _Generated:
             cells2[cid] = TwoCell(cid, source, t)
             value_of[cid] = (key, alpha)
             cell_of[(key, alpha)] = cid
+            by_target[t].append((cid, key, edges, alpha))
+            arities[t].append(len(edges))
 
     ident2 = {f: _cell_name((1, f), B.id2[f]) for f in B.one_cells}
 
     graft_table: dict[tuple[str, int, str], str] = {}
-    # by target: (cell id, source path key, its edges, label)
-    by_target: dict[str, list[tuple]] = {}
-    for cid, (q, alpha) in value_of.items():
-        by_target.setdefault(cells2[cid].target, []).append((cid, q, q[1:] if q[0] else (), alpha))
+    shape = None
     for outer_id, (p, alpha_o) in value_of.items():
-        edges = p[1:] if p[0] else ()
-        for slot, edge in enumerate(edges):
-            for inner_id, q, inner, alpha_i in by_target.get(edge, ()):
-                if len(edges) + len(inner) - 1 > bound:
-                    continue
-                spliced = edges[:slot] + inner + edges[slot + 1 :]
-                subtrees = [(_LEAF, e) for e in edges]
-                if inner:
-                    subtrees[slot] = _comb_tree([(_LEAF, e) for e in inner])
-                else:
-                    subtrees[slot] = (_UNIT, q[1])
-                _, _, sigma = _normalize(B, _comb_tree(subtrees))
-                coh = invert_two_cell(B, sigma)
-                if coh is None:
-                    raise InvalidInput(f"normalisation leg {sigma!r} has no inverse")
-                vals = list(edges)
-                vals[slot] = B.src2(alpha_i)
-                whisk = _whisker_at(B, vals, slot, alpha_i)
-                value = B.then2(B.then2(coh, whisk), alpha_o)
-                spliced_key = (1, *spliced) if spliced else q
-                graft_table[(outer_id, slot, inner_id)] = cell_of[(spliced_key, value)]
+        if p != shape:  # a new outer path: cut its buckets, start its caches
+            shape, edges = p, (p[1:] if p[0] else ())
+            fits = bound - len(edges) + 1  # the largest inner arity within the bound
+            slots = [(n, by_target[e][: bisect_right(arities[e], fits)]) for n, e in enumerate(edges)]
+            cohs, legs = [{} for _ in edges], [{} for _ in edges]
+        for slot, bucket in slots:
+            for inner_id, q, inner, alpha_i in bucket:
+                leg = legs[slot].get(inner_id)
+                if leg is None:
+                    if q not in cohs[slot]:
+                        trees = [(_LEAF, e) for e in edges]
+                        trees[slot] = _comb_tree([(_LEAF, e) for e in inner]) if inner else (_UNIT, q[1])
+                        _, _, sigma = _normalize(B, _comb_tree(trees))
+                        cohs[slot][q] = invert_two_cell(B, sigma)
+                        if cohs[slot][q] is None:
+                            raise InvalidInput(f"normalisation leg {sigma!r} has no inverse")
+                    vals = [*edges[:slot], B.src2(alpha_i), *edges[slot + 1 :]]
+                    to_outer = B.then2(cohs[slot][q], _whisker_at(B, vals, slot, alpha_i))
+                    spliced = edges[:slot] + inner + edges[slot + 1 :]
+                    leg = legs[slot][inner_id] = to_outer, ((1, *spliced) if spliced else q)
+                graft_table[(outer_id, slot, inner_id)] = cell_of[(leg[1], B.then2(leg[0], alpha_o))]
 
     X = FiniteOpTwoCat(
         objects=tuple(sorted(B.objects)),
@@ -527,6 +540,8 @@ def morphism_from_lax_functor(
     constraint axioms themselves are not (use ``validate_lax_functor``).
     """
     bound = DEFAULT_ARITY_BOUND if arity_bound is None else arity_bound
+    if bound < 2:
+        raise ArityBoundExceeded("generation needs arity bound at least 2")
     gen, gen2 = _generate(B, bound), _generate(B2, bound)
     if check:
         for A in B.objects:

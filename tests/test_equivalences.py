@@ -8,6 +8,7 @@ import itertools
 import pytest
 
 from opetokit import (
+    ArityBoundExceeded,
     Bracketing,
     InvalidBiasing,
     InvalidInput,
@@ -383,6 +384,40 @@ def test_vertical_breaking_morphism_rejected(arrow_op):
     )
     with pytest.raises(InvalidInput):
         lax_functor_from_morphism(F, X, X, b, b)
+
+
+@pytest.mark.parametrize("bound", [1, 0, -1])
+def test_generation_rejects_bounds_below_two(sign, bound):
+    from opetokit.fixtures import sign_bicategory_broken_pentagon
+
+    with pytest.raises(ArityBoundExceeded, match="generation needs arity bound at least 2"):
+        morphism_from_lax_functor(identity_lax_functor(sign), sign, sign, arity_bound=bound)
+    # the bound is checked before the bicategory is validated
+    with pytest.raises(ArityBoundExceeded, match="generation needs arity bound at least 2"):
+        from_bicategory(sign_bicategory_broken_pentagon(), bound)
+
+
+def test_lax_functor_constraints_compose_head_first(sign):
+    # a pair constraint that tells (s, e) from (e, s), so that along a chain
+    # (f, g, h) the order of the tail (g, h) shows in the translated cells:
+    # the tail's constraint composite first, then the head's constraint
+    identity = identity_lax_functor(sign)
+    phi = {**identity.phi_pair, ("s", "e"): "ns"}
+    assert phi[("s", "e")] != phi[("e", "s")]
+    G = dataclasses.replace(identity, phi_pair=phi)
+    F = morphism_from_lax_functor(G, sign, sign)
+    id2, then2, beside2 = sign.id2, sign.then2, sign.beside2
+    checked = 0
+    for f, g, h in itertools.product(sign.one_cells, repeat=3):
+        tail = then2(beside2(id2[h], id2[g]), phi[(h, g)])
+        chain = then2(beside2(tail, id2[f]), phi[(sign.beside1(h, g), f)])
+        composite = sign.beside1(sign.beside1(h, g), f)
+        for alpha, (s, _) in sign.two_cells.items():
+            if s == composite:
+                cell = f"{f};{g};{h}|{alpha}"
+                assert F.on_two_cells[cell] == f"{f};{g};{h}|{then2(chain, alpha)}", cell
+                checked += 1
+    assert checked == 16
 
 
 def test_faithfulness_by_enumeration(idem, idem_op):
