@@ -16,6 +16,7 @@ empty path.  Keys index ``comp``, the niche index and violation witnesses;
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -384,6 +385,36 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
     Rules: ``dangling id``, ``frame``, ``identity``, ``totality``,
     ``right unit``, ``left unit``, ``sequential associativity``,
     ``parallel commutation``.
+
+    A law instance is skipped when either side's graft has no table entry,
+    and reported when both exist and differ.  Once the frames pass, every
+    entry's result has the spliced source, so no entry has a composite
+    longer than ``top``, the longest cell: the instances whose composite is
+    longer are not generated.  When ``top <= bound``, totality makes the
+    converse hold too: an entry is present exactly when its composite is at
+    most ``top`` long, so the arity cuts below select exactly the instances
+    with both sides present.  When ``top > bound`` they do not, but an outer
+    cell missing from a column still gives ``None`` on one side
+    (``get(None)`` is ``None``), so its pair is skipped.
+
+    Both laws are checked in batches over the columns
+    ``col[i][b] = {a: graft(a, i, b)}``, outer cells in arity order, so that
+    the lookups of a batch run in ``map``:
+
+    - sequential associativity, one batch per column ``(i, b)`` and row
+      ``(b, j, c) -> bc``: ``col[i+j][c]`` over the column's values against
+      ``col[i][bc]`` over its outer cells, cut at the composite's arity;
+    - parallel commutation, one batch per slot pair ``i < j`` with edges
+      ``(ei, ej)`` and cells ``b`` into ``ei`` and ``c`` into ``ej``:
+      ``col[j+kb-1][c]`` after ``col[i][b]`` against ``col[i][b]`` after
+      ``col[j][c]``, over the outer cells with those edges at those slots.
+
+    Only a batch whose two sides differ, or any batch when ``top > bound``,
+    is walked pair by pair under the skip rule.  Witnesses, messages and
+    their order are those of a walk over every instance.  ``notes`` holds
+    ``arity_bound`` and, once the laws run, ``checked``: the instances each
+    law compared, summed from batch lengths (a walked batch counts the pairs
+    it compared).
     """
     out = _Collector()
     for f, (s, t) in X.cells1.items():
@@ -438,21 +469,27 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
                 key = (cid, slot, inner_id)
                 if key not in X.graft:
                     out.add("totality", key, "in-bound graft has no table entry")
+    source = {cid: cell.source.key() for cid, cell in X.cells2.items()}
     for (cid, slot, inner_id), result in X.graft.items():
         if cid not in X.cells2 or inner_id not in X.cells2 or result not in X.cells2:
             out.add("dangling id", (cid, slot, inner_id, result))
             continue
-        outer, inner = X.cells2[cid], X.cells2[inner_id]
-        if not 0 <= slot < outer.source.arity:
+        if not 0 <= slot < arity[cid]:
             out.add("frame", (cid, slot, inner_id), "slot out of range")
             continue
-        if inner.target != outer.source.edges[slot]:
+        outer_key, inner_key = source[cid], source[inner_id]
+        if X.cells2[inner_id].target != outer_key[slot + 1]:
             out.add("frame", (cid, slot, inner_id), "inner target differs from the slot edge")
             continue
-        res = X.cells2[result]
-        if res.source != outer.source.splice(slot, inner.source):
+        # the outer key with the slot's edge replaced by the inner key's edges
+        head, tail = outer_key[: slot + 1], outer_key[slot + 2 :]
+        if inner_key[0]:
+            spliced = head + inner_key[1:] + tail
+        else:
+            spliced = head + tail if len(head) + len(tail) > 1 else inner_key
+        if source[result] != spliced:
             out.add("frame", (cid, slot, inner_id), "result source is not the spliced path")
-        if res.target != outer.target:
+        if X.cells2[result].target != X.cells2[cid].target:
             out.add("frame", (cid, slot, inner_id), "result target differs from the outer target")
     if out.items:
         return out.report(arity_bound=X.arity_bound)
@@ -469,32 +506,43 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
         if X.graft.get(key) != cid:
             out.add("left unit", key, "grafting under an identity must not change the cell")
 
-    # The frame checks passed, so every graft result has the spliced source
-    # and a composite longer than the longest cell has no table entry.  The
-    # two laws below therefore skip, without generating them, the instances
-    # whose composite would be longer than ``top``.
+    # col[i][b]: {a: graft(a, i, b)} with the outer cells a in arity order
     graft_table = X.graft
     top = max(arity.values(), default=0)
+    exact = top <= bound
+    col: list[dict[str, dict[str, str]]] = [{} for _ in range(top)]
+    for key in sorted(graft_table, key=lambda key: arity[key[0]]):
+        a, i, b = key
+        col[i].setdefault(b, {})[a] = graft_table[key]
+    empty: dict[str, str] = {}
 
-    # sequential associativity: graft(graft(a,i,b), i+j, c) = graft(a, i, graft(b,j,c))
-    above: dict[str, list[tuple[str, int, str]]] = {}
+    # sequential associativity: graft(graft(a,i,b), i+j, c) = graft(a, i, graft(b,j,c));
+    # below[b]: the table's own keys (b, j, c), in the arity order of c
+    below: dict[str, list[tuple[str, int, str]]] = {}
     for key in graft_table:
-        above.setdefault(key[2], []).append(key)
-    for rows in above.values():
-        rows.sort(key=lambda key: arity[key[0]])
-    found = []
-    for (b, j, c), bc in graft_table.items():
-        room = top + 2 - arity[b] - arity[c]
-        for key in above.get(b, ()):
-            a, i, _ = key
-            if arity[a] > room:
-                break
-            lhs = graft_table.get((graft_table[key], i + j, c))
-            rhs = graft_table.get((a, i, bc))
-            if lhs is None or rhs is None:
-                continue
-            if lhs != rhs:
-                found.append(((a, i, b, j, c), f"{lhs} != {rhs}"))
+        below.setdefault(key[0], []).append(key)
+    for rows in below.values():
+        rows.sort(key=lambda key: arity[key[2]])
+    found: list[tuple[tuple, str]] = []
+    sequential = 0
+    for i, col_i in enumerate(col):
+        for b, column in col_i.items():
+            outers, values = list(column), list(column.values())
+            arities = list(map(arity.__getitem__, outers))
+            room = top + 2 - arity[b]
+            for row in below.get(b, ()):
+                _, j, c = row
+                n = bisect_right(arities, room - arity[c])
+                if not n:
+                    break
+                lhs = list(map(col[i + j].get(c, empty).get, values[:n]))
+                rhs = list(map(col_i.get(graft_table[row], empty).get, outers[:n]))
+                if exact and lhs == rhs:
+                    sequential += n
+                    continue
+                witnesses = ((a, i, b, j, c) for a in outers)
+                sequential += _compare(witnesses, lhs, rhs, found)
+    del below
     if found:
         # table order: by the row (b, j, c), then by the row (a, i, b)
         position = {key: n for n, key in enumerate(graft_table)}
@@ -502,30 +550,59 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
         for witness, message in found:
             out.add("sequential associativity", witness, message)
 
-    # parallel commutation for disjoint slots i < j of one outer cell a
-    by_outer: dict[str, list[tuple[int, int, str, str]]] = {}
-    for (a, i, b), r in graft_table.items():
-        by_outer.setdefault(a, []).append((arity[b], i, b, r))
-    for a, rows in by_outer.items():
-        rows.sort()
-        room = top + 2 - arity[a]
-        found = []
-        for kb, i, b, r_ib in rows:
-            for kc, j, c, r_jc in rows:
-                if kb + kc > room:
+    # parallel commutation for disjoint slots i < j of one outer cell a:
+    # graft(graft(a,i,b), j+kb-1, c) = graft(graft(a,j,c), i, b), kb = arity(b)
+    pairs: dict[tuple[int, str, int, str], list[str]] = {}
+    for a in sorted(X.cells2, key=arity.__getitem__):
+        edges = source[a][1:] if arity[a] else ()
+        for j, ej in enumerate(edges):
+            for i in range(j):
+                pairs.setdefault((i, edges[i], j, ej), []).append(a)
+    into = {f: sorted(cids, key=arity.__getitem__) for f, cids in by_target.items()}
+    found = []
+    parallel = 0
+    for (i, ei, j, ej), outers in pairs.items():
+        arities = list(map(arity.__getitem__, outers))
+        for b in into.get(ei, ()):
+            kb = arity[b]
+            if not bisect_right(arities, top + 1 - kb):  # no graft(a, i, b) left
+                break
+            col_ib = col[i].get(b, empty)
+            for c in into.get(ej, ()):
+                kc = arity[c]
+                # graft(a,i,b), graft(a,j,c) and the composite are at most top long
+                n = bisect_right(arities, min(top + 2 - kb - kc, top + 1 - kb, top + 1 - kc))
+                if not n:
                     break
-                if j <= i:
+                xs = outers[:n]
+                lhs = list(map(col[j + kb - 1].get(c, empty).get, map(col_ib.get, xs)))
+                rhs = list(map(col_ib.get, map(col[j].get(c, empty).get, xs)))
+                if exact and lhs == rhs:
+                    parallel += n
                     continue
-                lhs = graft_table.get((r_ib, j + kb - 1, c))
-                rhs = graft_table.get((r_jc, i, b))
-                if lhs is None or rhs is None:
-                    continue
-                if lhs != rhs:
-                    found.append(((a, i, b, j, c), f"{lhs} != {rhs}"))
-        # the order of pairs of a's rows sorted by (slot, inner cell)
-        for witness, message in sorted(found):
+                witnesses = ((a, i, b, j, c) for a in xs)
+                parallel += _compare(witnesses, lhs, rhs, found)
+    if found:
+        # by a in table order, then by (slot, inner cell) pairs
+        first = {a: n for n, a in enumerate(dict.fromkeys(key[0] for key in graft_table))}
+        found.sort(key=lambda v: (first[v[0][0]], v[0]))
+        for witness, message in found:
             out.add("parallel commutation", witness, message)
-    return out.report(arity_bound=X.arity_bound)
+    checked = {"sequential associativity": sequential, "parallel commutation": parallel}
+    return out.report(arity_bound=X.arity_bound, checked=checked)
+
+
+def _compare(witnesses, lhs: list, rhs: list, found: list) -> int:
+    """Walk one batch of law instances pair by pair.
+
+    A pair with a missing side is skipped; one whose sides differ is appended
+    to ``found`` with its witness.  Returns the number of pairs compared.
+    """
+    present = [
+        (w, l, r) for w, l, r in zip(witnesses, lhs, rhs) if l is not None and r is not None
+    ]
+    found.extend((w, f"{l} != {r}") for w, l, r in present if l != r)
+    return len(present)
 
 
 # ---------------------------------------------------------------------------

@@ -542,7 +542,6 @@ def morphism_from_lax_functor(
     bound = DEFAULT_ARITY_BOUND if arity_bound is None else arity_bound
     if bound < 2:
         raise ArityBoundExceeded("generation needs arity bound at least 2")
-    gen, gen2 = _generate(B, bound), _generate(B2, bound)
     if check:
         for A in B.objects:
             if G.on_objects.get(A) not in B2.objects:
@@ -562,6 +561,7 @@ def morphism_from_lax_functor(
             if B2.then2(G.on_two_cells[a2c], G.on_two_cells[b2c]) != G.on_two_cells[c]:
                 raise InvalidInput("vertical composition not preserved")
 
+    gen, gen2 = _generate(B, bound), _generate(B2, bound)
     on_two: dict[str, str] = {}
     for cid, (key, alpha) in gen.value_of.items():
         value = B2.then2(_phi_chain(G, B, B2, key), G.on_two_cells[alpha])

@@ -112,8 +112,12 @@ class _Rows(_Codec):
         self.fields = fields
 
     def dump(self, table):
-        fields = self.fields
-        return [dict(zip(fields, (*key, value))) for key, value in sorted(table.items())]
+        # a dict display per key width: keys are pairs or triples
+        if len(self.fields) == 3:
+            f, g, last = self.fields
+            return [{f: x, g: y, last: v} for (x, y), v in sorted(table.items())]
+        f, g, h, last = self.fields
+        return [{f: x, g: y, h: z, last: v} for (x, y, z), v in sorted(table.items())]
 
     def load(self, raw, where):
         return _read_table(raw, self.fields[:-1], self.fields[-1:], where)

@@ -397,6 +397,16 @@ def test_generation_rejects_bounds_below_two(sign, bound):
         from_bicategory(sign_bicategory_broken_pentagon(), bound)
 
 
+def test_malformed_lax_functor_rejected_before_generation(sign, monkeypatch):
+    def no_generation(B, bound):
+        raise AssertionError("generated before the functor was checked")
+
+    monkeypatch.setattr(eq, "_generate", no_generation)
+    G = dataclasses.replace(identity_lax_functor(sign), on_objects={})
+    with pytest.raises(InvalidInput, match="object 'pt' has no valid image"):
+        morphism_from_lax_functor(G, sign, sign)
+
+
 def test_lax_functor_constraints_compose_head_first(sign):
     # a pair constraint that tells (s, e) from (e, s), so that along a chain
     # (f, g, h) the order of the tail (g, h) shows in the translated cells:

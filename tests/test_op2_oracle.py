@@ -1,7 +1,8 @@
 """Differential tests of the indexed niche lookups and law checks.
 
 The oracles below are the earlier linear-scan implementations, kept as they
-were (``validate_op2`` with its one-line splice helper inlined):
+were (``validate_op2`` with its one-line splice helper inlined, and counting
+the law instances it compares):
 ``occupants_of_niche`` and ``factorizations_through`` scan all of ``cells2``,
 ``validate_op2`` enumerates every law instance and skips the ones whose
 composites have no table entry, and the universality predicates and
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import importlib.util
 import itertools
 import random
 import re
@@ -24,6 +26,7 @@ import pytest
 import opetokit.equivalences as eq
 import opetokit.universality as uni
 from opetokit import serialize
+from opetokit.bicat import FiniteBicategory
 from opetokit.core import (
     FiniteOpTwoCat,
     occupants_of_niche,
@@ -49,7 +52,12 @@ from opetokit.fixtures import (
 from opetokit.universality import factorizations_through
 from path_oracles import iter_paths  # the enumerator of PastingPath objects
 
-FIXTURE = Path(__file__).resolve().parent.parent / "docs" / "fixtures" / "op2cat.json"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURE = ROOT / "docs" / "fixtures" / "op2cat.json"
+
+_spec = importlib.util.spec_from_file_location("groups", ROOT / "perfbench" / "groups.py")
+groups = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(groups)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +228,9 @@ def oracle_validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
         if X.graft.get(key) != cid:
             out.add("left unit", key, "grafting under an identity must not change the cell")
 
+    # the instances compared, per law
+    checked = dict.fromkeys(("sequential associativity", "parallel commutation"), 0)
+
     # sequential associativity: graft(graft(a,i,b), i+j, c) = graft(a, i, graft(b,j,c))
     entries_by_inner: dict[str, list[tuple[str, int, str]]] = {}
     for key in X.graft:
@@ -232,6 +243,7 @@ def oracle_validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
             if lhs is None or rhs is None:
                 # the composite leaves the bound; nothing to compare
                 continue
+            checked["sequential associativity"] += 1
             if lhs != rhs:
                 out.add("sequential associativity", (a, i, b, j, c), f"{lhs} != {rhs}")
 
@@ -250,9 +262,10 @@ def oracle_validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
             rhs = X.graft.get((r_jc, i, b))
             if lhs is None or rhs is None:
                 continue
+            checked["parallel commutation"] += 1
             if lhs != rhs:
                 out.add("parallel commutation", (a, i, b, j, c), f"{lhs} != {rhs}")
-    return out.report(arity_bound=X.arity_bound)
+    return out.report(arity_bound=X.arity_bound, checked=checked)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +325,25 @@ def _corrupt(seed: int):
     if how in ("drop", "both"):
         del table[rng.choice(rows)]
     return dataclasses.replace(X, graft=table), b
+
+
+@functools.cache
+def _zn(n: int) -> FiniteOpTwoCat:
+    """The Z_n 2-group's presentation at bound 4."""
+    return eq.from_bicategory(groups.zn_bicategory(n, FiniteBicategory), 4)[0]
+
+
+def _swap_result(X: FiniteOpTwoCat, seed: int) -> FiniteOpTwoCat:
+    """One seeded graft row's result swapped for another occupant of its niche."""
+    rng = random.Random(seed)
+    key = rng.choice(list(X.graft))
+    cell = X.cells2[X.graft[key]]
+    others = [
+        cid
+        for cid in X.occupants[cell.source.key()]
+        if cid != X.graft[key] and X.cells2[cid].target == cell.target
+    ]
+    return dataclasses.replace(X, graft={**X.graft, key: rng.choice(others)})
 
 
 def _outcome(fn, *args):
@@ -389,6 +421,61 @@ def test_corruptions_reach_every_law():
     assert {"totality", "right unit", "left unit", "sequential associativity",
             "parallel commutation"} <= rules
     assert several_in_one_group
+
+
+def test_agrees_with_oracle_on_z3():
+    report = validate_op2(_zn(3))
+    assert report == oracle_validate_op2(_zn(3))
+    assert report.ok
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_agrees_with_oracle_on_z3_swaps(seed):
+    # each law's batches hold many outer cells; only some of them fail
+    Y = _swap_result(_zn(3), seed)
+    assert validate_op2(Y) == oracle_validate_op2(Y)
+
+
+def test_z3_swaps_reach_both_laws():
+    rules: set[str] = set()
+    for seed in range(6):
+        rules |= validate_op2(_swap_result(_zn(3), seed)).rules()
+    assert {"sequential associativity", "parallel commutation"} <= rules
+
+
+def test_law_instances_checked_on_z4():
+    # sequential associativity: perfbench's core.assoc_in_bound on Z4
+    assert validate_op2(_zn(4)).notes == {
+        "arity_bound": 4,
+        "checked": {"sequential associativity": 733_504, "parallel commutation": 364_864},
+    }
+
+
+def test_graft_row_on_a_nullary_outer_is_out_of_range():
+    # slot 0 of an empty source key (0, anchor) holds no edge, though the key
+    # has an entry at the slot edge's index
+    X, _ = _structures()["sign"]
+    Y = dataclasses.replace(X, graft={**X.graft, ("@pt|1e", 0, "1e"): "1e"})
+    report = validate_op2(Y)
+    assert report == oracle_validate_op2(Y)
+    assert [(v.witness, v.message) for v in report.violations] == [
+        (("@pt|1e", 0, "1e"), "slot out of range")
+    ]
+
+
+def test_empty_inner_in_a_one_edge_outer_splices_to_the_inner_key():
+    X, _ = _structures()["sign"]
+    rows = [key for key in X.graft if key[0] in ("1e", "ne") and key[2].startswith("@")]
+    assert len(rows) == 4
+    for key in rows:
+        assert X.cells2[X.graft[key]].source.key() == X.cells2[key[2]].source.key() == (0, "pt")
+    # a one-edge result in place of the empty one breaks the frame
+    Y = dataclasses.replace(X, graft={**X.graft, ("ne", 0, "@pt|1e"): "1e"})
+    report = validate_op2(Y)
+    assert report == oracle_validate_op2(Y)
+    assert [(v.witness, v.message) for v in report.violations] == [
+        (("ne", 0, "@pt|1e"), "result source is not the spliced path")
+    ]
 
 
 def test_solve_unique_wraps_the_shared_solver():
