@@ -10,13 +10,19 @@ attribute, codec)`` triples of its tables.  A codec converts one table shape
 in both directions, and its ``load`` is where input from outside the program
 is checked: a missing field, a value of the wrong JSON type, or a row that
 repeats an id or a table key raises ``ParseError``; ``loads`` already
-rejects an object that repeats a key.
+rejects an object that repeats a key.  ``from_doc`` shares one ``str`` per
+distinct id of a document.  ``dumps`` writes ``json.dumps(doc, indent=2,
+sort_keys=True)`` without its pure-Python encoder: a top-level list of flat
+rows fills one template from columns encoded at once, and any other value is
+laid out by ``json.dumps`` and indented one level (encoded JSON holds no raw
+newline inside a string).
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .bicat import FiniteBicategory, FiniteCategory, LaxFunctor
@@ -31,20 +37,29 @@ _FIELD_TYPES = {"slot": int, "source": dict}
 _TYPE_NAMES = {str: "a string", int: "an integer", dict: "an object"}
 
 
-def _check_rows(rows, fields: tuple[str, ...], where: str) -> None:
-    """Every row an object holding each named field, of its JSON type."""
+def _shared(strings, ids: dict) -> list:
+    """Each string replaced by the document's one object for it."""
+    return list(map(ids.setdefault, strings, strings))
+
+
+def _columns(rows, fields: tuple[str, ...], where: str, ids: dict) -> list[list]:
+    """One column per named field over rows that must be objects holding
+    each field, of its JSON type; an id column holds shared strings."""
     if type(rows) is not list:
         raise ParseError(f"{where} must be a list of objects")
+    columns = []
     for name in fields:
         try:
-            found = set(map(type, map(itemgetter(name), rows)))
+            column = list(map(itemgetter(name), rows))
         except KeyError:
             raise ParseError(f"{where}: a row lacks field {name!r}") from None
         except TypeError:  # a row that is not an object
             raise ParseError(f"{where} must be a list of objects") from None
         want = _FIELD_TYPES.get(name, str)
-        if not found <= {want}:
+        if not set(map(type, column)) <= {want}:
             raise ParseError(f"{where}: field {name!r} must be {_TYPE_NAMES[want]}")
+        columns.append(_shared(column, ids) if want is str else column)
+    return columns
 
 
 def _repeated(keys, where: str):
@@ -53,14 +68,15 @@ def _repeated(keys, where: str):
     raise ParseError(f"{where}: more than one entry for {repeated!r}")
 
 
-def _read_table(rows, keys: tuple[str, ...], values: tuple[str, ...], where: str) -> dict:
+def _read_table(rows, keys: tuple, values: tuple, where: str, ids: dict) -> dict:
     """``{key: value}`` over checked rows; a key or value of one field is that
     field's value, of several fields the tuple of their values."""
-    _check_rows(rows, keys + values, where)
-    key = itemgetter(*keys)
-    table = dict(zip(map(key, rows), map(itemgetter(*values), rows)))
+    columns = _columns(rows, keys + values, where, ids)
+    n = len(keys)
+    key = columns[0] if n == 1 else list(zip(*columns[:n]))
+    table = dict(zip(key, columns[n] if len(values) == 1 else zip(*columns[n:])))
     if len(table) != len(rows):
-        _repeated(map(key, rows), where)
+        _repeated(key, where)
     return table
 
 
@@ -74,12 +90,12 @@ class _Ids(_Codec):
     def dump(self, ids):
         return sorted(ids)
 
-    def load(self, raw, where):
+    def load(self, raw, where, ids):
         if type(raw) is not list or not set(map(type, raw)) <= {str}:
             raise ParseError(f"{where} must be a list of strings")
         if len(set(raw)) != len(raw):
             _repeated(raw, where)
-        return tuple(sorted(raw))
+        return tuple(sorted(_shared(raw, ids)))
 
 
 class _Cells(_Codec):
@@ -88,8 +104,8 @@ class _Cells(_Codec):
     def dump(self, table):
         return [{"id": i, "src": s, "tgt": t} for i, (s, t) in sorted(table.items())]
 
-    def load(self, raw, where):
-        return _read_table(raw, ("id",), ("src", "tgt"), where)
+    def load(self, raw, where, ids):
+        return _read_table(raw, ("id",), ("src", "tgt"), where, ids)
 
 
 class _Map(_Codec):
@@ -98,10 +114,10 @@ class _Map(_Codec):
     def dump(self, table):
         return dict(sorted(table.items()))
 
-    def load(self, raw, where):
+    def load(self, raw, where, ids):
         if type(raw) is not dict or not set(map(type, raw.values())) <= {str}:
             raise ParseError(f"{where} must be an object of strings")
-        return dict(raw)
+        return dict(zip(_shared(raw, ids), _shared(raw.values(), ids)))
 
 
 class _Rows(_Codec):
@@ -119,8 +135,8 @@ class _Rows(_Codec):
         f, g, h, last = self.fields
         return [{f: x, g: y, h: z, last: v} for (x, y, z), v in sorted(table.items())]
 
-    def load(self, raw, where):
-        return _read_table(raw, self.fields[:-1], self.fields[-1:], where)
+    def load(self, raw, where, ids):
+        return _read_table(raw, self.fields[:-1], self.fields[-1:], where, ids)
 
 
 def _path_doc(key: tuple) -> dict:
@@ -129,15 +145,15 @@ def _path_doc(key: tuple) -> dict:
     return {"anchor": key[1], "edges": []}
 
 
-def _read_path(doc: dict, where: str) -> PastingPath:
+def _read_path(doc: dict, where: str, ids: dict) -> PastingPath:
     edges = doc.get("edges", [])
     if type(edges) is not list or not set(map(type, edges)) <= {str}:
         raise ParseError(f"{where}: 'edges' must be a list of strings")
     if edges:
-        return PastingPath(tuple(edges))
+        return PastingPath(tuple(_shared(edges, ids)))
     if type(doc.get("anchor")) is not str:
         raise ParseError(f"{where}: an empty path needs a string 'anchor'")
-    return empty_path(doc["anchor"])
+    return empty_path(ids.setdefault(doc["anchor"], doc["anchor"]))
 
 
 class _Comp(_Codec):
@@ -146,10 +162,10 @@ class _Comp(_Codec):
     def dump(self, table):
         return [{**_path_doc(key), "result": r} for key, r in sorted(table.items())]
 
-    def load(self, raw, where):
-        _check_rows(raw, ("result",), where)
-        keys = [_read_path(row, where).key() for row in raw]
-        table = dict(zip(keys, map(itemgetter("result"), raw)))
+    def load(self, raw, where, ids):
+        (results,) = _columns(raw, ("result",), where, ids)
+        keys = [_read_path(row, where, ids).key() for row in raw]
+        table = dict(zip(keys, results))
         if len(table) != len(keys):
             _repeated(keys, where)
         return table
@@ -164,25 +180,27 @@ class _TwoCells(_Codec):
             for cid, cell in sorted(table.items())
         ]
 
-    def load(self, raw, where):
-        rows = _read_table(raw, ("id",), ("source", "target"), where)
+    def load(self, raw, where, ids):
+        rows = _read_table(raw, ("id",), ("source", "target"), where, ids)
         return {
-            cid: TwoCell(cid, _read_path(source, where), target)
+            cid: TwoCell(cid, _read_path(source, where, ids), target)
             for cid, (source, target) in rows.items()
         }
 
 
 class _Bound(_Codec):
-    """``arity_bound``: an integer, the class default when absent."""
+    """``arity_bound``: a non-negative integer, the class default when absent."""
 
     optional = True
 
     def dump(self, bound):
         return bound
 
-    def load(self, raw, where):
+    def load(self, raw, where, ids):
         if type(raw) is not int:
             raise ParseError(f"{where} must be an integer")
+        if raw < 0:
+            raise ParseError(f"{where} must be a non-negative integer")
         return raw
 
 
@@ -247,14 +265,14 @@ def _dump(obj, fields) -> dict:
     return {name: codec.dump(getattr(obj, attr)) for name, attr, codec in fields}
 
 
-def _load(doc, where: str, fields) -> dict:
+def _load(doc, where: str, fields, ids: dict) -> dict:
     """Constructor arguments read off ``doc``, every field checked."""
     if type(doc) is not dict:
         raise ParseError(f"{where} must be an object")
     values = {}
     for name, attr, codec in fields:
         if name in doc:
-            values[attr] = codec.load(doc[name], f"{where}.{name}")
+            values[attr] = codec.load(doc[name], f"{where}.{name}", ids)
         elif not codec.optional:
             raise ParseError(f"{where} document lacks field {name!r}")
     return values
@@ -276,24 +294,55 @@ def from_doc(doc: dict):
     """Structure (or (structure, biasing) for op2cat documents) from a doc.
 
     Raises ``ParseError`` on a missing field, a value of the wrong JSON type,
-    or a repeated id or table key.
+    or a repeated id or table key.  All occurrences of an id are one ``str``.
     """
     kind = doc.get("kind")
+    ids: dict[str, str] = {}
     if kind == "set":
-        return _load(doc, kind, _SET)["elements"]
+        return _load(doc, kind, _SET, ids)["elements"]
     if kind not in KINDS:
         raise UnknownKind(f"unknown kind {kind!r}")
     cls, fields = _SPEC[kind]
-    obj = cls(**_load(doc, kind, fields))
+    obj = cls(**_load(doc, kind, fields, ids))
     if kind != "op2cat":
         return obj
     if "biasing" not in doc:
         return obj, None
-    return obj, Biasing(**_load(doc["biasing"], "op2cat.biasing", _BIASING))
+    return obj, Biasing(**_load(doc["biasing"], "op2cat.biasing", _BIASING, ids))
+
+
+_ENCODE = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def _row_list(rows) -> str | None:
+    """A non-empty list of flat rows with one key set and every field a string
+    or an int, as ``dumps`` lays out a top-level field: one ``%`` template
+    filled from columns encoded at once.  None for any other value."""
+    if type(rows) is not list or set(map(type, rows)) != {dict}:
+        return None
+    fields = sorted(rows[0])
+    if not fields or set(map(len, rows)) != {len(fields)}:
+        return None
+    columns = []
+    try:
+        for name in fields:
+            column = list(map(itemgetter(name), rows))
+            (kind,) = set(map(type, column))
+            columns.append(map(_ENCODE[kind], column))
+    except (KeyError, ValueError):  # another key set, mixed types or another type
+        return None
+    lines = [f"      {encode_basestring_ascii(name).replace('%', '%%')}: %s" for name in fields]
+    template = "{\n" + ",\n".join(lines) + "\n    }"
+    return "[\n    " + ",\n    ".join(map(template.__mod__, zip(*columns))) + "\n  ]"
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True)`` and a newline."""
+    return "{\n" + ",\n".join(
+        f"  {encode_basestring_ascii(key)}: "
+        + (_row_list(value) or json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "))
+        for key, value in sorted(doc.items())
+    ) + "\n}\n"
 
 
 def _object(pairs: list) -> dict:

@@ -1,18 +1,22 @@
 """The document layer.
 
 The spec-driven serialiser is checked against the hand-written per-kind
-serialiser it replaced, kept below verbatim as the oracle.  Malformed
-documents must give ``ParseError`` and exit 2 on the command line, and a fuzz
-of the command line over mutated documents must never let an exception
-escape.
+serialiser it replaced, kept below verbatim as the oracle, and ``dumps``
+against ``json.dumps(doc, indent=2, sort_keys=True)``.  A parsed structure
+shares one string per id and validates as the structure it was written
+from.  Malformed documents must give ``ParseError`` and exit 2 on the
+command line, and a fuzz of the command line over mutated documents must
+never let an exception escape.
 """
 
 from __future__ import annotations
 
 import contextlib
 import copy
+import functools
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -28,6 +32,7 @@ from opetokit.core import (
     PastingPath,
     TwoCell,
     empty_path,
+    validate_op2,
 )
 from opetokit.equivalences import Biasing, OpMorphism, from_bicategory, from_category
 from opetokit.errors import ParseError, UnknownKind
@@ -37,6 +42,7 @@ from opetokit.fixtures import (
     sign_bicategory,
     small_category_family,
 )
+from test_op2_oracle import groups  # the Z_n 2-groups of the benchmark
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "docs" / "fixtures"
 FIXTURES = sorted(p.name for p in FIXTURE_DIR.glob("*.json"))
@@ -306,6 +312,117 @@ def test_optional_fields_keep_their_defaults():
     assert serialize.from_doc(doc) == serialize.from_doc(_fixture("op1cat.json"))
 
 
+# -- the writer against the whole-document encoder -------------------------------
+
+# ids that JSON must escape: non-ASCII, a quote, a backslash, a line
+# separator, a control character and a tab
+ESCAPED = ("\u00e9", 'a"b', "back\\slash", "\u2028", "\u0001", "tab\there")
+
+
+@functools.cache
+def _writer_docs() -> dict[str, dict]:
+    docs = {name: _fixture(name) for name in FIXTURES}
+    for n in (2, 3):
+        B = groups.zn_bicategory(n, FiniteBicategory)
+        docs[f"Z{n} bicategory"] = serialize.to_doc(B)
+        docs[f"Z{n} op2cat"] = serialize.to_doc(*from_bicategory(B, 4))
+    docs["set"] = serialize.to_doc({"b", "a", "c"})
+    docs["escaped ids"] = {
+        "kind": "category",
+        "objects": list(ESCAPED),
+        "arrows": [{"id": e, "src": e, "tgt": ESCAPED[0]} for e in ESCAPED],
+        "identities": {e: e for e in ESCAPED},
+        "compose": [{"g": e, "f": ESCAPED[-1], "result": e} for e in ESCAPED],
+    }
+    docs["empty tables"] = dict(_fixture("op2cat.json"), graft=[])
+    docs["empty compose"] = dict(_fixture("category.json"), compose=[])
+    category = _fixture("category.json")
+    row = category["compose"][0]
+    docs["mixed key sets"] = dict(category, compose=[row, {"g": "e", "f": "e"}, row])
+    docs["same width, other keys"] = dict(category, compose=[row, {"g": "e", "f": "e", "r": "e"}])
+    docs["int among strings"] = dict(category, compose=[row, dict(row, result=3)])
+    for name, value in (("bool", True), ("float", 2.5), ("null", None)):
+        docs[f"{name} fields"] = dict(
+            category, compose=[dict(r, result=value) for r in category["compose"]]
+        )
+    docs["percent signs in field names"] = {"kind": "set", "rows": [{"%s": "%d", "a%": 1}]}
+    return docs
+
+
+@pytest.mark.parametrize("name", sorted(_writer_docs()))
+def test_dumps_writes_what_the_whole_document_encoder_writes(name):
+    doc = _writer_docs()[name]
+    assert serialize.dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# -- parsed structures ------------------------------------------------------------
+
+
+def _parsed_op2cat(name: str) -> FiniteOpTwoCat:
+    if name == "fixture":
+        text = (FIXTURE_DIR / "op2cat.json").read_text(encoding="utf-8")
+    else:
+        Z3 = from_bicategory(groups.zn_bicategory(3, FiniteBicategory), 4)
+        text = serialize.dumps(serialize.to_doc(*Z3))
+    return serialize.from_doc(serialize.loads(text))[0]
+
+
+@pytest.mark.parametrize("name", ("fixture", "Z3"))
+def test_parsed_ids_are_one_string_each(name):
+    X = _parsed_op2cat(name)
+    objects = {o: o for o in X.objects}
+    cells1 = {f: f for f in X.cells1}
+    cells2 = {c: c for c in X.cells2}
+    for f, ends in X.cells1.items():
+        assert all(end is objects[end] for end in ends)
+    for c, cell in X.cells2.items():
+        assert cell.id is c
+        assert cell.target is cells1[cell.target]
+        assert all(e is cells1[e] for e in cell.source.edges)
+    for f, c in X.ident2.items():
+        assert f is cells1[f] and c is cells2[c]
+    for (outer, _, inner), result in X.graft.items():
+        assert outer is cells2[outer] and inner is cells2[inner]
+        assert result is cells2[result]
+
+
+def _corrupted_fixture(seed: int) -> FiniteOpTwoCat:
+    """The op2cat fixture's structure, generated in memory, with one graft row
+    dropped (even seeds) or its result swapped for another occupant of the
+    same niche (odd seeds)."""
+    X, _ = from_bicategory(sign_bicategory())
+    assert serialize.to_doc(X) == {
+        k: v for k, v in _fixture("op2cat.json").items() if k != "biasing"
+    }
+    rng = random.Random(seed)
+    table = dict(X.graft)
+
+    def others(key):
+        niche = X.occupants[X.cells2[table[key]].source.key()]
+        return [c for c in niche if c != table[key]]
+
+    if seed % 2:
+        key = rng.choice([key for key in table if others(key)])
+        table[key] = rng.choice(others(key))
+    else:
+        del table[rng.choice(list(table))]
+    # every table in document order, since reports follow table order
+    return FiniteOpTwoCat(
+        X.objects, *(dict(sorted(t.items())) for t in (X.cells1, X.cells2, X.ident2, table)),
+        X.arity_bound,
+    )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_parsed_structures_report_as_in_memory(seed):
+    X = _corrupted_fixture(seed)
+    parsed = serialize.from_doc(serialize.loads(serialize.dumps(serialize.to_doc(X))))[0]
+    assert parsed == X
+    report = validate_op2(X)
+    assert not report.ok
+    assert validate_op2(parsed) == report
+
+
 # -- malformed documents --------------------------------------------------------
 
 
@@ -340,6 +457,10 @@ MALFORMED = {
     "repeated arrow id": (_repeated_arrow, "category.arrows: more than one entry for 'e'"),
     "repeated graft key": (_repeated_graft_key, "op2cat.graft: more than one entry for"),
     "string slot": (_string_slot, "op2cat.graft: field 'slot' must be an integer"),
+    "negative op2cat bound": (lambda: dict(_fixture("op2cat.json"), arity_bound=-3),
+                              "op2cat.arity_bound must be a non-negative integer"),
+    "negative op1cat bound": (lambda: dict(_fixture("op1cat.json"), arity_bound=-1),
+                              "op1cat.arity_bound must be a non-negative integer"),
 }
 
 
