@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import composable_pairs, composable_triples
+from .core import _by_source, composable_pairs, composable_triples
 from .errors import (
     DanglingId,
     MissingComposite,
@@ -298,10 +298,7 @@ def _normalize(B: FiniteBicategory, t) -> tuple[tuple[str, ...], str, str]:
         if len(xs) == 1:
             v = B.beside1(rv, xs[0])
             return v, B.id2[v]
-        tail_v = xs[-1]
-        for e in reversed(xs[1:-1]):
-            tail_v = B.beside1(tail_v, e)
-        a = B.assoc[(rv, tail_v, xs[0])]
+        a = B.assoc[(rv, chain_value(B, xs[1:]), xs[0])]
         a_inv = invert_two_cell(B, a)
         if a_inv is None:
             raise MissingComposite(f"associator component {a!r} has no inverse")
@@ -406,9 +403,9 @@ def validate_category(C: FiniteCategory) -> ValidationReport:
     return out.report()
 
 
-def _hom_pairs(B: FiniteBicategory):
+def _hom_pairs(one_cells: dict[str, tuple[str, str]], two_cells: dict[str, tuple[str, str]]):
     """2-cell pairs (b, a) whose object frames chain: a in hom(A,B), b in hom(B,C)."""
-    frames = {a: B.one_cells[f] for a, (f, _) in B.two_cells.items()}
+    frames = {a: one_cells[f] for a, (f, _) in two_cells.items()}
     return [(b, a) for a, b in composable_pairs(frames)]
 
 
@@ -475,7 +472,7 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
             out.add("dangling id", (b, a, c))
     if out.items:
         return out.report()
-    for b, a in _hom_pairs(B):
+    for b, a in _hom_pairs(B.one_cells, B.two_cells):
         if (b, a) not in B.hcomp2:
             out.add("totality", (b, a), "2-cell horizontal composite missing")
             continue
@@ -493,15 +490,10 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
     for g, f in comp1:
         if B.beside2(B.id2[g], B.id2[f]) != B.id2[B.beside1(g, f)]:
             out.add("hcomp identity", (g, f))
-    for b2, a2 in _hom_pairs(B):
-        for b1 in B.two_cells:
-            if B.tgt2(b1) != B.src2(b2):
-                continue
-            for a1 in B.two_cells:
-                if B.tgt2(a1) != B.src2(a2):
-                    continue
-                if B.src1(B.src2(b1)) != B.tgt1(B.src2(a1)):
-                    continue
+    by_target = _by_source({x: (t, s) for x, (s, t) in B.two_cells.items()})
+    for b2, a2 in _hom_pairs(B.one_cells, B.two_cells):
+        for b1 in by_target.get(B.src2(b2), ()):
+            for a1 in by_target.get(B.src2(a2), ()):
                 lhs = B.beside2(B.then2(b1, b2), B.then2(a1, a2))
                 rhs = B.then2(B.beside2(b1, a1), B.beside2(b2, a2))
                 if lhs != rhs:
@@ -521,19 +513,14 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
             out.add("associator invertible", (h, g, f, a))
     if out.items:
         return out.report()
-    for c in B.two_cells:
-        for b in B.two_cells:
-            if B.src1(B.src2(c)) != B.tgt1(B.src2(b)):
-                continue
-            for a in B.two_cells:
-                if B.src1(B.src2(b)) != B.tgt1(B.src2(a)):
-                    continue
-                src_comp = B.assoc[(B.src2(c), B.src2(b), B.src2(a))]
-                tgt_comp = B.assoc[(B.tgt2(c), B.tgt2(b), B.tgt2(a))]
-                lhs = B.then2(B.beside2(B.beside2(c, b), a), tgt_comp)
-                rhs = B.then2(src_comp, B.beside2(c, B.beside2(b, a)))
-                if lhs != rhs:
-                    out.add("associator naturality", (c, b, a))
+    backwards = {x: B.one_cells[f][::-1] for x, (f, _) in B.two_cells.items()}
+    for c, b, a in composable_triples(backwards):
+        src_comp = B.assoc[(B.src2(c), B.src2(b), B.src2(a))]
+        tgt_comp = B.assoc[(B.tgt2(c), B.tgt2(b), B.tgt2(a))]
+        lhs = B.then2(B.beside2(B.beside2(c, b), a), tgt_comp)
+        rhs = B.then2(src_comp, B.beside2(c, B.beside2(b, a)))
+        if lhs != rhs:
+            out.add("associator naturality", (c, b, a))
 
     # unitors: typing, invertibility, naturality
     for f in B.one_cells:
@@ -562,10 +549,9 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
             out.add("left unitor naturality", (a,))
 
     # pentagon
+    after = _by_source(B.one_cells)
     for (h, g, f) in comp3:
-        for k in B.one_cells:
-            if B.tgt1(h) != B.src1(k):
-                continue
+        for k in after.get(B.tgt1(h), ()):
             gf = B.beside1(g, f)
             hg = B.beside1(h, g)
             kh = B.beside1(k, h)
@@ -663,7 +649,7 @@ def validate_lax_functor(F: LaxFunctor, B: FiniteBicategory, B2: FiniteBicategor
         if B2.then2(G2[a], G2[b]) != G2[c]:
             out.add("hom functor", (b, a), "vertical composition not preserved")
 
-    for b, a in _hom_pairs(B):
+    for b, a in _hom_pairs(B.one_cells, B.two_cells):
         g1, g2 = B.two_cells[b]
         f1, f2 = B.two_cells[a]
         lhs = B2.then2(B2.beside2(G2[b], G2[a]), F.phi_pair[(g2, f2)])

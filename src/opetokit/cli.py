@@ -112,24 +112,15 @@ def cmd_universal(args) -> int:
         payload = {"kind": kind, "ok": verdict, "cell": args.cell,
                    "universal": verdict, "violations": []}
         if args.format == "json":
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            _emit(args, payload)
         else:
             print(f"{args.cell}: {'universal' if verdict else 'non-universal'}")
         return 0 if verdict else 1
     report = check_coherence(X, direct_niche_search=args.direct_niche_search)
     verdicts = {cid: cid in report.universal_two_cells for cid in sorted(X.cells2)}
     if args.format == "json":
-        payload = {
-            "kind": kind,
-            "ok": report.ok,
-            "cells": verdicts,
-            "universal_one_cells": sorted(report.universal_one_cells),
-            "violations": [
-                {"rule": v.rule, "witness": list(v.witness), "message": v.message}
-                for v in report.violations
-            ],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _emit(args, {**_report_payload(kind, report), "cells": verdicts,
+                     "universal_one_cells": sorted(report.universal_one_cells)})
     else:
         for cid, ok in verdicts.items():
             print(f"{cid}: {'universal' if ok else 'non-universal'}")

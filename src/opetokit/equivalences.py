@@ -38,6 +38,7 @@ from .core import (
     FiniteOpZeroCat,
     PastingPath,
     TwoCell,
+    _by_source,
     composable_pairs,
     composable_triples,
     empty_path,
@@ -58,6 +59,7 @@ from .bicat import (
     _LEAF,
     _UNIT,
     _comb_tree,
+    _hom_pairs,
     _normalize,
     _whisker_at,
     chain_value,
@@ -145,9 +147,11 @@ def from_category(
     C: FiniteCategory, arity_bound: int | None = None, check: bool = True
 ) -> FiniteOpOneCat:
     """Materialise the composition table over all paths up to the bound."""
+    bound = DEFAULT_ARITY_BOUND if arity_bound is None else arity_bound
+    if bound < 0:
+        raise ArityBoundExceeded(f"the arity bound must not be negative, got {bound}")
     if check:
         _require(validate_category(C))
-    bound = DEFAULT_ARITY_BOUND if arity_bound is None else arity_bound
     X = FiniteOpOneCat(tuple(sorted(C.objects)), dict(C.arrows), {}, bound)
     comp = fold_paths(X, C.identities, C.then)
     return FiniteOpOneCat(X.objects, X.cells1, comp, bound)
@@ -264,15 +268,10 @@ def to_bicategory(X: FiniteOpTwoCat, b: Biasing, check: bool = True) -> FiniteBi
     }
 
     hcomp2: dict[tuple[str, str], str] = {}
-    for a2, (f1, f2) in two_cells.items():
-        mid = X.tgt1(f1)
-        for b2, (g1, g2) in two_cells.items():
-            if X.src1(g1) != mid:
-                continue
-            pasted = X.graft[(X.graft[(b.c[(f2, g2)], 0, a2)], 1, b2)]
-            hcomp2[(b2, a2)] = _solve_unique(
-                X, b.c[(f1, g1)], pasted, "horizontal composite"
-            )
+    for b2, a2 in _hom_pairs(one_cells, two_cells):
+        (f1, f2), (g1, g2) = two_cells[a2], two_cells[b2]
+        pasted = X.graft[(X.graft[(b.c[(f2, g2)], 0, a2)], 1, b2)]
+        hcomp2[(b2, a2)] = _solve_unique(X, b.c[(f1, g1)], pasted, "horizontal composite")
 
     assoc: dict[tuple[str, str, str], str] = {}
     for f, g, h in composable_triples(X.cells1):
@@ -341,13 +340,13 @@ def _generate(B: FiniteBicategory, bound: int) -> _Generated:
     cell_of: dict[tuple, str] = {}
     by_target: dict[str, list[tuple]] = defaultdict(list)  # (cell id, path key, edges, label)
     arities: dict[str, list[int]] = defaultdict(list)  # the source arities of a by_target bucket
+    out_of = _by_source(B.two_cells)
     for key in iter_paths(FiniteOpOneCat(tuple(sorted(B.objects)), B.one_cells, {}, bound)):
         edges = key[1:] if key[0] else ()
         base = chain_value(B, edges, None if key[0] else key[1])
         source = PastingPath(edges) if edges else empty_path(key[1])
-        for alpha, (s, t) in B.two_cells.items():
-            if s != base:
-                continue
+        for alpha in out_of.get(base, ()):
+            t = B.two_cells[alpha][1]
             cid = _cell_name(key, alpha)
             if cid in cells2:
                 raise InvalidInput(f"generated cell id collision at {cid!r}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 
-from .bicat import FiniteBicategory, FiniteCategory, LaxFunctor
+from .bicat import FiniteBicategory, FiniteCategory, LaxFunctor, _hom_pairs
 from .core import composable_pairs, composable_triples
 
 
@@ -178,10 +178,9 @@ def arrow_bicategory() -> FiniteBicategory:
         "1iA": "iA", "1iB": "iB",
         "1k": "AB", "xk": "AB", "a0": "AB", "a1": "AB", "1k2": "AB",
     }
-    frames = {a: one_cells[f] for a, (f, _) in two_cells.items()}
     hcomp2 = {
         (b, a): a if hom_of[b] in ("iA", "iB") else b
-        for a, b in composable_pairs(frames)
+        for b, a in _hom_pairs(one_cells, two_cells)
     }
     assoc = {
         (h, g, f): id2[hcomp1[(h, hcomp1[(g, f)])]]
@@ -265,15 +264,13 @@ def arrow_perturbed_functor() -> LaxFunctor:
 
 def _category_tables(objects, arrows, identities):
     """Every associative composition table over a fixed arrow configuration,
-    by backtracking with incremental associativity pruning."""
-    arrow_ids = sorted(arrows)
-    src = {a: arrows[a][0] for a in arrow_ids}
-    tgt = {a: arrows[a][1] for a in arrow_ids}
+    by backtracking: after each assignment, every composable triple whose two
+    bracketings are both assigned is checked again."""
+    cells = {a: arrows[a] for a in sorted(arrows)}
     ident = set(identities.values())
-    pairs = [(g, f) for f in arrow_ids for g in arrow_ids if tgt[f] == src[g]]
     table: dict[tuple[str, str], str] = {}
     free = []
-    for g, f in pairs:
+    for f, g in composable_pairs(cells):
         if f in ident:
             table[(g, f)] = g
         elif g in ident:
@@ -281,29 +278,20 @@ def _category_tables(objects, arrows, identities):
         else:
             free.append((g, f))
     candidates = {
-        (g, f): [h for h in arrow_ids if src[h] == src[f] and tgt[h] == tgt[g]]
+        (g, f): [h for h, frame in cells.items() if frame == (cells[f][0], cells[g][1])]
         for (g, f) in free
     }
     if any(not c for c in candidates.values()):
         return
+    triples = composable_triples(cells)
 
     def consistent() -> bool:
-        for f in arrow_ids:
-            for g in arrow_ids:
-                if tgt[f] != src[g]:
-                    continue
-                gf = table.get((g, f))
-                if gf is None:
-                    continue
-                for h in arrow_ids:
-                    if tgt[g] != src[h]:
-                        continue
-                    hg = table.get((h, g))
-                    if hg is None:
-                        continue
-                    left, right = table.get((h, gf)), table.get((hg, f))
-                    if left is not None and right is not None and left != right:
-                        return False
+        for f, g, h in triples:
+            # an unassigned gf or hg makes its bracketing's lookup miss
+            left = table.get((h, table.get((g, f))))
+            right = table.get((table.get((h, g)), f))
+            if left is not None and right is not None and left != right:
+                return False
         return True
 
     def rec(i: int):

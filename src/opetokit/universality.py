@@ -21,6 +21,7 @@ from .errors import ArityError, DanglingId, NicheMismatch, Violation
 from .core import (
     FiniteOpOneCat,
     FiniteOpTwoCat,
+    _by_source,
     iter_paths,
     occupants_of_niche,
 )
@@ -115,15 +116,10 @@ def is_universal_1cell_op1(X: FiniteOpOneCat, f: str) -> bool:
     if f not in X.cells1:
         raise DanglingId(f"unknown 1-cell {f!r}")
     src_f, tgt_f = X.cells1[f]
-    for g, (s, _) in X.cells1.items():
-        if s != src_f:
-            continue
-        matches = [
-            gbar
-            for gbar, (s2, _) in X.cells1.items()
-            if s2 == tgt_f and X.comp.get((1, f, gbar)) == g
-        ]
-        if len(matches) != 1:
+    after = _by_source(X.cells1)
+    reached = [X.comp.get((1, f, gbar)) for gbar in after.get(tgt_f, ())]
+    for g in after.get(src_f, ()):
+        if reached.count(g) != 1:
             return False
     return True
 
@@ -170,8 +166,9 @@ def check_coherence(X: FiniteOpTwoCat, direct_niche_search: bool = False) -> Coh
     u2 = frozenset(c for c in X.cells2 if is_universal_2cell(X, c))
     u1 = frozenset(f for f in X.cells1 if is_universal_1cell(X, f))
 
+    sources = {X.src1(f) for f in u1}
     for a in X.objects:
-        if not any(X.src1(f) == a for f in u1):
+        if a not in sources:
             violations.append(
                 Violation("1-niche without universal occupant", (a,))
             )

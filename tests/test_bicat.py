@@ -21,7 +21,7 @@ from opetokit import (
     validate_category,
     validate_lax_functor,
 )
-from opetokit.bicat import bracketed_value
+from opetokit.bicat import FiniteBicategory, bracketed_value
 from opetokit.fixtures import (
     absorbing_constraint_functor,
     arrow_perturbed_functor,
@@ -125,6 +125,55 @@ def test_interchange_matches_commutative_product_oracle(idem):
         mul = lambda x, y: "1" if x == y == "1" else "t"
         assert mul(mul(b2, b1), mul(a2, a1)) == mul(mul(b2, a2), mul(b1, a1))
     assert not validate_bicategory(idem).filter("interchange")
+
+
+def labelled_z2_bicategory() -> FiniteBicategory:
+    """One object, 1-cells e and s forming Z2, and a 2-cell ``xyk``: x => y
+    for every pair of 1-cells x, y and label k in Z2.
+
+    Both compositions add labels mod 2 and the unitors are identities.  The
+    associator has label 1 on (s, s, s) only, so a 2-cell out of s into e
+    moves a component of label 1 to one of label 0: associator naturality
+    fails, and no other law does.
+    """
+    ones = ("e", "s")
+    mul = lambda g, f: "e" if g == f else "s"
+    cell = lambda x, y, k: f"{x}{y}{k % 2}"
+    labelled = [(x, y, k) for x in ones for y in ones for k in (0, 1)]
+    return FiniteBicategory(
+        objects=("pt",),
+        one_cells={f: ("pt", "pt") for f in ones},
+        two_cells={cell(x, y, k): (x, y) for x, y, k in labelled},
+        id2={f: cell(f, f, 0) for f in ones},
+        vcomp={
+            (cell(y, z, l), cell(x, y, k)): cell(x, z, k + l)
+            for x, y, k in labelled
+            for z in ones
+            for l in (0, 1)
+        },
+        id1={"pt": "e"},
+        hcomp1={(g, f): mul(g, f) for g in ones for f in ones},
+        hcomp2={
+            (cell(x2, y2, l), cell(x, y, k)): cell(mul(x2, x), mul(y2, y), k + l)
+            for x, y, k in labelled
+            for x2, y2, l in labelled
+        },
+        assoc={
+            (h, g, f): cell(mul(mul(h, g), f), mul(mul(h, g), f), (h, g, f) == ("s", "s", "s"))
+            for h in ones
+            for g in ones
+            for f in ones
+        },
+        lunit={f: cell(f, f, 0) for f in ones},
+        runit={f: cell(f, f, 0) for f in ones},
+    )
+
+
+def test_associator_naturality_is_reported():
+    report = validate_bicategory(labelled_z2_bicategory())
+    assert len(report.violations) == 112
+    assert {v.rule for v in report.violations} == {"associator naturality"}
+    assert report.violations[0].witness == ("es0", "es0", "es0")
 
 
 def test_invertibility(sign, idem):

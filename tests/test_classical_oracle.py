@@ -1,0 +1,207 @@
+"""Differential tests of the classical side's composable-tuple lookups.
+
+The oracles in ``classical_oracles`` find the cells that compose with a given
+one by scanning a whole table and skipping the rows that do not match; the
+library takes them from ``composable_pairs``, ``composable_triples`` and
+``_by_source``.  The two must give:
+
+- equal ``validate_bicategory`` reports, rule, witness, message and order,
+  on the fixture bicategories, the Z3 2-group, the labelled Z2 bicategory of
+  ``test_bicat`` and 1,120 seeded single-entry corruptions of eight tables;
+- equal ``to_bicategory`` tables, in insertion order, on the presentations
+  generated from those corruptions and on presentations with one swapped
+  graft row under a chosen occupant (or the same exception);
+- equal ``_normalize`` results on every bracketed chain of up to four edges;
+- equal composition tables of the category family, in order;
+- equal ``is_universal_1cell_op1`` verdicts on every arrow of the family.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import importlib.util
+import itertools
+import random
+from pathlib import Path
+
+import pytest
+
+import classical_oracles as old
+import opetokit.equivalences as eq
+from opetokit import fixtures
+from opetokit.bicat import (
+    FiniteBicategory,
+    _LEAF,
+    _comb_tree,
+    _normalize,
+    _tree_of,
+    all_bracketings,
+    validate_bicategory,
+)
+from opetokit.universality import is_universal_1cell_op1
+from test_bicat import labelled_z2_bicategory
+from test_op2_oracle import _outcome
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("groups", ROOT / "perfbench" / "groups.py")
+groups = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(groups)
+
+BASES = {
+    "sign": fixtures.sign_bicategory,
+    "twisted": fixtures.sign_bicategory_twisted_units,
+    "broken pentagon": fixtures.sign_bicategory_broken_pentagon,
+    "idempotent": fixtures.idempotent_bicategory,
+    "arrow": fixtures.arrow_bicategory,
+    "z3": lambda: groups.zn_bicategory(3, FiniteBicategory),
+    "labelled z2": labelled_z2_bicategory,
+}
+TABLES = ("vcomp", "hcomp1", "hcomp2", "assoc", "lunit", "runit", "id1", "id2")
+SEEDS_PER_TABLE = 20  # 7 bases x 8 tables x 20 = 1,120 corruptions
+
+
+@functools.cache
+def _base(name: str) -> FiniteBicategory:
+    return BASES[name]()
+
+
+def _corrupt(name: str, field: str, seed: int) -> FiniteBicategory:
+    """One entry of one table dropped, or replaced by another cell of its kind."""
+    rng = random.Random(f"{name}/{field}/{seed}")
+    B = _base(name)
+    table = dict(getattr(B, field))
+    key = rng.choice(sorted(table))
+    cells = B.one_cells if field in ("hcomp1", "id1") else B.two_cells
+    others = sorted(c for c in cells if c != table[key])
+    if seed % 3 == 0 or not others:
+        del table[key]
+    else:
+        table[key] = rng.choice(others)
+    return dataclasses.replace(B, **{field: table})
+
+
+def _corruptions():
+    for name, field in itertools.product(BASES, TABLES):
+        for seed in range(SEEDS_PER_TABLE):
+            yield (name, field, seed), _corrupt(name, field, seed)
+
+
+def _bicategory_tables(B) -> tuple:
+    """A bicategory with each table as an item list, in insertion order."""
+    if not isinstance(B, FiniteBicategory):
+        return B
+    return B, *(list(getattr(B, f.name).items()) for f in dataclasses.fields(B)[1:])
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_reports_agree_on_the_bases(name):
+    B = _base(name)
+    assert validate_bicategory(B) == old.validate_bicategory(B)
+
+
+@pytest.mark.parametrize("name, field", itertools.product(BASES, TABLES))
+def test_reports_agree_on_corruptions(name, field):
+    for seed in range(SEEDS_PER_TABLE):
+        B = _corrupt(name, field, seed)
+        assert _outcome(validate_bicategory, B) == _outcome(old.validate_bicategory, B), seed
+
+
+def test_corruptions_reach_the_rewritten_rules():
+    rules = {
+        v.rule
+        for _, B in _corruptions()
+        for v in getattr(_outcome(validate_bicategory, B), "violations", ())
+    }
+    assert {"interchange", "associator naturality", "pentagon", "triangle"} <= rules
+
+
+def _swap_chosen_row(gen, seed: int):
+    """One graft row under a chosen binary occupant, its result swapped for
+    another occupant of its niche with the same target: ``to_bicategory``
+    reads such rows for ``hcomp2``."""
+    X, b = gen.structure, gen.biasing
+    rng = random.Random(seed)
+    chosen = set(b.c.values())
+
+    def others(key):
+        cell = X.cells2[X.graft[key]]
+        niche = X.occupants[cell.source.key()]
+        return [c for c in niche if c != X.graft[key] and X.cells2[c].target == cell.target]
+
+    key = rng.choice([key for key in X.graft if key[0] in chosen and others(key)])
+    return dataclasses.replace(X, graft={**X.graft, key: rng.choice(others(key))})
+
+
+def _generated_inputs(name: str):
+    """Presentations at bound 3, with their biasings, of the corruptions of
+    ``name`` that still generate, and of ``name`` with swapped chosen rows."""
+    for field, seed in itertools.product(TABLES, range(SEEDS_PER_TABLE)):
+        gen = _outcome(eq._generate, _corrupt(name, field, seed), 3)
+        if type(gen) is not tuple:
+            yield gen.structure, gen.biasing
+    gen = eq._generate(_base(name), 3)
+    for seed in range(40):
+        yield _swap_chosen_row(gen, seed), gen.biasing
+
+
+def test_to_bicategory_agrees_on_generated_corruptions():
+    # solved back without checks: hcomp2 comes out of every pair of
+    # composable 1-ary cells, so a corrupt row can raise part-way through
+    outcomes = []
+    for name in BASES:
+        for n, (X, b) in enumerate(_generated_inputs(name)):
+            new = _outcome(lambda: _bicategory_tables(eq.to_bicategory(X, b, check=False)))
+            oracle = _outcome(lambda: _bicategory_tables(old.to_bicategory(X, b, check=False)))
+            assert new == oracle, (name, n)
+            outcomes.append(isinstance(new[0], FiniteBicategory))
+    assert len(outcomes) >= 400 and len(set(outcomes)) == 2
+
+
+@pytest.mark.parametrize("name", ("sign", "twisted", "arrow", "z3"))
+def test_normalize_agrees_on_bracketed_chains(name):
+    B = _base(name)
+    chains = [
+        edges
+        for m in (2, 3, 4)
+        for edges in itertools.product(B.one_cells, repeat=m)
+        if all(B.tgt1(f) == B.src1(g) for f, g in zip(edges, edges[1:]))
+    ]
+    for edges in chains:
+        trees = [_tree_of(g, edges) for g in all_bracketings(len(edges))]
+        trees.append(_comb_tree([(_LEAF, e) for e in edges]))
+        for t in trees:
+            assert _outcome(_normalize, B, t) == _outcome(old._normalize, B, t), (edges, t)
+
+
+@functools.cache
+def _families():
+    new = fixtures.small_category_family()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fixtures, "_category_tables", old._category_tables)
+        oracle = fixtures.small_category_family()
+    return new, oracle
+
+
+def test_category_family_agrees_with_oracle():
+    new, oracle = _families()
+    assert len(new) == len(oracle) == 673
+    for n, (C, D) in enumerate(zip(new, oracle)):
+        assert C == D, n
+        assert list(C.compose.items()) == list(D.compose.items()), n
+
+
+def test_universal_1cell_verdicts_agree_on_the_family():
+    # every arrow of every category, and of a copy with one length-2 row dropped
+    verdicts = set()
+    for n, C in enumerate(_families()[0]):
+        X = eq.from_category(C, 2)
+        rows = [key for key in X.comp if len(key) == 3]
+        dropped = dict(X.comp)
+        del dropped[random.Random(n).choice(rows)]
+        for Y in (X, dataclasses.replace(X, comp=dropped)):
+            for f in Y.cells1:
+                verdict = is_universal_1cell_op1(Y, f)
+                assert verdict == old.is_universal_1cell_op1(Y, f), (n, f)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}

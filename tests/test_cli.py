@@ -21,6 +21,8 @@ from opetokit.fixtures import (
     terminal_bicategory,
 )
 
+from test_universality import _without_cell
+
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "docs" / "fixtures"
 
 
@@ -260,6 +262,32 @@ def test_universal_reports_invalid_structure_first(tmp_path, capsys):
     as_json = capsys.readouterr().out
     assert main(["universal", p, "--all", "--format", "json"]) == 1
     assert capsys.readouterr().out == as_json
+
+
+def test_universal_all_json_on_an_incoherent_structure(tmp_path, capsys, idem_op):
+    # valid grafting tables, but the empty niche at pt has no universal occupant
+    p = _write(tmp_path, "no-unit.json", serialize.to_doc(_without_cell(idem_op[0], "@pt|1")))
+    assert main(["universal", p, "--all", "--format", "json"]) == 1
+    expected = {
+        "cells": {
+            "1": True,
+            "@pt|t": False,
+            "i;i;i;i|1": True,
+            "i;i;i;i|t": False,
+            "i;i;i|1": True,
+            "i;i;i|t": False,
+            "i;i|1": True,
+            "i;i|t": False,
+            "t": False,
+        },
+        "kind": "op2cat",
+        "ok": False,
+        "universal_one_cells": ["i"],
+        "violations": [
+            {"message": "", "rule": "niche without universal occupant", "witness": [[0, "pt"]]}
+        ],
+    }
+    assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 def test_arity_bound_zero_is_honoured(tmp_path, capsys, z2cat):

@@ -41,6 +41,7 @@ from opetokit import (
     validate_op2,
     validate_op_morphism,
 )
+from opetokit import serialize
 from opetokit.core import FiniteOpOneCat, FiniteOpZeroCat
 import opetokit.equivalences as eq
 from opetokit.fixtures import (
@@ -98,6 +99,17 @@ def test_to_category_rejects_invalid(z2_op):
     broken = dataclasses.replace(z2_op, comp={**z2_op.comp, path("s").key(): "e"})
     with pytest.raises(InvalidInput):
         to_category(broken)
+
+
+def test_category_conversion_rejects_a_negative_bound(z2cat):
+    with pytest.raises(ArityBoundExceeded, match="must not be negative, got -1"):
+        from_category(z2cat, -1)
+    # the bound is checked before the category is validated
+    with pytest.raises(ArityBoundExceeded):
+        from_category(dataclasses.replace(z2cat, compose={}), -1)
+    # the smallest accepted bound still survives the document round trip
+    X = from_category(z2cat, 0)
+    assert serialize.from_doc(serialize.loads(serialize.dumps(serialize.to_doc(X)))) == X
 
 
 def test_category_round_trip_over_family():
