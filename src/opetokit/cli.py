@@ -8,7 +8,9 @@
 
 Exit codes: 0 clean, 1 validation or classification negative, 2 parse or
 I/O error.  ``classify`` exits 0 for strict and weak verdicts and 1 for lax
-(a universal occupant exists whose image is not universal).
+(a universal occupant exists whose image is not universal); it validates
+both structures and the morphism first and, on violations, prints the first
+failing report as ``validate`` does and exits 1.
 The environment variable OPETOKIT_ARITY_BOUND overrides the default bound 4.
 """
 
@@ -29,6 +31,7 @@ from .equivalences import (
     from_category,
     to_bicategory,
     to_category,
+    validate_op_morphism,
 )
 from .errors import OpetokitError, ParseError, UnknownKind, UsageError
 from .universality import check_coherence, is_universal_2cell
@@ -228,6 +231,12 @@ def cmd_classify(args) -> int:
         raise UnknownKind("classify needs two op2cat files and one opmorphism file")
     X, b = obj_x
     Y, b2 = obj_y
+    for kind, validate, inputs in (("op2cat", validate_op2, (X,)), ("op2cat", validate_op2, (Y,)),
+                                   ("opmorphism", validate_op_morphism, (morphism, X, Y))):
+        report = validate(*inputs)
+        if not report.ok:
+            _emit(args, _report_payload(kind, report))
+            return 1
     if b is None:
         b = choose_biasing(X)
     if b2 is None:

@@ -19,6 +19,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
+from operator import itemgetter
 
 from .errors import (
     ArityBoundExceeded,
@@ -225,21 +227,22 @@ def _by_source(cells: dict[str, tuple[str, str]]) -> dict[str, list[str]]:
     return after
 
 
-def iter_paths(X):
-    """The keys of all composable paths over ``X.cells1`` up to the bound.
+def path_layers(X):
+    """The keys of all composable paths over ``X.cells1`` up to the bound,
+    one list per length.
 
-    Empty paths first, one per object in ``X.objects`` order, then paths by
-    length, each length in lexicographic order of its edges.
+    Layer 0 holds the empty paths, one per object in ``X.objects`` order;
+    layer m the paths of length m, in lexicographic order of their edges.
+    The layers stop at the bound or before the first empty one.
     """
-    for a in X.objects:
-        yield (0, a)
+    yield [(0, a) for a in X.objects]
     by_src = _by_source(X.cells1)
     for bucket in by_src.values():
         bucket.sort()
     frontier = [(1, f) for f in sorted(X.cells1)]
     length = 1
     while frontier and length <= X.arity_bound:
-        yield from frontier
+        yield frontier
         length += 1
         if length > X.arity_bound:
             break
@@ -248,6 +251,11 @@ def iter_paths(X):
             for key in frontier
             for g in by_src.get(X.cells1[key[-1]][1], ())
         ]
+
+
+def iter_paths(X):
+    """The keys of ``path_layers(X)``, layer after layer."""
+    return chain.from_iterable(path_layers(X))
 
 
 def fold_paths(X, units: dict[str, str], step) -> dict[tuple, str]:
@@ -317,74 +325,141 @@ def validate_op0(X: FiniteOpZeroCat) -> ValidationReport:
     return out.report()
 
 
+def _bound_report(X) -> ValidationReport | None:
+    """The report on a negative arity bound, which leaves no niche to check."""
+    if X.arity_bound >= 0:
+        return None
+    out = _Collector()
+    out.add("arity bound", (X.arity_bound,), "the arity bound must not be negative")
+    return out.report(arity_bound=X.arity_bound)
+
+
 def validate_op1(X: FiniteOpOneCat) -> ValidationReport:
     """Check that ``comp`` presents a 1-dimensional structure at the bound.
 
-    Reported rules: ``dangling id``, ``totality``, ``endpoints``,
-    ``singleton``, ``substitution``.  An empty report means every niche of
-    arity at most the bound has the recorded unique occupant and the table is
-    closed under collapsing any contiguous segment ``[i:j]`` of a path.
+    Reported rules: ``arity bound`` (alone: a negative bound is the whole
+    report), ``dangling id``, ``totality``, ``endpoints``, ``singleton``,
+    ``substitution``.  An empty report means every niche of arity at most the
+    bound has the recorded unique occupant and the table is closed under
+    collapsing any contiguous segment ``[i:j]`` of a path.
 
     Once every frame agrees, substitution is checked on the segments that
     generate it, for a path of length m: ``[0:0]`` and ``[1:1]`` (the units)
     if m = 1, ``[0:2]`` and ``[1:3]`` (the bracketings) if m = 3, ``[0:m-1]``
-    (peel off the last edge) if m >= 4, skipping a collapsed path longer than
-    the bound.  With the singleton rows, the peels make each row the left fold
-    of the binary table, which the bracketings make associative and the units
-    unital, so every collapsed path folds to the whole path's composite: the
-    verdict is that of checking every segment, at every bound; the witnesses
-    ``(path key, i, j)`` are the failing generating instances, in its order.
+    (peel off the last edge) if m >= 4.  Each collapses to a path of length 2,
+    so none is checked below bound 2.  With the singleton rows, the peels make
+    each row the left fold of the binary table, which the bracketings make
+    associative and the units unital, so every collapsed path folds to the
+    whole path's composite: the verdict is that of checking every segment, at
+    every bound; the witnesses ``(path key, i, j)`` are the failing generating
+    instances, in its order.
+
+    Every phase runs a layer of ``path_layers`` at a time: the rows of one
+    path length are looked up in ``map`` and compared as lists, frames
+    against the end edges' endpoints and each generator's collapsed rows
+    against the whole paths' rows.  Only a layer whose two sides differ is
+    walked key by key, so the witnesses come in key order, the generators of
+    one key in the order above.  ``notes`` holds ``arity_bound`` and, once
+    substitution runs, ``checked``: the instances compared per generator
+    (``left unit``, ``right unit``, ``bracket left``, ``bracket right``,
+    ``peel``), summed from layer lengths.
     """
+    rejected = _bound_report(X)
+    if rejected is not None:
+        return rejected
     out = _Collector()
-    for f, (s, t) in X.cells1.items():
+    comp, cells1, bound = X.comp, X.cells1, X.arity_bound
+    for f, (s, t) in cells1.items():
         if s not in X.objects or t not in X.objects:
             out.add("dangling id", (f,), "endpoint object missing")
-    for key, result in X.comp.items():
-        if result not in X.cells1:
-            out.add("dangling id", (result,), f"comp{key} names an unknown 1-cell")
+    if not all(map(cells1.__contains__, comp.values())):
+        for key, result in comp.items():
+            if result not in cells1:
+                out.add("dangling id", (result,), f"comp{key} names an unknown 1-cell")
 
-    keys = list(iter_paths(X))
-    comp, cells1 = X.comp, X.cells1
-    for key in keys:
-        if key not in comp:
-            out.add("totality", (key,), "composable path has no recorded composite")
-    known = set(keys)
-    for key in comp:
-        if key not in known:
-            out.add("dangling id", (key,), "comp entry for a path that does not exist at this bound")
+    layers = list(path_layers(X))
+    everywhere = all(map(comp.__contains__, chain.from_iterable(layers)))
+    if len(comp) != sum(map(len, layers)) or not everywhere:
+        for key in chain.from_iterable(layers):
+            if key not in comp:
+                out.add("totality", (key,), "composable path has no recorded composite")
+        known = set(chain.from_iterable(layers))
+        for key in comp:
+            if key not in known:
+                out.add("dangling id", (key,), "comp entry for a path that does not exist at this bound")
     if out.items:
-        return out.report(arity_bound=X.arity_bound)
+        return out.report(arity_bound=bound)
+
     # frames read off the ends: the paths are composable chains of known 1-cells
-    for key in keys:
-        result = comp[key]
-        frame = (cells1[key[1]][0], cells1[key[-1]][1]) if key[0] else (key[1], key[1])
-        if cells1[result] != frame:
-            out.add("endpoints", (key, result))
-        if len(key) == 2 and key[0] and result != key[1]:
-            out.add("singleton", (key[1], result), "comp of a one-edge path must be that edge")
+    src = {f: s for f, (s, _) in cells1.items()}
+    tgt = {f: t for f, (_, t) in cells1.items()}
+    first, last = itemgetter(1), itemgetter(-1)
+    rows = [list(map(comp.__getitem__, layer)) for layer in layers]
+    for m, (layer, results) in enumerate(zip(layers, rows)):
+        if m:
+            starts = map(src.__getitem__, map(first, layer))
+            frames = list(zip(starts, map(tgt.__getitem__, map(last, layer))))
+        else:
+            anchors = list(map(first, layer))
+            frames = list(zip(anchors, anchors))
+        singletons = m != 1 or results == list(map(first, layer))
+        if singletons and list(map(cells1.__getitem__, results)) == frames:
+            continue
+        for key, result, frame in zip(layer, results, frames):
+            if cells1[result] != frame:
+                out.add("endpoints", (key, result))
+            if m == 1 and result != key[1]:
+                out.add("singleton", (key[1], result), "comp of a one-edge path must be that edge")
     if any(v.rule == "endpoints" for v in out.items):
-        return out.report(arity_bound=X.arity_bound)
-    # the generating segments of a path of length m < 4; a longer one peels
-    generators = {0: (), 1: ((0, 0), (1, 1)), 2: (), 3: ((0, 2), (1, 3))}
-    for key in keys:
-        edges = key[1:] if key[0] else ()
-        for i, j in generators.get(len(edges), ((0, len(edges) - 1),)):
-            # an empty segment (m = 1) collapses to the identity at position i
-            segment = edges[i:j]
-            mid = comp[(1,) + segment if segment else (0, cells1[edges[0]][i])]
-            collapsed = edges[:i] + (mid,) + edges[j:]
-            if len(collapsed) <= X.arity_bound and comp[(1,) + collapsed] != comp[key]:
-                message = f"comp disagrees after collapsing segment [{i}:{j}]"
-                out.add("substitution", (key, i, j), message)
-    return out.report(arity_bound=X.arity_bound)
+        return out.report(arity_bound=bound)
+
+    def peeled(layer):
+        # the keys (1, comp[key[:-1]], key[-1])
+        prefixes = map(comp.__getitem__, map(itemgetter(slice(-1)), layer))
+        return zip(repeat(1), prefixes, map(last, layer))
+
+    checked = dict.fromkeys(("left unit", "right unit", "bracket left", "bracket right", "peel"), 0)
+    for m, (layer, results) in enumerate(zip(layers, rows)):
+        # every collapsed key has length 2; none is checked below bound 2
+        if bound < 2 or m in (0, 2):
+            continue
+        # each generator's collapsed keys, by (generator, i, j)
+        if m == 1:
+            edges = list(map(first, layer))
+            unit = dict(zip(map(first, layers[0]), rows[0]))
+            before = map(unit.__getitem__, map(src.__getitem__, edges))
+            after = map(unit.__getitem__, map(tgt.__getitem__, edges))
+            collapsed = {
+                ("left unit", 0, 0): zip(repeat(1), before, edges),
+                ("right unit", 1, 1): zip(repeat(1), edges, after),
+            }
+        elif m == 3:
+            tails = map(comp.__getitem__, zip(repeat(1), map(itemgetter(2), layer), map(last, layer)))
+            collapsed = {
+                ("bracket left", 0, 2): peeled(layer),
+                ("bracket right", 1, 3): zip(repeat(1), map(first, layer), tails),
+            }
+        else:
+            collapsed = {("peel", 0, m - 1): peeled(layer)}
+        sides = [list(map(comp.__getitem__, keys)) for keys in collapsed.values()]
+        for name, _, _ in collapsed:
+            checked[name] += len(layer)
+        if all(side == results for side in sides):
+            continue
+        for key, result, *values in zip(layer, results, *sides):
+            for (_, i, j), value in zip(collapsed, values):
+                if value != result:
+                    message = f"comp disagrees after collapsing segment [{i}:{j}]"
+                    out.add("substitution", (key, i, j), message)
+    return out.report(arity_bound=bound, checked=checked)
 
 
 def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
     """Check frames, identities, and the grafting laws at the bound.
 
-    Rules: ``dangling id``, ``frame``, ``identity``, ``totality``,
-    ``right unit``, ``left unit``, ``sequential associativity``,
-    ``parallel commutation``.
+    Rules: ``arity bound`` (alone: a negative bound is the whole report),
+    ``dangling id``, ``frame``, ``identity``, ``totality``, ``right unit``,
+    ``left unit``, ``sequential associativity``, ``parallel commutation``.
 
     A law instance is skipped when either side's graft has no table entry,
     and reported when both exist and differ.  Once the frames pass, every
@@ -416,6 +491,9 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
     law compared, summed from batch lengths (a walked batch counts the pairs
     it compared).
     """
+    rejected = _bound_report(X)
+    if rejected is not None:
+        return rejected
     out = _Collector()
     for f, (s, t) in X.cells1.items():
         if s not in X.objects or t not in X.objects:

@@ -6,11 +6,13 @@ import json
 from pathlib import Path
 
 from opetokit import serialize
+from opetokit.bicat import LaxFunctor
 from opetokit.cli import main
 from opetokit.equivalences import (
     from_bicategory,
     from_category,
     morphism_from_lax_functor,
+    validate_op_morphism,
 )
 from opetokit.fixtures import (
     absorbing_constraint_functor,
@@ -200,16 +202,56 @@ def test_classify_cli(tmp_path, capsys, sign, sign_op, terminal_op, idem_op):
     assert main(["classify", x_path, x_path, w_path]) == 0
     assert "weak" in capsys.readouterr().out
 
+    # the hom collapse onto the idempotent with the absorbing constraint on
+    # (s, s): a lax functor that is not strict
+    XI, bI = idem_op
+    i_path = _write(tmp_path, "i.json", serialize.to_doc(XI, bI))
+    collapse = LaxFunctor(
+        on_objects={"pt": "pt"},
+        on_one_cells={"e": "i", "s": "i"},
+        on_two_cells={a: "1" for a in sign.two_cells},
+        phi_pair={**{pair: "1" for pair in sign.hcomp1}, ("s", "s"): "t"},
+        phi_obj={"pt": "1"},
+    )
+    lax = morphism_from_lax_functor(collapse, sign, idempotent_bicategory())
+    l_path = _write(tmp_path, "l.json", serialize.to_doc(lax))
+    assert main(["classify", x_path, i_path, l_path]) == 1
+    assert capsys.readouterr().out.startswith("lax")
+
+
+def test_classify_rejects_an_invalid_morphism(tmp_path, capsys, terminal_op, idem_op):
+    # the absorbing constraint functor breaks the unit axioms: its translation
+    # does not preserve grafting, so classify prints the morphism's report
     XT, bT = terminal_op
     XI, bI = idem_op
     t_path = _write(tmp_path, "t.json", serialize.to_doc(XT, bT))
     i_path = _write(tmp_path, "i.json", serialize.to_doc(XI, bI))
-    lax = morphism_from_lax_functor(
+    F = morphism_from_lax_functor(
         absorbing_constraint_functor(), terminal_bicategory(), idempotent_bicategory()
     )
-    l_path = _write(tmp_path, "l.json", serialize.to_doc(lax))
+    l_path = _write(tmp_path, "l.json", serialize.to_doc(F))
+    report = validate_op_morphism(F, XT, XI)
+    assert not report.ok
     assert main(["classify", t_path, i_path, l_path]) == 1
-    assert "lax" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0] == f"opmorphism: {len(report.violations)} violation(s)"
+    assert lines[1:] == [f"  {v.rule} {v.witness!r} {v.message}" for v in report.violations]
+
+
+def test_classify_rejects_an_invalid_structure(tmp_path, capsys):
+    doc = serialize.load_path(str(FIXTURE_DIR / "op2cat.json"))
+    good = _write(tmp_path, "good.json", doc)
+    morphism = str(FIXTURE_DIR / "opmorphism.json")
+    bad = _write(tmp_path, "bad.json", {**doc, "graft": doc["graft"][1:]})
+    first = doc["graft"][0]
+    key = (first["outer"], first["slot"], first["inner"])
+    expected = f"op2cat: 1 violation(s)\n  totality {key!r} in-bound graft has no table entry\n"
+    for argv in ([bad, good, morphism], [good, bad, morphism]):
+        assert main(["classify", *argv]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (expected, "")
 
 
 def test_arity_bound_env_override(tmp_path, monkeypatch, sign):

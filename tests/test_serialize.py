@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import dataclasses
 import functools
 import io
 import json
@@ -32,9 +33,16 @@ from opetokit.core import (
     PastingPath,
     TwoCell,
     empty_path,
+    validate_op1,
     validate_op2,
 )
-from opetokit.equivalences import Biasing, OpMorphism, from_bicategory, from_category
+from opetokit.equivalences import (
+    Biasing,
+    OpMorphism,
+    from_bicategory,
+    from_category,
+    validate_op_morphism,
+)
 from opetokit.errors import ParseError, UnknownKind
 from opetokit.fixtures import (
     arrow_bicategory,
@@ -613,6 +621,60 @@ def test_op1cat_commands_never_let_an_exception_escape(tmp_path_factory, doc):
     for argv in (["validate", p], ["roundtrip", p],
                  ["convert", p, "--to", "bicat", "--out", str(d / "out.json")]):
         _run(argv)
+
+
+def _classify_verdict(argv: list[str]) -> str | None:
+    """Run ``classify``; its verdict, or None when it gave none."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["classify", *argv])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+    verdict = out.getvalue().split(" ")[0].strip()
+    return verdict if verdict in ("strict", "weak", "lax") else None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(doc=mutated_documents(names=("op2cat.json", "opmorphism.json")))
+def test_classify_gives_verdicts_only_on_valid_input(tmp_path_factory, doc):
+    # the mutated document stands in for the source, the target or the morphism
+    p = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    op2, morphism = str(FIXTURE_DIR / "op2cat.json"), str(FIXTURE_DIR / "opmorphism.json")
+    for argv in ([str(p), op2, morphism], [op2, str(p), morphism], [op2, op2, str(p)]):
+        if _classify_verdict(argv) is None:
+            continue
+        (X, _), (Y, _) = (serialize.from_doc(serialize.load_path(a)) for a in argv[:2])
+        F = serialize.from_doc(serialize.load_path(argv[2]))
+        assert validate_op2(X).ok and validate_op2(Y).ok
+        assert validate_op_morphism(F, X, Y).ok
+
+
+def test_accepted_structures_survive_their_round_trip():
+    # a structure either validator accepts is one its document can carry;
+    # a negative bound is not, so neither validator accepts it
+    sign_op2, sign_biasing = from_bicategory(sign_bicategory())
+    negative = [
+        (FiniteOpOneCat(("o",), {"e": ("o", "o")}, {(0, "o"): "e"}, -1), None),
+        (dataclasses.replace(sign_op2, arity_bound=-1), sign_biasing),
+    ]
+    structures = [
+        (serialize.from_doc(_fixture("op1cat.json")), None),
+        serialize.from_doc(_fixture("op2cat.json")),
+        (sign_op2, sign_biasing),
+        *((from_category(C, bound), None)
+          for C in small_category_family()[::67] for bound in range(6)),
+    ]
+    for X, biasing in negative + structures:
+        op1 = isinstance(X, FiniteOpOneCat)
+        if not (validate_op1(X) if op1 else validate_op2(X)).ok:
+            assert X.arity_bound < 0
+            continue
+        doc = serialize.to_doc(X) if op1 else serialize.to_doc(X, biasing)
+        back = serialize.from_doc(serialize.loads(serialize.dumps(doc)))
+        assert back == (X if op1 else (X, biasing))
+        assert X.arity_bound >= 0
 
 
 def test_repeated_json_key_exits_2(tmp_path, capsys):
