@@ -253,21 +253,20 @@ def is_equivalence_1cell(B: FiniteBicategory, f: str) -> bool:
     if f not in B.one_cells:
         raise DanglingId(f"unknown 1-cell {f!r}")
     a, b = B.one_cells[f]
+    out_of = _by_source(B.two_cells)
 
     def isomorphic(x: str, y: str) -> bool:
-        if x == y:
-            return True
-        for c, (s, t) in B.two_cells.items():
-            if {s, t} == {x, y} and is_invertible_2cell(B, c):
-                return True
-        return False
+        # the inverse of an invertible y => x is an invertible x => y
+        return x == y or any(
+            B.tgt2(c) == y and is_invertible_2cell(B, c) for c in out_of.get(x, ())
+        )
 
-    for g, (s, t) in B.one_cells.items():
-        if (s, t) != (b, a):
-            continue
-        if isomorphic(B.beside1(g, f), B.id1[a]) and isomorphic(B.beside1(f, g), B.id1[b]):
-            return True
-    return False
+    return any(
+        B.tgt1(g) == a
+        and isomorphic(B.beside1(g, f), B.id1[a])
+        and isomorphic(B.beside1(f, g), B.id1[b])
+        for g in _by_source(B.one_cells).get(b, ())
+    )
 
 
 def _normalize(B: FiniteBicategory, t) -> tuple[tuple[str, ...], str, str]:

@@ -748,17 +748,15 @@ def hom_category_of_frame(X: FiniteOpTwoCat, a: str, b: str) -> FiniteOpOneCat:
 
     Its objects are the 1-cells a -> b, its 1-cells the 1-ary 2-cells between
     them, and its composition table iterates grafting along vertical chains.
+    The 1-cells come off the niche index, edge by edge in sorted order.
     """
     if a not in X.objects:
         raise DanglingId(f"unknown object {a!r}")
     if b not in X.objects:
         raise DanglingId(f"unknown object {b!r}")
-    objects = tuple(sorted(f for f, (s, t) in X.cells1.items() if (s, t) == (a, b)))
-    obj_set = set(objects)
+    objects = tuple(sorted(f for f in _by_source(X.cells1).get(a, ()) if X.tgt1(f) == b))
     cells1 = {
-        cid: (cell.source.edges[0], cell.target)
-        for cid, cell in X.cells2.items()
-        if cell.source.arity == 1 and cell.source.edges[0] in obj_set
+        cid: (f, X.cells2[cid].target) for f in objects for cid in X.occupants.get((1, f), ())
     }
     H = FiniteOpOneCat(objects, cells1, {}, X.arity_bound)
     comp = fold_paths(H, X.ident2, lambda acc, nxt: graft(X, nxt, 0, acc))

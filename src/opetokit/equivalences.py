@@ -45,8 +45,6 @@ from .core import (
     fold_paths,
     iter_paths,
     key_image,
-    occupants_of_niche,
-    path,
     validate_op0,
     validate_op1,
     validate_op2,
@@ -182,54 +180,46 @@ def functor_from_morphism(
 # dimension 2: biasing and the forward direction
 
 
+def _biased_niches(X: FiniteOpTwoCat, b: Biasing):
+    """The niches a biasing chooses for, as (kind, ``b``'s table for the kind,
+    place in it, occupants): the nullary niche at each object, then the
+    binary niche at each composable pair."""
+    for a in X.objects:
+        yield "nullary", b.iota, a, X.occupants.get((0, a), ())
+    for f, g in composable_pairs(X.cells1):
+        yield "binary", b.c, (f, g), X.occupants.get((1, f, g), ())
+
+
 def choose_biasing(X: FiniteOpTwoCat) -> Biasing:
     """Pick the lexicographically least universal occupant per niche."""
-    iota: dict[str, str] = {}
-    for a in X.objects:
-        found = sorted(
-            c for c in occupants_of_niche(X, empty_path(a)) if is_universal_2cell(X, c)
-        )
-        if not found:
-            raise NoUniversalOccupant(f"nullary niche at {a!r}")
-        iota[a] = found[0]
-    c_table: dict[tuple[str, str], str] = {}
-    for f, g in composable_pairs(X.cells1):
-        found = sorted(
-            c for c in occupants_of_niche(X, path(f, g)) if is_universal_2cell(X, c)
-        )
-        if not found:
-            raise NoUniversalOccupant(f"binary niche at ({f!r}, {g!r})")
-        c_table[(f, g)] = found[0]
-    return Biasing(iota, c_table)
+    b = Biasing({}, {})
+    for kind, chosen, place, occupants in _biased_niches(X, b):
+        universal = [c for c in occupants if is_universal_2cell(X, c)]
+        if not universal:
+            raise NoUniversalOccupant(f"{kind} niche at {place!r}")
+        chosen[place] = min(universal)
+    return b
 
 
 def validate_biasing(X: FiniteOpTwoCat, b: Biasing) -> ValidationReport:
     out = _Collector()
-    for a in X.objects:
-        cell_id = b.iota.get(a)
+    walked = set()
+    for kind, chosen, place, occupants in _biased_niches(X, b):
+        walked.add((kind, place))
+        where = place if kind == "binary" else (place,)
+        cell_id = chosen.get(place)
         if cell_id is None or cell_id not in X.cells2:
-            out.add("totality", (a,), "no chosen nullary occupant")
-            continue
-        if X.cells2[cell_id].source != empty_path(a):
-            out.add("niche", (a, cell_id), "chosen cell not in the nullary niche")
+            out.add("totality", where, f"no chosen {kind} occupant")
+        elif cell_id not in occupants:
+            niche = "its binary" if kind == "binary" else "the nullary"
+            out.add("niche", (*where, cell_id), f"chosen cell not in {niche} niche")
         elif not is_universal_2cell(X, cell_id):
-            out.add("universality", (a, cell_id), "chosen nullary occupant not universal")
-    composable = composable_pairs(X.cells1)
-    for f, g in composable:
-        cell_id = b.c.get((f, g))
-        if cell_id is None or cell_id not in X.cells2:
-            out.add("totality", (f, g), "no chosen binary occupant")
-            continue
-        if X.cells2[cell_id].source != path(f, g):
-            out.add("niche", (f, g, cell_id), "chosen cell not in its binary niche")
-        elif not is_universal_2cell(X, cell_id):
-            out.add("universality", (f, g, cell_id), "chosen binary occupant not universal")
-    objects, composable = set(X.objects), set(composable)
+            out.add("universality", (*where, cell_id), f"chosen {kind} occupant not universal")
     for a in b.iota:
-        if a not in objects:
+        if ("nullary", a) not in walked:
             out.add("niche", (a,), "choice for an unknown object")
     for pair in b.c:
-        if pair not in composable:
+        if ("binary", pair) not in walked:
             out.add("niche", (pair,), "choice for a non-composable pair")
     return out.report()
 
@@ -483,9 +473,12 @@ def lax_functor_from_morphism(
     b2: Biasing,
     check: bool = True,
 ) -> LaxFunctor:
-    """Translate a morphism; constraints solved against the chosen occupants."""
+    """Translate a morphism; constraints solved against the chosen occupants,
+    after ``classify_morphism``'s checks when ``check`` is set."""
     if check:
         _check_morphism_shape(F, X, X2)
+        _require(validate_biasing(X, b), InvalidBiasing)
+        _require(validate_biasing(X2, b2), InvalidBiasing)
     on_two = {
         cid: F.on_two_cells[cid]
         for cid, cell in X.cells2.items()
@@ -535,8 +528,9 @@ def morphism_from_lax_functor(
 ) -> OpMorphism:
     """Extend a lax functor to all arities of the generated presentations.
 
-    This is a data-level translation: level maps and frames are checked, the
-    constraint axioms themselves are not (use ``validate_lax_functor``).
+    This is a data-level translation: level maps, frames and the presence of
+    every constraint are checked, the constraint axioms themselves are not
+    (use ``validate_lax_functor``).
     """
     bound = DEFAULT_ARITY_BOUND if arity_bound is None else arity_bound
     if bound < 2:
@@ -559,6 +553,12 @@ def morphism_from_lax_functor(
         for (b2c, a2c), c in B.vcomp.items():
             if B2.then2(G.on_two_cells[a2c], G.on_two_cells[b2c]) != G.on_two_cells[c]:
                 raise InvalidInput("vertical composition not preserved")
+        for f, g in composable_pairs(B.one_cells):
+            if (g, f) not in G.phi_pair:
+                raise InvalidInput(f"pair constraint for ({g!r}, {f!r}) missing")
+        for A in B.objects:
+            if A not in G.phi_obj:
+                raise InvalidInput(f"object constraint for {A!r} missing")
 
     gen, gen2 = _generate(B, bound), _generate(B2, bound)
     on_two: dict[str, str] = {}
@@ -587,21 +587,17 @@ def classify_morphism(
         _require(validate_biasing(X, b), InvalidBiasing)
         _require(validate_biasing(X2, b2), InvalidBiasing)
 
-    strict = True
-    strict_witness: tuple = ()
-    for a, cell in b.iota.items():
-        if F.on_two_cells[cell] != b2.iota[F.on_objects[a]]:
-            strict = False
-            strict_witness = (cell, F.on_two_cells[cell])
-            break
-    if strict:
+    def chosen_images():  # per choice of b: its cell, the cell's image, b2's choice there
+        for a, cell in b.iota.items():
+            yield cell, F.on_two_cells[cell], b2.iota[F.on_objects[a]]
         for (f, g), cell in b.c.items():
             image_key = (F.on_one_cells[f], F.on_one_cells[g])
-            if F.on_two_cells[cell] != b2.c[image_key]:
-                strict = False
-                strict_witness = (cell, F.on_two_cells[cell])
-                break
-    if strict:
+            yield cell, F.on_two_cells[cell], b2.c[image_key]
+
+    strict_witness = next(
+        ((cell, image) for cell, image, chosen in chosen_images() if image != chosen), None
+    )
+    if strict_witness is None:
         return MorphismClassification("strict")
 
     for cid in sorted(X.cells2):

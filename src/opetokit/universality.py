@@ -10,6 +10,10 @@ of the same object admit a factorisation through f by a universal binary
 2-cell, and that every such factorisation through f be universal as a
 factorisation: each comparison 2-cell into the same target is reached by
 grafting exactly one 1-ary 2-cell into the free slot.
+
+The predicates read cells off the niche index ``X.occupants`` and the source
+buckets of ``_by_source``, not off whole-table scans.  Like
+``check_coherence``, they assume well-framed 2-cell sources.
 """
 
 from __future__ import annotations
@@ -65,9 +69,9 @@ def is_universal_factorization_1(X: FiniteOpTwoCat, u: str) -> bool:
     if cell.source.arity != 2:
         raise ArityError(f"{u!r} has arity {cell.source.arity}, expected 2")
     f, gbar = cell.source.edges
-    frame = X.cells1[gbar]
-    for h, fr in X.cells1.items():
-        if fr != frame:
+    a, b = X.cells1[gbar]
+    for h in _by_source(X.cells1).get(a, ()):
+        if X.tgt1(h) != b:
             continue
         reached = Counter(
             X.graft.get((u, 1, t))
@@ -89,16 +93,15 @@ def is_universal_1cell(X: FiniteOpTwoCat, f: str) -> bool:
     """
     if f not in X.cells1:
         raise DanglingId(f"unknown 1-cell {f!r}")
-    src_f = X.src1(f)
+    src_f, tgt_f = X.cells1[f]
+    after = _by_source(X.cells1)
     # the universal binary occupants with first edge f, by target
     universal_through: dict[str, list[str]] = {}
-    for h in X.cells1:
+    for h in after.get(tgt_f, ()):
         for u in X.occupants.get((1, f, h), ()):
             if is_universal_2cell(X, u):
                 universal_through.setdefault(X.cells2[u].target, []).append(u)
-    for g, (s, _) in X.cells1.items():
-        if s != src_f:
-            continue
+    for g in after.get(src_f, ()):
         if g not in universal_through:
             return False
         for u in universal_through[g]:

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import random
+import re
 
 import pytest
 
 from opetokit import (
     ArityBoundExceeded,
     Bracketing,
+    CatFunctor,
     InvalidBiasing,
     InvalidInput,
     NonUniqueSolution,
@@ -37,6 +40,7 @@ from opetokit import (
     to_bicategory,
     to_category,
     to_set,
+    validate_functor,
     validate_lax_functor,
     validate_op2,
     validate_op_morphism,
@@ -153,6 +157,53 @@ def test_frame_breaking_morphism_rejected():
     )
     with pytest.raises(InvalidInput):
         functor_from_morphism(F, X, X)
+
+
+def _candidate_functor(C, D, rng):
+    """A seeded candidate functor C -> D: the identity when C is D, otherwise
+    a random object map with each arrow sent to a random arrow of the right
+    frame where one exists; then, one time in three, one entry redirected
+    to a random arrow or object."""
+    if C is D:
+        F0, F1 = {a: a for a in C.objects}, {f: f for f in C.arrows}
+    else:
+        F0 = {a: rng.choice(D.objects) for a in C.objects}
+        F1 = {}
+        for f, (s, t) in C.arrows.items():
+            framed = [g for g, frame in D.arrows.items() if frame == (F0[s], F0[t])]
+            F1[f] = rng.choice(framed or sorted(D.arrows))
+    if rng.random() < 1 / 3:
+        if rng.random() < 0.5:
+            F1[rng.choice(sorted(F1))] = rng.choice(sorted(D.arrows))
+        else:
+            F0[rng.choice(sorted(F0))] = rng.choice(D.objects)
+    return F0, F1
+
+
+def test_validate_functor_agrees_with_functor_from_morphism():
+    # a functor is exactly a morphism of the composition tables
+    family = small_category_family()
+    presented = {}
+    verdicts = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        i = rng.randrange(len(family))
+        j = i if seed % 3 == 0 else rng.randrange(len(family))
+        C, D = family[i], family[j]
+        F0, F1 = _candidate_functor(C, D, rng)
+        for k in (i, j):
+            if k not in presented:
+                presented[k] = from_category(family[k])
+        ok = validate_functor(CatFunctor(F0, F1), C, D).ok
+        try:
+            functor_from_morphism(OpMorphism(F0, F1), presented[i], presented[j])
+        except InvalidInput:
+            translated = False
+        else:
+            translated = True
+        assert ok == translated, seed
+        verdicts.append((ok, C is D))
+    assert set(verdicts) == {(True, True), (True, False), (False, True), (False, False)}
 
 
 # -- biasing -------------------------------------------------------------------
@@ -417,6 +468,39 @@ def test_malformed_lax_functor_rejected_before_generation(sign, monkeypatch):
     G = dataclasses.replace(identity_lax_functor(sign), on_objects={})
     with pytest.raises(InvalidInput, match="object 'pt' has no valid image"):
         morphism_from_lax_functor(G, sign, sign)
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ("phi_pair", "pair constraint for ('e', 'e') missing"),
+        ("phi_obj", "object constraint for 'pt' missing"),
+    ],
+)
+def test_missing_constraint_rejected_before_generation(sign, monkeypatch, table, message):
+    def no_generation(B, bound):
+        raise AssertionError("generated before the functor was checked")
+
+    monkeypatch.setattr(eq, "_generate", no_generation)
+    G = dataclasses.replace(identity_lax_functor(sign), **{table: {}})
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        morphism_from_lax_functor(G, sign, sign)
+
+
+@pytest.mark.parametrize(
+    "table, place, message",
+    [("c", ("s", "s"), "no chosen binary occupant"), ("iota", "pt", "no chosen nullary occupant")],
+)
+def test_morphism_translations_reject_a_target_biasing_without_a_choice(
+    sign, sign_op, table, place, message
+):
+    X, b = sign_op
+    F = morphism_from_lax_functor(identity_lax_functor(sign), sign, sign)
+    choices = {key: cell for key, cell in getattr(b, table).items() if key != place}
+    b2 = dataclasses.replace(b, **{table: choices})
+    for translate in (lax_functor_from_morphism, classify_morphism):
+        with pytest.raises(InvalidBiasing, match=re.escape(message)):
+            translate(F, X, X, b, b2)
 
 
 def test_lax_functor_constraints_compose_head_first(sign):

@@ -1,5 +1,6 @@
 """Every library module other than the package ``__init__`` uses every name
-it imports; the check reads the source with ``ast`` only."""
+it imports, and every private module-level name the package defines is read
+somewhere in the package; the checks read the source with ``ast`` only."""
 
 from __future__ import annotations
 
@@ -40,3 +41,48 @@ def test_the_check_finds_unused_imports():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == [], module
+
+
+def dead_private_definitions(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each private module-level definition (dunders
+    excepted) that no other top-level statement of any module reads."""
+    defined: list[tuple[str, str, ast.stmt]] = []
+    statements: list[tuple[ast.stmt, set[str]]] = []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                    defined.append((module, name, stmt))
+            reads = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    reads.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    reads.add(node.attr)
+            statements.append((stmt, reads))
+    return [
+        f"{module}.{name}"
+        for module, name, own in defined
+        if not any(name in reads for stmt, reads in statements if stmt is not own)
+    ]
+
+
+def test_the_check_finds_dead_definitions():
+    sources = {
+        "a": "_LIVE = 1\n_DEAD = 2\ndef _recursive(n):\n    return _recursive(n - 1)\n"
+             "def __dunder__():\n    pass\nclass _Used:\n    pass\n",
+        "b": "from . import a\nfrom .a import _Used\nx = _Used(a._LIVE)\n",
+    }
+    assert dead_private_definitions(sources) == ["a._DEAD", "a._recursive"]
+
+
+def test_every_private_definition_is_read():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert dead_private_definitions(sources) == []

@@ -358,7 +358,6 @@ def _with_oracles(monkeypatch, fn, *args):
         m.setattr(uni, "occupants_of_niche", oracle_occupants_of_niche)
         m.setattr(uni, "is_universal_2cell", oracle_is_universal_2cell)
         m.setattr(uni, "is_universal_1cell", oracle_is_universal_1cell)
-        m.setattr(eq, "occupants_of_niche", oracle_occupants_of_niche)
         m.setattr(eq, "is_universal_2cell", oracle_is_universal_2cell)
         m.setattr(eq, "_solve_unique", oracle_solve_unique)
         return _outcome(fn, *args)
