@@ -10,12 +10,13 @@ attribute, codec)`` triples of its tables.  A codec converts one table shape
 in both directions, and its ``load`` is where input from outside the program
 is checked: a missing field, a value of the wrong JSON type, or a row that
 repeats an id or a table key raises ``ParseError``; ``loads`` already
-rejects an object that repeats a key.  ``from_doc`` shares one ``str`` per
-distinct id of a document.  ``dumps`` writes ``json.dumps(doc, indent=2,
-sort_keys=True)`` without its pure-Python encoder: a top-level list of flat
-rows fills one template from columns encoded at once, and any other value is
-laid out by ``json.dumps`` and indented one level (encoded JSON holds no raw
-newline inside a string).
+rejects an object that repeats a key, and shares one ``str`` per distinct
+string of a document.  ``from_doc`` keeps the strings it is given, so a
+document built by hand is not deduplicated.  ``dumps`` writes
+``json.dumps(doc, indent=2, sort_keys=True)`` without its pure-Python
+encoder: a top-level list of flat rows fills one template from columns
+encoded at once, and any other value is laid out by ``json.dumps`` and
+indented one level (encoded JSON holds no raw newline inside a string).
 """
 
 from __future__ import annotations
@@ -37,14 +38,9 @@ _FIELD_TYPES = {"slot": int, "source": dict}
 _TYPE_NAMES = {str: "a string", int: "an integer", dict: "an object"}
 
 
-def _shared(strings, ids: dict) -> list:
-    """Each string replaced by the document's one object for it."""
-    return list(map(ids.setdefault, strings, strings))
-
-
-def _columns(rows, fields: tuple[str, ...], where: str, ids: dict) -> list[list]:
+def _columns(rows, fields: tuple[str, ...], where: str) -> list[list]:
     """One column per named field over rows that must be objects holding
-    each field, of its JSON type; an id column holds shared strings."""
+    each field, of its JSON type."""
     if type(rows) is not list:
         raise ParseError(f"{where} must be a list of objects")
     columns = []
@@ -58,7 +54,7 @@ def _columns(rows, fields: tuple[str, ...], where: str, ids: dict) -> list[list]
         want = _FIELD_TYPES.get(name, str)
         if not set(map(type, column)) <= {want}:
             raise ParseError(f"{where}: field {name!r} must be {_TYPE_NAMES[want]}")
-        columns.append(_shared(column, ids) if want is str else column)
+        columns.append(column)
     return columns
 
 
@@ -68,10 +64,10 @@ def _repeated(keys, where: str):
     raise ParseError(f"{where}: more than one entry for {repeated!r}")
 
 
-def _read_table(rows, keys: tuple, values: tuple, where: str, ids: dict) -> dict:
+def _read_table(rows, keys: tuple, values: tuple, where: str) -> dict:
     """``{key: value}`` over checked rows; a key or value of one field is that
     field's value, of several fields the tuple of their values."""
-    columns = _columns(rows, keys + values, where, ids)
+    columns = _columns(rows, keys + values, where)
     n = len(keys)
     key = columns[0] if n == 1 else list(zip(*columns[:n]))
     table = dict(zip(key, columns[n] if len(values) == 1 else zip(*columns[n:])))
@@ -90,12 +86,12 @@ class _Ids(_Codec):
     def dump(self, ids):
         return sorted(ids)
 
-    def load(self, raw, where, ids):
+    def load(self, raw, where):
         if type(raw) is not list or not set(map(type, raw)) <= {str}:
             raise ParseError(f"{where} must be a list of strings")
         if len(set(raw)) != len(raw):
             _repeated(raw, where)
-        return tuple(sorted(_shared(raw, ids)))
+        return tuple(sorted(raw))
 
 
 class _Cells(_Codec):
@@ -104,8 +100,8 @@ class _Cells(_Codec):
     def dump(self, table):
         return [{"id": i, "src": s, "tgt": t} for i, (s, t) in sorted(table.items())]
 
-    def load(self, raw, where, ids):
-        return _read_table(raw, ("id",), ("src", "tgt"), where, ids)
+    def load(self, raw, where):
+        return _read_table(raw, ("id",), ("src", "tgt"), where)
 
 
 class _Map(_Codec):
@@ -114,10 +110,10 @@ class _Map(_Codec):
     def dump(self, table):
         return dict(sorted(table.items()))
 
-    def load(self, raw, where, ids):
+    def load(self, raw, where):
         if type(raw) is not dict or not set(map(type, raw.values())) <= {str}:
             raise ParseError(f"{where} must be an object of strings")
-        return dict(zip(_shared(raw, ids), _shared(raw.values(), ids)))
+        return dict(raw)
 
 
 class _Rows(_Codec):
@@ -135,8 +131,8 @@ class _Rows(_Codec):
         f, g, h, last = self.fields
         return [{f: x, g: y, h: z, last: v} for (x, y, z), v in sorted(table.items())]
 
-    def load(self, raw, where, ids):
-        return _read_table(raw, self.fields[:-1], self.fields[-1:], where, ids)
+    def load(self, raw, where):
+        return _read_table(raw, self.fields[:-1], self.fields[-1:], where)
 
 
 def _path_doc(key: tuple) -> dict:
@@ -145,15 +141,15 @@ def _path_doc(key: tuple) -> dict:
     return {"anchor": key[1], "edges": []}
 
 
-def _read_path(doc: dict, where: str, ids: dict) -> PastingPath:
+def _read_path(doc: dict, where: str) -> PastingPath:
     edges = doc.get("edges", [])
     if type(edges) is not list or not set(map(type, edges)) <= {str}:
         raise ParseError(f"{where}: 'edges' must be a list of strings")
     if edges:
-        return PastingPath(tuple(_shared(edges, ids)))
+        return PastingPath(tuple(edges))
     if type(doc.get("anchor")) is not str:
         raise ParseError(f"{where}: an empty path needs a string 'anchor'")
-    return empty_path(ids.setdefault(doc["anchor"], doc["anchor"]))
+    return empty_path(doc["anchor"])
 
 
 class _Comp(_Codec):
@@ -162,9 +158,9 @@ class _Comp(_Codec):
     def dump(self, table):
         return [{**_path_doc(key), "result": r} for key, r in sorted(table.items())]
 
-    def load(self, raw, where, ids):
-        (results,) = _columns(raw, ("result",), where, ids)
-        keys = [_read_path(row, where, ids).key() for row in raw]
+    def load(self, raw, where):
+        (results,) = _columns(raw, ("result",), where)
+        keys = [_read_path(row, where).key() for row in raw]
         table = dict(zip(keys, results))
         if len(table) != len(keys):
             _repeated(keys, where)
@@ -180,10 +176,10 @@ class _TwoCells(_Codec):
             for cid, cell in sorted(table.items())
         ]
 
-    def load(self, raw, where, ids):
-        rows = _read_table(raw, ("id",), ("source", "target"), where, ids)
+    def load(self, raw, where):
+        rows = _read_table(raw, ("id",), ("source", "target"), where)
         return {
-            cid: TwoCell(cid, _read_path(source, where, ids), target)
+            cid: TwoCell(cid, _read_path(source, where), target)
             for cid, (source, target) in rows.items()
         }
 
@@ -196,7 +192,7 @@ class _Bound(_Codec):
     def dump(self, bound):
         return bound
 
-    def load(self, raw, where, ids):
+    def load(self, raw, where):
         if type(raw) is not int:
             raise ParseError(f"{where} must be an integer")
         if raw < 0:
@@ -265,14 +261,14 @@ def _dump(obj, fields) -> dict:
     return {name: codec.dump(getattr(obj, attr)) for name, attr, codec in fields}
 
 
-def _load(doc, where: str, fields, ids: dict) -> dict:
+def _load(doc, where: str, fields) -> dict:
     """Constructor arguments read off ``doc``, every field checked."""
     if type(doc) is not dict:
         raise ParseError(f"{where} must be an object")
     values = {}
     for name, attr, codec in fields:
         if name in doc:
-            values[attr] = codec.load(doc[name], f"{where}.{name}", ids)
+            values[attr] = codec.load(doc[name], f"{where}.{name}")
         elif not codec.optional:
             raise ParseError(f"{where} document lacks field {name!r}")
     return values
@@ -294,21 +290,21 @@ def from_doc(doc: dict):
     """Structure (or (structure, biasing) for op2cat documents) from a doc.
 
     Raises ``ParseError`` on a missing field, a value of the wrong JSON type,
-    or a repeated id or table key.  All occurrences of an id are one ``str``.
+    or a repeated id or table key.  The structure holds the document's own
+    strings: one per id from ``loads``, but not from a document built by hand.
     """
     kind = doc.get("kind")
-    ids: dict[str, str] = {}
     if kind == "set":
-        return _load(doc, kind, _SET, ids)["elements"]
+        return _load(doc, kind, _SET)["elements"]
     if kind not in KINDS:
         raise UnknownKind(f"unknown kind {kind!r}")
     cls, fields = _SPEC[kind]
-    obj = cls(**_load(doc, kind, fields, ids))
+    obj = cls(**_load(doc, kind, fields))
     if kind != "op2cat":
         return obj
     if "biasing" not in doc:
         return obj, None
-    return obj, Biasing(**_load(doc["biasing"], "op2cat.biasing", _BIASING, ids))
+    return obj, Biasing(**_load(doc["biasing"], "op2cat.biasing", _BIASING))
 
 
 _ENCODE = {str: encode_basestring_ascii, int: int.__repr__}
@@ -345,17 +341,25 @@ def dumps(doc: dict) -> str:
     ) + "\n}\n"
 
 
-def _object(pairs: list) -> dict:
-    """A JSON object; a key it repeats raises ``ParseError``."""
-    obj = dict(pairs)
-    if len(obj) != len(pairs):
-        _repeated([key for key, _ in pairs], "JSON object")
-    return obj
-
-
 def loads(text: str) -> dict:
+    """The document in ``text``, holding one ``str`` per distinct string."""
+    share = {}.setdefault  # strings only: 1, 1.0 and true are one dict key
+
+    def shared_object(pairs: list) -> dict:
+        """A JSON object, strings shared; a key it repeats raises ``ParseError``."""
+        obj = {}
+        for key, value in pairs:
+            if type(value) is str:
+                value = share(value, value)
+            elif type(value) is list:
+                value = [share(v, v) if type(v) is str else v for v in value]
+            obj[share(key, key)] = value
+        if len(obj) != len(pairs):
+            _repeated([key for key, _ in pairs], "JSON object")
+        return obj
+
     try:
-        doc = json.loads(text, object_pairs_hook=_object)
+        doc = json.loads(text, object_pairs_hook=shared_object)
     except json.JSONDecodeError as exc:
         raise ParseError(str(exc), exc.lineno, exc.colno) from None
     if not isinstance(doc, dict) or "kind" not in doc:

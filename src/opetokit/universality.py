@@ -22,13 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import ArityError, DanglingId, NicheMismatch, Violation
-from .core import (
-    FiniteOpOneCat,
-    FiniteOpTwoCat,
-    _by_source,
-    iter_paths,
-    occupants_of_niche,
-)
+from .core import FiniteOpOneCat, FiniteOpTwoCat, _by_source, iter_paths
 
 
 def _factorizations(X: FiniteOpTwoCat, a: str, c: str) -> list[str]:
@@ -52,7 +46,7 @@ def factorizations_through(X: FiniteOpTwoCat, a: str, c: str) -> set[str]:
 def is_universal_2cell(X: FiniteOpTwoCat, a: str) -> bool:
     """Every occupant of the niche factors through ``a`` exactly once."""
     cell = X.cell(a)
-    for c in occupants_of_niche(X, cell.source):
+    for c in X.occupants.get(cell.source.key(), ()):
         if len(_factorizations(X, a, c)) != 1:
             return False
     return True

@@ -589,6 +589,31 @@ def test_collapse_functors_onto_idempotent(sign, idem, sign_op, idem_op):
     assert verdicts == {"1": "strict", "t": "lax"}
 
 
+def test_lax_functor_axioms_agree_with_the_morphism_laws(sign, idem, sign_op, idem_op):
+    # both sides of the equivalence judge every hom-collapse candidate of
+    # test_collapse_functors_onto_idempotent alike, and each translates back
+    from opetokit import LaxFunctor
+
+    X, b = sign_op
+    XI, bI = idem_op
+    base = dict(
+        on_objects={"pt": "pt"},
+        on_one_cells={"e": "i", "s": "i"},
+        on_two_cells={a: "1" for a in sign.two_cells},
+    )
+    pairs = sorted(sign.hcomp1)
+    verdicts = []
+    for phis in itertools.product(("1", "t"), repeat=len(pairs)):
+        for phi_o in ("1", "t"):
+            G = LaxFunctor(**base, phi_pair=dict(zip(pairs, phis)), phi_obj={"pt": phi_o})
+            F = morphism_from_lax_functor(G, sign, idem, check=False)
+            lax = validate_lax_functor(G, sign, idem).ok
+            assert validate_op_morphism(F, X, XI).ok == lax, G
+            assert lax_functor_from_morphism(F, X, XI, b, bI) == G
+            verdicts.append(lax)
+    assert (verdicts.count(True), verdicts.count(False)) == (2, 30)
+
+
 def test_disjoint_union_round_trip(sign, idem):
     # two objects, one component with a sign associator and one with an
     # absorbing hom; generation and solving stay componentwise

@@ -355,7 +355,6 @@ def _outcome(fn, *args):
 
 def _with_oracles(monkeypatch, fn, *args):
     with monkeypatch.context() as m:
-        m.setattr(uni, "occupants_of_niche", oracle_occupants_of_niche)
         m.setattr(uni, "is_universal_2cell", oracle_is_universal_2cell)
         m.setattr(uni, "is_universal_1cell", oracle_is_universal_1cell)
         m.setattr(eq, "is_universal_2cell", oracle_is_universal_2cell)

@@ -2,11 +2,12 @@
 
 The spec-driven serialiser is checked against the hand-written per-kind
 serialiser it replaced, kept below verbatim as the oracle, and ``dumps``
-against ``json.dumps(doc, indent=2, sort_keys=True)``.  A parsed structure
-shares one string per id and validates as the structure it was written
-from.  Malformed documents must give ``ParseError`` and exit 2 on the
-command line, and a fuzz of the command line over mutated documents must
-never let an exception escape.
+against ``json.dumps(doc, indent=2, sort_keys=True)``.  A parsed document
+holds one string per distinct string, so a parsed structure shares one
+string per id, and it validates as the structure it was written from.
+Malformed documents must give ``ParseError`` and exit 2 on the command line,
+and a fuzz of the command line over mutated documents must never let an
+exception escape.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ import contextlib
 import copy
 import dataclasses
 import functools
+import gc
 import io
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -394,6 +397,57 @@ def test_parsed_ids_are_one_string_each(name):
         assert result is cells2[result]
 
 
+def _text(name: str) -> str:
+    """A shipped fixture's text, or a Z3 document as ``dumps`` writes it."""
+    if name in FIXTURES:
+        return (FIXTURE_DIR / name).read_text(encoding="utf-8")
+    return serialize.dumps(_writer_docs()[name])
+
+
+def _every_string(node):
+    """Every string inside a document: object keys, values and list elements."""
+    if type(node) is str:
+        yield node
+    elif type(node) is dict:
+        for key, child in node.items():
+            yield key
+            yield from _every_string(child)
+    elif type(node) is list:
+        for child in node:
+            yield from _every_string(child)
+
+
+@pytest.mark.parametrize("name", FIXTURES + ["Z3 bicategory", "Z3 op2cat"])
+def test_loads_shares_one_string_per_distinct_string(name):
+    text = _text(name)
+    doc = serialize.loads(text)
+    assert doc == json.loads(text)
+    first: dict[str, str] = {}
+    strings = list(_every_string(doc))
+    assert all(s is first.setdefault(s, s) for s in strings)
+    # every document but the set repeats a string
+    assert len(first) < len(strings) or name == "set.json"
+
+
+def _retained_bytes(parse, text: str) -> int:
+    """What ``parse(text)``'s result holds, as traced by ``tracemalloc``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        doc = parse(text)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return retained
+
+
+def test_loads_retains_at_most_seven_tenths_of_json_loads():
+    # a parse that stops sharing strings retains as much as json.loads
+    text = _text("Z3 op2cat")
+    ratio = _retained_bytes(serialize.loads, text) / _retained_bytes(json.loads, text)
+    assert ratio <= 0.7, ratio
+
+
 def _corrupted_fixture(seed: int) -> FiniteOpTwoCat:
     """The op2cat fixture's structure, generated in memory, with one graft row
     dropped (even seeds) or its result swapped for another occupant of the
@@ -459,6 +513,21 @@ def _string_slot() -> dict:
     return doc
 
 
+def _true_slot_after_a_one() -> dict:
+    # true == 1 as a dict key, so a string table that shared it would merge them
+    doc = _fixture("op2cat.json")
+    first = next(i for i, row in enumerate(doc["graft"]) if row["slot"] == 1)
+    doc["graft"][first + 1]["slot"] = True
+    return doc
+
+
+def _int_id_after_a_string_one() -> dict:
+    doc = _fixture("category.json")
+    doc["arrows"].append(dict(doc["arrows"][0], id="1"))
+    doc["arrows"].append(dict(doc["arrows"][0], id=1))
+    return doc
+
+
 MALFORMED = {
     "bare category": (lambda: {"kind": "category"}, "category document lacks field 'objects'"),
     "empty source without anchor": (_no_anchor, "op2cat.two_cells: an empty path needs"),
@@ -469,6 +538,10 @@ MALFORMED = {
                               "op2cat.arity_bound must be a non-negative integer"),
     "negative op1cat bound": (lambda: dict(_fixture("op1cat.json"), arity_bound=-1),
                               "op1cat.arity_bound must be a non-negative integer"),
+    "true slot after a 1": (_true_slot_after_a_one,
+                            "op2cat.graft: field 'slot' must be an integer"),
+    "int id after a string 1": (_int_id_after_a_string_one,
+                                "category.arrows: field 'id' must be a string"),
 }
 
 
