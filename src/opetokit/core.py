@@ -17,6 +17,7 @@ empty path.  Keys index ``comp``, the niche index and violation witnesses;
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -473,8 +474,7 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
     (``get(None)`` is ``None``), so its pair is skipped.
 
     Both laws are checked in batches over the columns
-    ``col[i][b] = {a: graft(a, i, b)}``, outer cells in arity order, so that
-    the lookups of a batch run in ``map``:
+    ``col[i][b] = {a: graft(a, i, b)}``, outer cells in arity order:
 
     - sequential associativity, one batch per column ``(i, b)`` and row
       ``(b, j, c) -> bc``: ``col[i+j][c]`` over the column's values against
@@ -484,12 +484,23 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
       ``col[j+kb-1][c]`` after ``col[i][b]`` against ``col[i][b]`` after
       ``col[j][c]``, over the outer cells with those edges at those slots.
 
-    Only a batch whose two sides differ, or any batch when ``top > bound``,
-    is walked pair by pair under the skip rule.  Witnesses, messages and
-    their order are those of a walk over every instance.  ``notes`` holds
-    ``arity_bound`` and, once the laws run, ``checked``: the instances each
-    law compared, summed from batch lengths (a walked batch counts the pairs
-    it compared).
+    When ``top <= bound`` a batch is accepted by one ``itemgetter`` call per
+    side, comparing tuples.  Sequential associativity caches, per column and
+    cut length ``n``, the getters over the first ``n`` values and outer cells;
+    parallel commutation caches, per slot pair, the getter over the first
+    ``n`` outer cells and, composed with it, the getters over ``graft(a, i,
+    b)`` per ``(b, n)`` and over ``graft(a, j, c)`` per ``(c, n)``.  As ``n``
+    only falls along the rows, the cells ``c`` and the cells ``b``, the
+    caches per column, per ``b`` and per ``c`` keep their last ``n`` only.
+    Every entry such a getter reads has a composite at most ``top`` long, so
+    by the cut argument above it is present and no ``KeyError`` arises;
+    should one arise anyway, the batch is walked, never raised.  A batch is
+    walked pair by pair under the skip rule when its tuples differ or a
+    lookup fails, and every batch is walked when ``top > bound``.
+    Witnesses, messages and their order are those of a walk over every
+    instance.  ``notes`` holds ``arity_bound`` and, once the laws run,
+    ``checked``: the instances each law compared, summed from batch lengths
+    (a walked batch counts the pairs it compared).
     """
     rejected = _bound_report(X)
     if rejected is not None:
@@ -608,16 +619,24 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
             outers, values = list(column), list(column.values())
             arities = list(map(arity.__getitem__, outers))
             room = top + 2 - arity[b]
+            cut = 0
             for row in below.get(b, ()):
                 _, j, c = row
                 n = bisect_right(arities, room - arity[c])
                 if not n:
                     break
-                lhs = list(map(col[i + j].get(c, empty).get, values[:n]))
-                rhs = list(map(col_i.get(graft_table[row], empty).get, outers[:n]))
-                if exact and lhs == rhs:
-                    sequential += n
-                    continue
+                after, before = col[i + j].get(c, empty), col_i.get(graft_table[row], empty)
+                if exact:
+                    if n != cut:  # n only falls along the rows
+                        cut, get_values, get_outers = n, _getter(values[:n]), _getter(outers[:n])
+                    try:
+                        if get_values(after) == get_outers(before):
+                            sequential += n
+                            continue
+                    except KeyError:
+                        pass
+                lhs = list(map(after.get, values[:n]))
+                rhs = list(map(before.get, outers[:n]))
                 witnesses = ((a, i, b, j, c) for a in outers)
                 sequential += _compare(witnesses, lhs, rhs, found)
     del below
@@ -641,23 +660,37 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
     parallel = 0
     for (i, ei, j, ej), outers in pairs.items():
         arities = list(map(arity.__getitem__, outers))
+        outer_getters: dict[int, Callable] = {}  # n: the getter over outers[:n]
+        jc_getters: dict[str, tuple[int, Callable]] = {}  # c: (n, over graft(a, j, c))
         for b in into.get(ei, ()):
             kb = arity[b]
             if not bisect_right(arities, top + 1 - kb):  # no graft(a, i, b) left
                 break
             col_ib = col[i].get(b, empty)
+            cut = 0
             for c in into.get(ej, ()):
                 kc = arity[c]
                 # graft(a,i,b), graft(a,j,c) and the composite are at most top long
                 n = bisect_right(arities, min(top + 2 - kb - kc, top + 1 - kb, top + 1 - kc))
                 if not n:
                     break
+                col_jc, after = col[j].get(c, empty), col[j + kb - 1].get(c, empty)
+                if exact:
+                    try:
+                        if n != cut:  # n only falls along the cells c
+                            get_ib, cut = _getter(_cut(outer_getters, outers, n)(col_ib)), n
+                        cut_c, get_jc = jc_getters.get(c, (0, None))
+                        if n != cut_c:  # n only falls along the cells b
+                            get_jc = _getter(_cut(outer_getters, outers, n)(col_jc))
+                            jc_getters[c] = n, get_jc
+                        if get_ib(after) == get_jc(col_ib):
+                            parallel += n
+                            continue
+                    except KeyError:
+                        pass
                 xs = outers[:n]
-                lhs = list(map(col[j + kb - 1].get(c, empty).get, map(col_ib.get, xs)))
-                rhs = list(map(col_ib.get, map(col[j].get(c, empty).get, xs)))
-                if exact and lhs == rhs:
-                    parallel += n
-                    continue
+                lhs = list(map(after.get, map(col_ib.get, xs)))
+                rhs = list(map(col_ib.get, map(col_jc.get, xs)))
                 witnesses = ((a, i, b, j, c) for a in xs)
                 parallel += _compare(witnesses, lhs, rhs, found)
     if found:
@@ -668,6 +701,21 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
             out.add("parallel commutation", witness, message)
     checked = {"sequential associativity": sequential, "parallel commutation": parallel}
     return out.report(arity_bound=X.arity_bound, checked=checked)
+
+
+def _getter(keys) -> Callable:
+    """``itemgetter(*keys)``, returning a 1-tuple for a single key too."""
+    if len(keys) == 1:
+        key = keys[0]
+        return lambda table: (table[key],)
+    return itemgetter(*keys)
+
+
+def _cut(getters: dict[int, Callable], keys: list, n: int) -> Callable:
+    """The getter over ``keys[:n]``, made once per ``n`` in ``getters``."""
+    if n not in getters:
+        getters[n] = _getter(keys[:n])
+    return getters[n]
 
 
 def _compare(witnesses, lhs: list, rhs: list, found: list) -> int:

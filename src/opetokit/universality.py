@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import ArityError, DanglingId, NicheMismatch, Violation
-from .core import FiniteOpOneCat, FiniteOpTwoCat, _by_source, iter_paths
+from .core import FiniteOpOneCat, FiniteOpTwoCat, _by_source, path_layers
 
 
 def _factorizations(X: FiniteOpTwoCat, a: str, c: str) -> list[str]:
@@ -128,7 +129,8 @@ class CoherenceReport:
     ``niche_universals`` records, per 2-niche, the universal occupants found
     (or the occupant derived by closure for arities above two).  An empty
     violation list means the structure is a 2-dimensional opetopic category
-    at the stated bound.
+    at the stated bound.  ``notes["niches"]`` counts the niches ``searched``
+    directly and those ``derived`` by folding; it takes no part in equality.
     """
 
     violations: tuple[Violation, ...]
@@ -137,6 +139,7 @@ class CoherenceReport:
     niche_universals: dict[tuple, tuple[str, ...]] = field(default_factory=dict)
     mode: str = "closure checked via generators"
     arity_bound: int = 4
+    notes: dict = field(default_factory=dict, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -171,7 +174,8 @@ def check_coherence(X: FiniteOpTwoCat, direct_niche_search: bool = False) -> Coh
             )
 
     niche_universals: dict[tuple, tuple[str, ...]] = {}
-    for key in iter_paths(X):
+    layers = list(path_layers(X))  # by length: up to two edges are searched
+    for key in chain.from_iterable(layers):
         if direct_niche_search or len(key) <= 3:
             found = tuple(sorted(c for c in X.occupants.get(key, ()) if c in u2))
             niche_universals[key] = found
@@ -208,6 +212,7 @@ def check_coherence(X: FiniteOpTwoCat, direct_niche_search: bool = False) -> Coh
                 Violation("composite 1-cell not universal", (u, f, g, cell.target))
             )
 
+    searched = sum(map(len, layers if direct_niche_search else layers[:3]))
     return CoherenceReport(
         violations=tuple(violations),
         universal_one_cells=u1,
@@ -215,4 +220,5 @@ def check_coherence(X: FiniteOpTwoCat, direct_niche_search: bool = False) -> Coh
         niche_universals=niche_universals,
         mode="direct niche search" if direct_niche_search else "closure checked via generators",
         arity_bound=X.arity_bound,
+        notes={"niches": {"searched": searched, "derived": len(niche_universals) - searched}},
     )

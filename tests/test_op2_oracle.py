@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+import opetokit.core as core
 import opetokit.equivalences as eq
 import opetokit.universality as uni
 from opetokit import serialize
@@ -447,6 +448,93 @@ def test_law_instances_checked_on_z4():
         "arity_bound": 4,
         "checked": {"sequential associativity": 733_504, "parallel commutation": 364_864},
     }
+
+
+def _walked(monkeypatch, X):
+    """``validate_op2``'s report on X and the number of batches it walked."""
+    walks = []
+    compare = core._compare
+
+    def counting(*args):
+        walks.append(args)
+        return compare(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(core, "_compare", counting)
+        return validate_op2(X), len(walks)
+
+
+@pytest.mark.parametrize("name", ("z3", "sign", "arrow"))
+def test_clean_batches_pass_without_a_walk(monkeypatch, name):
+    # top <= bound: every batch is accepted by its getters alone
+    X = _zn(3) if name == "z3" else _structures()[name][0]
+    report, walked = _walked(monkeypatch, X)
+    assert report.ok and walked == 0
+
+
+def test_batches_are_walked_above_the_bound(monkeypatch):
+    X, _ = _structures()["sign-5-at-4"]
+    report, walked = _walked(monkeypatch, X)
+    assert walked > 0
+    assert report == oracle_validate_op2(X)
+
+
+def test_getter_of_one_key_returns_a_one_tuple():
+    # a bare itemgetter("ab") returns the value, which a getter built over
+    # it would read character by character
+    assert core._getter(["ab"])({"ab": "cd"}) == ("cd",)
+    assert core._getter(["ab", "x"])({"ab": "cd", "x": "y"}) == ("cd", "y")
+    with pytest.raises(KeyError):
+        core._getter(["ab"])({})
+
+
+def _single_outer_batches(X: FiniteOpTwoCat) -> dict[tuple, str]:
+    """Parallel-commutation batches (i, b, j, c) with one outer cell: that cell."""
+    rows: dict[str, list[tuple[int, str]]] = {}
+    for a, i, b in X.graft:
+        rows.setdefault(a, []).append((i, b))
+    outers: dict[tuple, list[str]] = {}
+    for a, slots in rows.items():
+        for (i, b), (j, c) in itertools.permutations(slots, 2):
+            shift = X.cells2[b].source.arity - 1
+            if (
+                i < j
+                and (X.graft[(a, i, b)], j + shift, c) in X.graft
+                and (X.graft[(a, j, c)], i, b) in X.graft
+            ):
+                outers.setdefault((i, b, j, c), []).append(a)
+    return {batch: cells[0] for batch, cells in outers.items() if len(cells) == 1}
+
+
+def test_swap_in_a_single_outer_batch_is_reported():
+    X, _ = _structures()["arrow"]
+    singles = _single_outer_batches(X)
+    assert singles
+    # the first such batch whose composite has another occupant to swap in
+    for (i, b, j, c), a in singles.items():
+        key = (X.graft[(a, i, b)], j + X.cells2[b].source.arity - 1, c)
+        result = X.cells2[X.graft[key]]
+        others = [
+            cid
+            for cid in X.occupants[result.source.key()]
+            if cid != X.graft[key] and X.cells2[cid].target == result.target
+        ]
+        if others:
+            break
+    else:
+        pytest.fail("no single-outer batch reads a swappable entry")
+    Y = dataclasses.replace(X, graft={**X.graft, key: others[0]})
+    report = validate_op2(Y)
+    assert report == oracle_validate_op2(Y)
+    assert (a, i, b, j, c) in [v.witness for v in report.filter("parallel commutation")]
+
+
+def test_coherence_counts_searched_and_derived_niches_on_z4():
+    assert uni.check_coherence(_zn(4)).notes == {"niches": {"searched": 21, "derived": 320}}
+    direct = uni.check_coherence(_zn(4), direct_niche_search=True)
+    assert direct.notes == {"niches": {"searched": 341, "derived": 0}}
+    assert len(direct.niche_universals) == 341
+    assert dataclasses.replace(direct, notes={}) == direct  # notes take no part in equality
 
 
 def test_graft_row_on_a_nullary_outer_is_out_of_range():
