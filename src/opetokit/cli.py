@@ -1,8 +1,8 @@
 """Command line front end.
 
     opetokit validate FILE [--kind K] [--format text|json]
-    opetokit universal FILE (--cell ID | --all) [--direct-niche-search]
-    opetokit convert FILE --to {bicat,opic} [--arity-bound M] [--out PATH]
+    opetokit universal FILE (--cell ID | --all) [--direct-niche-search] [--format text|json]
+    opetokit convert FILE --to {bicat,opic} [--arity-bound M] [--seedless-tiebreak] [--out PATH]
     opetokit roundtrip FILE [--arity-bound M]
     opetokit classify SOURCE TARGET MORPHISM
 
@@ -147,7 +147,7 @@ def cmd_convert(args) -> int:
             out = serialize.to_doc(X, biasing)
         else:
             raise UnknownKind(f"cannot convert {kind!r} to the opetopic side")
-    elif args.to == "bicat":
+    else:  # "bicat"; argparse rejects any other target
         if kind == "op1cat":
             out = serialize.to_doc(to_category(obj))
         elif kind == "op2cat":
@@ -157,8 +157,6 @@ def cmd_convert(args) -> int:
             out = serialize.to_doc(to_bicategory(X, biasing))
         else:
             raise UnknownKind(f"cannot convert {kind!r} to the classical side")
-    else:
-        raise UnknownKind(f"unknown conversion target {args.to!r}")
     target = args.out or _default_out(args.file, out["kind"])
     try:
         serialize.save_path(target, out)
@@ -247,7 +245,8 @@ def cmd_classify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="opetokit", description=__doc__)
+    parser = argparse.ArgumentParser(prog="opetokit", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="run the validator matching a file's kind")

@@ -465,13 +465,9 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
     A law instance is skipped when either side's graft has no table entry,
     and reported when both exist and differ.  Once the frames pass, every
     entry's result has the spliced source, so no entry has a composite
-    longer than ``top``, the longest cell: the instances whose composite is
-    longer are not generated.  When ``top <= bound``, totality makes the
-    converse hold too: an entry is present exactly when its composite is at
-    most ``top`` long, so the arity cuts below select exactly the instances
-    with both sides present.  When ``top > bound`` they do not, but an outer
-    cell missing from a column still gives ``None`` on one side
-    (``get(None)`` is ``None``), so its pair is skipped.
+    longer than ``top``, the longest cell, and the batches below are cut at
+    that arity.  When ``top <= bound``, totality makes every entry within
+    the cut present; when ``top > bound``, some may be absent.
 
     Both laws are checked in batches over the columns
     ``col[i][b] = {a: graft(a, i, b)}``, outer cells in arity order:
@@ -484,23 +480,19 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
       ``col[j+kb-1][c]`` after ``col[i][b]`` against ``col[i][b]`` after
       ``col[j][c]``, over the outer cells with those edges at those slots.
 
-    When ``top <= bound`` a batch is accepted by one ``itemgetter`` call per
-    side, comparing tuples.  Sequential associativity caches, per column and
-    cut length ``n``, the getters over the first ``n`` values and outer cells;
-    parallel commutation caches, per slot pair, the getter over the first
-    ``n`` outer cells and, composed with it, the getters over ``graft(a, i,
-    b)`` per ``(b, n)`` and over ``graft(a, j, c)`` per ``(c, n)``.  As ``n``
-    only falls along the rows, the cells ``c`` and the cells ``b``, the
-    caches per column, per ``b`` and per ``c`` keep their last ``n`` only.
-    Every entry such a getter reads has a composite at most ``top`` long, so
-    by the cut argument above it is present and no ``KeyError`` arises;
-    should one arise anyway, the batch is walked, never raised.  A batch is
-    walked pair by pair under the skip rule when its tuples differ or a
-    lookup fails, and every batch is walked when ``top > bound``.
-    Witnesses, messages and their order are those of a walk over every
-    instance.  ``notes`` holds ``arity_bound`` and, once the laws run,
-    ``checked``: the instances each law compared, summed from batch lengths
-    (a walked batch counts the pairs it compared).
+    Each batch is accepted by one ``itemgetter`` call per side when the two
+    tuples are equal: every pair is then present and equal, as a walk would
+    find.  A lookup raises ``KeyError`` only at an absent entry; such a
+    batch, and one whose tuples differ, is walked pair by pair under the
+    skip rule, so witnesses, messages and their order are those of a walk
+    over every instance.  A getter is rebuilt only when the cut length ``n``
+    changes, and ``n`` only falls: along a column's rows for the getters
+    over its first ``n`` values and outer cells, along the cells ``c`` for
+    the getter over ``graft(a, i, b)``, and along the cells ``b`` for the
+    getter over ``graft(a, j, c)``, which is kept per ``c``.  ``notes`` holds
+    ``arity_bound`` and, once the laws run, ``checked``: the instances each
+    law compared, summed from batch lengths (a walked batch counts the pairs
+    it compared).
     """
     rejected = _bound_report(X)
     if rejected is not None:
@@ -598,7 +590,6 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
     # col[i][b]: {a: graft(a, i, b)} with the outer cells a in arity order
     graft_table = X.graft
     top = max(arity.values(), default=0)
-    exact = top <= bound
     col: list[dict[str, dict[str, str]]] = [{} for _ in range(top)]
     for key in sorted(graft_table, key=lambda key: arity[key[0]]):
         a, i, b = key
@@ -626,15 +617,14 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
                 if not n:
                     break
                 after, before = col[i + j].get(c, empty), col_i.get(graft_table[row], empty)
-                if exact:
-                    if n != cut:  # n only falls along the rows
-                        cut, get_values, get_outers = n, _getter(values[:n]), _getter(outers[:n])
-                    try:
-                        if get_values(after) == get_outers(before):
-                            sequential += n
-                            continue
-                    except KeyError:
-                        pass
+                if n != cut:  # n only falls along the rows
+                    cut, get_values, get_outers = n, _getter(values[:n]), _getter(outers[:n])
+                try:
+                    if get_values(after) == get_outers(before):
+                        sequential += n
+                        continue
+                except KeyError:  # an absent entry: only when top > bound
+                    pass
                 lhs = list(map(after.get, values[:n]))
                 rhs = list(map(before.get, outers[:n]))
                 witnesses = ((a, i, b, j, c) for a in outers)
@@ -660,7 +650,6 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
     parallel = 0
     for (i, ei, j, ej), outers in pairs.items():
         arities = list(map(arity.__getitem__, outers))
-        outer_getters: dict[int, Callable] = {}  # n: the getter over outers[:n]
         jc_getters: dict[str, tuple[int, Callable]] = {}  # c: (n, over graft(a, j, c))
         for b in into.get(ei, ()):
             kb = arity[b]
@@ -675,19 +664,18 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
                 if not n:
                     break
                 col_jc, after = col[j].get(c, empty), col[j + kb - 1].get(c, empty)
-                if exact:
-                    try:
-                        if n != cut:  # n only falls along the cells c
-                            get_ib, cut = _getter(_cut(outer_getters, outers, n)(col_ib)), n
-                        cut_c, get_jc = jc_getters.get(c, (0, None))
-                        if n != cut_c:  # n only falls along the cells b
-                            get_jc = _getter(_cut(outer_getters, outers, n)(col_jc))
-                            jc_getters[c] = n, get_jc
-                        if get_ib(after) == get_jc(col_ib):
-                            parallel += n
-                            continue
-                    except KeyError:
-                        pass
+                try:
+                    if n != cut:  # n only falls along the cells c
+                        get_ib, cut = _getter(_getter(outers[:n])(col_ib)), n
+                    cut_c, get_jc = jc_getters.get(c, (0, None))
+                    if n != cut_c:  # n only falls along the cells b
+                        get_jc = _getter(_getter(outers[:n])(col_jc))
+                        jc_getters[c] = n, get_jc
+                    if get_ib(after) == get_jc(col_ib):
+                        parallel += n
+                        continue
+                except KeyError:  # an absent entry: only when top > bound
+                    pass
                 xs = outers[:n]
                 lhs = list(map(after.get, map(col_ib.get, xs)))
                 rhs = list(map(col_ib.get, map(col_jc.get, xs)))
@@ -709,13 +697,6 @@ def _getter(keys) -> Callable:
         key = keys[0]
         return lambda table: (table[key],)
     return itemgetter(*keys)
-
-
-def _cut(getters: dict[int, Callable], keys: list, n: int) -> Callable:
-    """The getter over ``keys[:n]``, made once per ``n`` in ``getters``."""
-    if n not in getters:
-        getters[n] = _getter(keys[:n])
-    return getters[n]
 
 
 def _compare(witnesses, lhs: list, rhs: list, found: list) -> int:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from opetokit import (
     Bracketing,
+    CatFunctor,
     FiniteCategory,
     PathMismatch,
     all_bracketings,
@@ -19,16 +20,20 @@ from opetokit import (
     is_invertible_2cell,
     validate_bicategory,
     validate_category,
+    validate_functor,
     validate_lax_functor,
 )
+from opetokit.errors import Violation
 from opetokit.bicat import FiniteBicategory, bracketed_value
 from opetokit.fixtures import (
     absorbing_constraint_functor,
+    arrow_bicategory,
     arrow_perturbed_functor,
     identity_lax_functor,
     sign_bicategory,
     sign_bicategory_broken_pentagon,
     sign_twisted_endofunctor,
+    z2_category,
 )
 
 
@@ -67,6 +72,48 @@ def test_category_associativity_violation():
     assert lhs != rhs
 
 
+def _found(report, rule: str) -> list[tuple]:
+    return [(v.witness, v.message) for v in report.filter(rule)]
+
+
+# a -> b: the two identities and one arrow f
+ARROW_CATEGORY = FiniteCategory(
+    objects=("a", "b"),
+    arrows={"1a": ("a", "a"), "1b": ("b", "b"), "f": ("a", "b")},
+    identities={"a": "1a", "b": "1b"},
+    compose={("1a", "1a"): "1a", ("f", "1a"): "f", ("1b", "f"): "f", ("1b", "1b"): "1b"},
+)
+
+
+@pytest.mark.parametrize("C, rule, expected", [
+    (dataclasses.replace(ARROW_CATEGORY, identities={"a": "f", "b": "1b"}),
+     "identity", [(("a", "f"), "identity endpoints are wrong")]),
+    (dataclasses.replace(ARROW_CATEGORY, compose={**ARROW_CATEGORY.compose, ("1a", "f"): "f"}),
+     "frame", [(("1a", "f"), "entry for a non-composable pair")]),
+    (dataclasses.replace(ARROW_CATEGORY, compose={**ARROW_CATEGORY.compose, ("f", "1a"): "1a"}),
+     "frame", [(("f", "1a", "1a"), "composite endpoints are wrong")]),
+    (dataclasses.replace(z2_category(), compose={**z2_category().compose, ("e", "s"): "e"}),
+     "unit", [(("s",), "left identity law fails")]),
+    (dataclasses.replace(z2_category(), compose={**z2_category().compose, ("s", "e"): "e"}),
+     "unit", [(("s",), "right identity law fails")]),
+], ids=["identity endpoints", "non-composable pair", "composite endpoints", "left unit",
+        "right unit"])
+def test_category_rules_name_their_witness(C, rule, expected):
+    assert validate_category(ARROW_CATEGORY).ok
+    assert _found(validate_category(C), rule) == expected
+
+
+def test_functor_totality_names_the_missing_image(z2cat):
+    F = CatFunctor({"o": "o"}, {"e": "e", "s": "s"})
+    assert validate_functor(F, z2cat, z2cat).ok
+    no_object = validate_functor(CatFunctor({}, F.on_arrows), z2cat, z2cat)
+    assert _found(no_object, "totality") == [(("o",), "object has no image")]
+    no_arrow = validate_functor(CatFunctor(F.on_objects, {"e": "e"}), z2cat, z2cat)
+    assert [(v.rule, v.witness, v.message) for v in no_arrow.violations] == [
+        ("totality", ("s",), "arrow has no image")
+    ]
+
+
 # -- bicategories ----------------------------------------------------------------
 
 
@@ -84,6 +131,21 @@ def test_dangling_composition_entries_are_reported(sign, table, position):
     rows[tuple(renamed[:2])] = renamed[2]
     report = validate_bicategory(dataclasses.replace(sign, **{table: rows}))
     assert ("dangling id", tuple(renamed)) in [(v.rule, v.witness) for v in report.violations]
+
+
+@pytest.mark.parametrize("base, table, entry, expected", [
+    ("sign", "one_cells", ("stray", ("nowhere", "pt")), ("dangling id", ("stray",), "")),
+    ("arrow", "two_cells", ("bad", ("iA", "k")),
+     ("frame", ("bad",), "2-cell endpoints live in different frames")),
+    ("arrow", "vcomp", (("xk", "a0"), "a1"),
+     ("hom category", ("xk", "a0"), "vertical entry for a non-composable pair")),
+], ids=["1-cell endpoint", "2-cell across frames", "non-composable vertical entry"])
+def test_bicategory_rules_name_their_witness(base, table, entry, expected):
+    B = sign_bicategory() if base == "sign" else arrow_bicategory()
+    key, value = entry
+    broken = dataclasses.replace(B, **{table: {**getattr(B, table), key: value}})
+    report = validate_bicategory(broken)
+    assert [(v.rule, v.witness, v.message) for v in report.violations] == [expected]
 
 
 def test_fixture_bicategories_are_clean(sign, idem, arrow, terminal):
@@ -386,3 +448,36 @@ def test_perturbed_constraint_breaks_naturality(arrow):
     assert "phi naturality" in report.rules()
     witnesses = {v.witness for v in report.filter("phi naturality")}
     assert ("1iB", "a0") in witnesses
+
+
+def _without(table: dict, key) -> dict:
+    return {k: v for k, v in table.items() if k != key}
+
+
+@pytest.mark.parametrize("field, change, expected", [
+    ("on_objects", lambda t: _without(t, "A"), ("totality", ("A",), "object has no image")),
+    ("on_one_cells", lambda t: _without(t, "k"), ("totality", ("k",), "1-cell has no image")),
+    ("on_one_cells", lambda t: {**t, "k": "iA"},
+     ("frame", ("k",), "1-cell image endpoints do not match")),
+    ("on_two_cells", lambda t: _without(t, "xk"), ("totality", ("xk",), "2-cell has no image")),
+    ("on_two_cells", lambda t: {**t, "xk": "a0"},
+     ("frame", ("xk",), "2-cell image frame does not match")),
+    ("phi_pair", lambda t: _without(t, ("k", "iA")),
+     ("totality", ("k", "iA"), "pair constraint missing")),
+    ("phi_pair", lambda t: {**t, ("k", "iA"): "1k2"},
+     ("frame", ("k", "iA", "1k2"), "pair constraint mistyped")),
+    ("phi_obj", lambda t: _without(t, "A"), ("totality", ("A",), "object constraint missing")),
+    ("phi_obj", lambda t: {**t, "A": "1k"}, ("frame", ("A", "1k"), "object constraint mistyped")),
+    ("on_two_cells", lambda t: {**t, "1k": "xk"},
+     ("hom functor", ("k",), "identity 2-cell not preserved")),
+    ("on_two_cells", lambda t: {**t, "a1": "a0"},
+     ("hom functor", ("a0", "xk"), "vertical composition not preserved")),
+], ids=["object image", "1-cell image", "1-cell frame", "2-cell image", "2-cell frame",
+        "pair constraint", "pair constraint frame", "object constraint",
+        "object constraint frame", "identity 2-cell", "vertical composite"])
+def test_lax_functor_structural_rules_name_their_witness(arrow, field, change, expected):
+    # the identity on the arrow bicategory with one table entry dropped or changed
+    F = identity_lax_functor(arrow)
+    broken = dataclasses.replace(F, **{field: change(getattr(F, field))})
+    report = validate_lax_functor(broken, arrow, arrow)
+    assert report.violations[0] == Violation(*expected)

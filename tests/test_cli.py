@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
-from opetokit import serialize
+from opetokit import cli, serialize
 from opetokit.bicat import LaxFunctor
 from opetokit.cli import main
 from opetokit.equivalences import (
@@ -421,3 +422,63 @@ def test_classify_rejects_a_bad_stored_biasing(tmp_path, capsys):
             assert captured.err == f"error: InvalidBiasing: {witness}\n"
     assert main(["classify", good, good, morphism]) == 0
     assert capsys.readouterr().out == "strict\n"
+
+
+def test_convert_without_out_writes_next_to_the_input(tmp_path, capsys, z2cat):
+    c_path = _write(tmp_path, "c.json", serialize.to_doc(z2cat))
+    assert main(["convert", c_path, "--to", "opic"]) == 0
+    target = str(tmp_path / "c.op1cat.json")
+    assert capsys.readouterr().out == target + "\n"
+    assert serialize.load_path(target) == serialize.to_doc(from_category(z2cat))
+
+
+def test_commands_choose_a_biasing_that_is_not_stored(tmp_path, capsys, sign, sign_op):
+    # an op2cat file without a biasing behaves as one storing the chosen one
+    X, b = sign_op
+    bare = _write(tmp_path, "bare.json", serialize.to_doc(X))
+    stored = _write(tmp_path, "stored.json", serialize.to_doc(X, b))
+    ident = morphism_from_lax_functor(identity_lax_functor(sign), sign, sign)
+    m_path = _write(tmp_path, "m.json", serialize.to_doc(ident))
+    for argv in (["roundtrip", bare], ["classify", bare, bare, m_path]):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        stored_argv = [stored if arg == bare else arg for arg in argv]
+        assert main(stored_argv) == 0
+        assert capsys.readouterr().out == out
+    assert out.startswith("strict")
+
+
+def test_universal_needs_an_op2cat_file(tmp_path, capsys, z2cat):
+    c_path = _write(tmp_path, "c.json", serialize.to_doc(z2cat))
+    assert main(["universal", c_path, "--all"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: universality checks need an op2cat file\n")
+
+
+def test_universal_cell_as_json(tmp_path, capsys):
+    X, b = from_bicategory(idempotent_bicategory())
+    p = _write(tmp_path, "x.json", serialize.to_doc(X, b))
+    for cell, verdict in (("@pt|1", True), ("@pt|t", False)):
+        assert main(["universal", p, "--cell", cell, "--format", "json"]) == (0 if verdict else 1)
+        assert json.loads(capsys.readouterr().out) == {
+            "cell": cell, "kind": "op2cat", "ok": verdict, "universal": verdict, "violations": []
+        }
+
+
+def test_usage_lines_list_every_flag():
+    # the module docstring (printed by --help) and the README's usage block,
+    # which comes before its demo lines
+    readme = (FIXTURE_DIR.parent.parent / "README.md").read_text()
+    subparsers = next(
+        action for action in cli.build_parser()._actions if action.choices and action.dest == "command"
+    )
+    for command, parser in subparsers.choices.items():
+        flags = {
+            option
+            for action in parser._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+        }
+        for text in (cli.__doc__, readme):
+            line = re.search(rf"^\s*opetokit {command} .*$", text, re.M).group()
+            assert flags == set(re.findall(r"--[a-z-]+", line)), (command, line)

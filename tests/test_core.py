@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from opetokit import (
     ArityBoundExceeded,
     DanglingId,
+    FiniteOpZeroCat,
     FrameMismatch,
     MissingEntry,
     PastingPath,
@@ -21,6 +22,7 @@ from opetokit import (
     hom_category_of_frame,
     occupants_of_niche,
     path,
+    validate_op0,
     validate_op1,
     validate_op2,
 )
@@ -39,6 +41,17 @@ def test_pasting_path_basics():
 
 
 # -- 1-dimensional validation ------------------------------------------------
+
+
+def test_op0_dangling_endpoint_and_non_loop():
+    stray = FiniteOpZeroCat(("x",), {"f": ("x", "x"), "g": ("x", "nowhere")})
+    assert [(v.rule, v.witness, v.message) for v in validate_op0(stray).violations] == [
+        ("dangling id", ("g",), "endpoint object missing")
+    ]
+    across = FiniteOpZeroCat(("x", "y"), {"f": ("x", "x"), "g": ("y", "y"), "h": ("x", "y")})
+    assert [(v.rule, v.witness, v.message) for v in validate_op0(across).violations] == [
+        ("frame", ("h",), "1-cells of a 0-dimensional presentation must be loops")
+    ]
 
 
 def test_op1_from_group_is_clean(z2_op):

@@ -30,6 +30,7 @@ from opetokit import serialize
 from opetokit.bicat import FiniteBicategory
 from opetokit.core import (
     FiniteOpTwoCat,
+    TwoCell,
     occupants_of_niche,
     path,
     path_endpoints,
@@ -279,19 +280,30 @@ def _structures() -> dict[str, tuple]:
 
     ``sign-5-at-4`` keeps the arity-5 cells of a bound-5 generation under
     bound 4, so the table holds composites longer than the bound.
+    ``sign-5-sparse-at-4`` also drops every graft row, other than a unit
+    row, whose result is longer than 4, so entries the laws read are absent.
     """
     X5, b5 = eq.from_bicategory(sign_bicategory(), 5)
+    units = set(X5.ident2.values())
+    sparse = {
+        key: result
+        for key, result in X5.graft.items()
+        if X5.arity(result) <= 4 or key[0] in units or key[2] in units
+    }
     return {
         "fixture": serialize.from_doc(serialize.load_path(str(FIXTURE))),
         "sign": eq.from_bicategory(sign_bicategory()),
         "sign-5": (X5, b5),
         "sign-5-at-4": (dataclasses.replace(X5, arity_bound=4), b5),
+        "sign-5-sparse-at-4": (dataclasses.replace(X5, graft=sparse, arity_bound=4), b5),
         "idempotent": eq.from_bicategory(idempotent_bicategory()),
         "arrow": eq.from_bicategory(arrow_bicategory()),
     }
 
 
-STRUCTURE_NAMES = ("fixture", "sign", "sign-5", "sign-5-at-4", "idempotent", "arrow")
+STRUCTURE_NAMES = (
+    "fixture", "sign", "sign-5", "sign-5-at-4", "sign-5-sparse-at-4", "idempotent", "arrow"
+)
 CORRUPTED_BASES = ("fixture", "sign", "idempotent", "arrow", "sign-5-at-4")
 
 
@@ -464,18 +476,22 @@ def _walked(monkeypatch, X):
         return validate_op2(X), len(walks)
 
 
-@pytest.mark.parametrize("name", ("z3", "sign", "arrow"))
+@pytest.mark.parametrize("name", ("z3", "sign", "arrow", "sign-5-at-4"))
 def test_clean_batches_pass_without_a_walk(monkeypatch, name):
-    # top <= bound: every batch is accepted by its getters alone
+    # every entry a getter reads is present, above the bound too, so every
+    # batch is accepted by its getters alone
     X = _zn(3) if name == "z3" else _structures()[name][0]
     report, walked = _walked(monkeypatch, X)
     assert report.ok and walked == 0
 
 
 def test_batches_are_walked_above_the_bound(monkeypatch):
-    X, _ = _structures()["sign-5-at-4"]
+    # top > bound and entries longer than the bound are absent: a getter
+    # raises KeyError and its batch is walked under the skip rule
+    X, _ = _structures()["sign-5-sparse-at-4"]
     report, walked = _walked(monkeypatch, X)
     assert walked > 0
+    assert report.ok
     assert report == oracle_validate_op2(X)
 
 
@@ -535,6 +551,46 @@ def test_coherence_counts_searched_and_derived_niches_on_z4():
     assert direct.notes == {"niches": {"searched": 341, "derived": 0}}
     assert len(direct.niche_universals) == 341
     assert dataclasses.replace(direct, notes={}) == direct  # notes take no part in equality
+
+
+def _first_phase_corruption(how: str):
+    """A copy of ``sign`` (``arrow`` for ``frame``) broken in its cells or
+    identities, and the one violation ``validate_op2`` must report."""
+    X, _ = _structures()["arrow" if how == "frame" else "sign"]
+    cells1, cells2, ident2 = dict(X.cells1), dict(X.cells2), dict(X.ident2)
+    if how == "endpoint object":
+        cells1["stray"] = ("nowhere", "pt")
+        expected = ("dangling id", ("stray",), "endpoint object missing")
+    elif how == "stored under another id":
+        cells2["alias"] = X.cells2["1e"]
+        expected = ("dangling id", ("alias",), "cell stored under a different id")
+    elif how == "target 1-cell":
+        cells2["lost"] = TwoCell("lost", path("e"), "ghost")
+        expected = ("dangling id", ("lost", "ghost"), "target 1-cell missing")
+    elif how == "frame":
+        cells2["skew"] = TwoCell("skew", path("iA"), "iB")
+        expected = ("frame", ("skew",), "source path endpoints differ from target endpoints")
+    elif how == "no identity":
+        del ident2["s"]
+        expected = ("identity", ("s",), "no identity 2-cell recorded")
+    elif how == "identity frame":
+        ident2["e"] = "1s"
+        expected = ("identity", ("e", "1s"), "identity 2-cell has the wrong frame")
+    else:  # "identity on an unknown 1-cell"
+        ident2["ghost"] = "1e"
+        expected = ("dangling id", ("ghost",), "identity recorded for an unknown 1-cell")
+    return dataclasses.replace(X, cells1=cells1, cells2=cells2, ident2=ident2), expected
+
+
+@pytest.mark.parametrize("how", (
+    "endpoint object", "stored under another id", "target 1-cell", "frame",
+    "no identity", "identity frame", "identity on an unknown 1-cell",
+))
+def test_cell_and_identity_rules_name_their_witness(how):
+    Y, expected = _first_phase_corruption(how)
+    report = validate_op2(Y)
+    assert [(v.rule, v.witness, v.message) for v in report.violations] == [expected]
+    assert report == oracle_validate_op2(Y)
 
 
 def test_graft_row_on_a_nullary_outer_is_out_of_range():

@@ -150,6 +150,20 @@ def _without_cell(X, cid):
     return dataclasses.replace(X, cells2=cells2, graft=table)
 
 
+def test_niche_without_a_derivation_from_binary_universals(sign_op):
+    # the binary universal e;e|1e grafted onto itself derives the niche e;e;e;
+    # without that row neither it nor the niches it prefixes get an occupant
+    X, _ = sign_op
+    table = {key: r for key, r in X.graft.items() if key != ("e;e|1e", 0, "e;e|1e")}
+    broken = dataclasses.replace(X, graft=table)
+    report = check_coherence(broken)
+    assert [(v.rule, v.witness, v.message) for v in report.violations] == [
+        ("niche without universal occupant", (key,), "no derivation from binary universals")
+        for key in ((1, "e", "e", "e"), (1, "e", "e", "e", "e"), (1, "e", "e", "e", "s"))
+    ]
+    assert check_coherence(broken, direct_niche_search=True).ok
+
+
 def test_niche_without_universal_occupant(idem_op):
     X, _ = idem_op
     broken = _without_cell(X, "@pt|1")
