@@ -594,12 +594,9 @@ def validate_functor(F: CatFunctor, C: FiniteCategory, D: FiniteCategory) -> Val
     return out.report()
 
 
-def validate_lax_functor(F: LaxFunctor, B: FiniteBicategory, B2: FiniteBicategory) -> ValidationReport:
-    """Check the comparison-constraint axioms of a lax functor.
-
-    Rules: ``totality``, ``frame``, ``hom functor``, ``phi naturality``,
-    ``hexagon``, ``right unit axiom``, ``left unit axiom``.
-    """
+def _lax_functor_structure(F: LaxFunctor, B: FiniteBicategory, B2: FiniteBicategory) -> _Collector:
+    """``validate_lax_functor``'s ``totality``, ``frame`` and ``hom functor``
+    rules; a ``totality`` or ``frame`` violation ends the walk early."""
     out = _Collector()
     for A in B.objects:
         if F.on_objects.get(A) not in B2.objects:
@@ -611,7 +608,7 @@ def validate_lax_functor(F: LaxFunctor, B: FiniteBicategory, B2: FiniteBicategor
         elif B2.one_cells[ff] != (F.on_objects.get(s), F.on_objects.get(t)):
             out.add("frame", (f,), "1-cell image endpoints do not match")
     if out.items:
-        return out.report()
+        return out
     for a, (x, y) in B.two_cells.items():
         fa = F.on_two_cells.get(a)
         if fa is None or fa not in B2.two_cells:
@@ -638,16 +635,29 @@ def validate_lax_functor(F: LaxFunctor, B: FiniteBicategory, B2: FiniteBicategor
         if B2.two_cells[p] != want:
             out.add("frame", (A, p), "object constraint mistyped")
     if out.items:
-        return out.report()
+        return out
 
-    G0, G1, G2 = F.on_objects, F.on_one_cells, F.on_two_cells
+    G1, G2 = F.on_one_cells, F.on_two_cells
     for f in B.one_cells:
         if G2[B.id2[f]] != B2.id2[G1[f]]:
             out.add("hom functor", (f,), "identity 2-cell not preserved")
     for (b, a), c in B.vcomp.items():
         if B2.then2(G2[a], G2[b]) != G2[c]:
             out.add("hom functor", (b, a), "vertical composition not preserved")
+    return out
 
+
+def validate_lax_functor(F: LaxFunctor, B: FiniteBicategory, B2: FiniteBicategory) -> ValidationReport:
+    """Check the comparison-constraint axioms of a lax functor.
+
+    Rules: ``totality``, ``frame``, ``hom functor``, ``phi naturality``,
+    ``hexagon``, ``right unit axiom``, ``left unit axiom``.
+    """
+    out = _lax_functor_structure(F, B, B2)
+    if any(v.rule != "hom functor" for v in out.items):
+        return out.report()
+
+    G1, G2 = F.on_one_cells, F.on_two_cells
     for b, a in _hom_pairs(B.one_cells, B.two_cells):
         g1, g2 = B.two_cells[b]
         f1, f2 = B.two_cells[a]

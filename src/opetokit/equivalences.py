@@ -58,6 +58,7 @@ from .bicat import (
     _UNIT,
     _comb_tree,
     _hom_pairs,
+    _lax_functor_structure,
     _normalize,
     _whisker_at,
     chain_value,
@@ -155,23 +156,28 @@ def from_category(
     return FiniteOpOneCat(X.objects, X.cells1, comp, bound)
 
 
+def _check_level_maps(F: OpMorphism, X, Y) -> None:
+    """Objects and 1-cells go to objects and 1-cells of the same frame."""
+    for a in X.objects:
+        if F.on_objects.get(a) not in Y.objects:
+            raise InvalidInput(f"object {a!r} has no valid image")
+    for f, (s, t) in X.cells1.items():
+        ff = F.on_one_cells.get(f)
+        if ff is None or ff not in Y.cells1:
+            raise InvalidInput(f"1-cell {f!r} has no valid image")
+        if Y.cells1[ff] != (F.on_objects[s], F.on_objects[t]):
+            raise InvalidInput(f"image of 1-cell {f!r} breaks its frame")
+
+
 def functor_from_morphism(
     F: OpMorphism, X: FiniteOpOneCat, Y: FiniteOpOneCat, check: bool = True
 ) -> CatFunctor:
     """A morphism of 1-dimensional presentations is already a functor."""
     if check:
-        for a in X.objects:
-            if F.on_objects.get(a) not in Y.objects:
-                raise InvalidInput(f"object {a!r} has no valid image")
-        for f, (s, t) in X.cells1.items():
-            ff = F.on_one_cells.get(f)
-            if ff is None or ff not in Y.cells1:
-                raise InvalidInput(f"1-cell {f!r} has no valid image")
-            if Y.cells1[ff] != (F.on_objects[s], F.on_objects[t]):
-                raise InvalidInput(f"image of {f!r} breaks its frame")
+        _check_level_maps(F, X, Y)
         for key in iter_paths(X):
             image = key_image(key, F.on_objects, F.on_one_cells)
-            if Y.comp[image] != F.on_one_cells[X.comp[key]]:
+            if Y.comp.get(image) != F.on_one_cells[X.comp[key]]:
                 raise InvalidInput(f"composition not preserved on {key}")
     return CatFunctor(dict(F.on_objects), dict(F.on_one_cells))
 
@@ -416,15 +422,7 @@ def _check_morphism_shape(
     F: OpMorphism, X: FiniteOpTwoCat, X2: FiniteOpTwoCat
 ) -> None:
     """Frames, identities, and vertical grafting; full grafting is separate."""
-    for a in X.objects:
-        if F.on_objects.get(a) not in X2.objects:
-            raise InvalidInput(f"object {a!r} has no valid image")
-    for f, (s, t) in X.cells1.items():
-        ff = F.on_one_cells.get(f)
-        if ff is None or ff not in X2.cells1:
-            raise InvalidInput(f"1-cell {f!r} has no valid image")
-        if X2.cells1[ff] != (F.on_objects[s], F.on_objects[t]):
-            raise InvalidInput(f"image of 1-cell {f!r} breaks its frame")
+    _check_level_maps(F, X, X2)
     for cid, cell in X.cells2.items():
         img = F.on_two_cells.get(cid)
         if img is None or img not in X2.cells2:
@@ -444,6 +442,15 @@ def _check_morphism_shape(
             raise InvalidInput(
                 f"vertical composition not preserved at ({outer!r}, {inner!r})"
             )
+
+
+def _check_translation(
+    F: OpMorphism, X: FiniteOpTwoCat, X2: FiniteOpTwoCat, b: Biasing, b2: Biasing
+) -> None:
+    """The morphism's shape, then both biasings."""
+    _check_morphism_shape(F, X, X2)
+    _require(validate_biasing(X, b), InvalidBiasing)
+    _require(validate_biasing(X2, b2), InvalidBiasing)
 
 
 def validate_op_morphism(
@@ -476,9 +483,7 @@ def lax_functor_from_morphism(
     """Translate a morphism; constraints solved against the chosen occupants,
     after ``classify_morphism``'s checks when ``check`` is set."""
     if check:
-        _check_morphism_shape(F, X, X2)
-        _require(validate_biasing(X, b), InvalidBiasing)
-        _require(validate_biasing(X2, b2), InvalidBiasing)
+        _check_translation(F, X, X2, b, b2)
     on_two = {
         cid: F.on_two_cells[cid]
         for cid, cell in X.cells2.items()
@@ -528,37 +533,16 @@ def morphism_from_lax_functor(
 ) -> OpMorphism:
     """Extend a lax functor to all arities of the generated presentations.
 
-    This is a data-level translation: level maps, frames and the presence of
-    every constraint are checked, the constraint axioms themselves are not
+    This is a data-level translation: ``check`` runs the ``totality``,
+    ``frame`` and ``hom functor`` rules of ``validate_lax_functor`` and raises
+    ``InvalidInput`` with their report; the constraint axioms are not checked
     (use ``validate_lax_functor``).
     """
     bound = DEFAULT_ARITY_BOUND if arity_bound is None else arity_bound
     if bound < 2:
         raise ArityBoundExceeded("generation needs arity bound at least 2")
     if check:
-        for A in B.objects:
-            if G.on_objects.get(A) not in B2.objects:
-                raise InvalidInput(f"object {A!r} has no valid image")
-        for f, (s, t) in B.one_cells.items():
-            ff = G.on_one_cells.get(f)
-            if ff is None or B2.one_cells.get(ff) != (G.on_objects[s], G.on_objects[t]):
-                raise InvalidInput(f"image of 1-cell {f!r} breaks its frame")
-        for a, (x, y) in B.two_cells.items():
-            ga = G.on_two_cells.get(a)
-            if ga is None or B2.two_cells.get(ga) != (G.on_one_cells[x], G.on_one_cells[y]):
-                raise InvalidInput(f"image of 2-cell {a!r} breaks its frame")
-        for f in B.one_cells:
-            if G.on_two_cells[B.id2[f]] != B2.id2[G.on_one_cells[f]]:
-                raise InvalidInput(f"identity 2-cell on {f!r} not preserved")
-        for (b2c, a2c), c in B.vcomp.items():
-            if B2.then2(G.on_two_cells[a2c], G.on_two_cells[b2c]) != G.on_two_cells[c]:
-                raise InvalidInput("vertical composition not preserved")
-        for f, g in composable_pairs(B.one_cells):
-            if (g, f) not in G.phi_pair:
-                raise InvalidInput(f"pair constraint for ({g!r}, {f!r}) missing")
-        for A in B.objects:
-            if A not in G.phi_obj:
-                raise InvalidInput(f"object constraint for {A!r} missing")
+        _require(_lax_functor_structure(G, B, B2).report())
 
     gen, gen2 = _generate(B, bound), _generate(B2, bound)
     on_two: dict[str, str] = {}
@@ -583,9 +567,7 @@ def classify_morphism(
     first; a biasing that fails ``validate_biasing`` raises ``InvalidBiasing``.
     """
     if check:
-        _check_morphism_shape(F, X, X2)
-        _require(validate_biasing(X, b), InvalidBiasing)
-        _require(validate_biasing(X2, b2), InvalidBiasing)
+        _check_translation(F, X, X2, b, b2)
 
     def chosen_images():  # per choice of b: its cell, the cell's image, b2's choice there
         for a, cell in b.iota.items():

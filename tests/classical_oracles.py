@@ -8,14 +8,25 @@ arrows, skipping the non-composable ones, on every backtracking step;
 ``is_universal_1cell_op1`` scans all 1-cells for each 1-cell out of the
 source; ``to_bicategory`` solves ``hcomp2`` by a loop over all pairs of
 1-ary cells.  The library now takes the same cells from
-``composable_pairs``, ``composable_triples`` and ``_by_source``.  The bodies
-are kept as they were; only the imports are adjusted.
+``composable_pairs``, ``composable_triples`` and ``_by_source``.
+
+Two lax-functor checks are kept as well: ``validate_lax_functor`` as it was
+before its ``totality``, ``frame`` and ``hom functor`` rules moved into a
+helper shared with ``morphism_from_lax_functor``, and
+``morphism_from_lax_functor_check``, the translation's own hand-written check
+that the shared helper replaced.  That check missed the constraints' frames
+and dangling constraint ids.
+
+The bodies are kept as they were; only the imports are adjusted, and
+``validate_lax_functor`` calls this module's ``_hom_pairs``, which takes the
+whole bicategory and gives the same pairs.
 """
 
 from __future__ import annotations
 
 from opetokit.bicat import (
     FiniteBicategory,
+    LaxFunctor,
     _LEAF,
     _UNIT,
     invert_two_cell,
@@ -33,6 +44,7 @@ from opetokit.errors import (
     ArityBoundExceeded,
     DanglingId,
     InvalidBiasing,
+    InvalidInput,
     MissingComposite,
     ValidationReport,
     _Collector,
@@ -406,3 +418,121 @@ def to_bicategory(X: FiniteOpTwoCat, b: Biasing, check: bool = True) -> FiniteBi
         lunit=lunit,
         runit=runit,
     )
+
+
+def validate_lax_functor(F: LaxFunctor, B: FiniteBicategory, B2: FiniteBicategory) -> ValidationReport:
+    """Check the comparison-constraint axioms of a lax functor.
+
+    Rules: ``totality``, ``frame``, ``hom functor``, ``phi naturality``,
+    ``hexagon``, ``right unit axiom``, ``left unit axiom``.
+    """
+    out = _Collector()
+    for A in B.objects:
+        if F.on_objects.get(A) not in B2.objects:
+            out.add("totality", (A,), "object has no image")
+    for f, (s, t) in B.one_cells.items():
+        ff = F.on_one_cells.get(f)
+        if ff is None or ff not in B2.one_cells:
+            out.add("totality", (f,), "1-cell has no image")
+        elif B2.one_cells[ff] != (F.on_objects.get(s), F.on_objects.get(t)):
+            out.add("frame", (f,), "1-cell image endpoints do not match")
+    if out.items:
+        return out.report()
+    for a, (x, y) in B.two_cells.items():
+        fa = F.on_two_cells.get(a)
+        if fa is None or fa not in B2.two_cells:
+            out.add("totality", (a,), "2-cell has no image")
+        elif B2.two_cells[fa] != (F.on_one_cells[x], F.on_one_cells[y]):
+            out.add("frame", (a,), "2-cell image frame does not match")
+    for f, g in composable_pairs(B.one_cells):
+        p = F.phi_pair.get((g, f))
+        if p is None or p not in B2.two_cells:
+            out.add("totality", (g, f), "pair constraint missing")
+            continue
+        want = (
+            B2.beside1(F.on_one_cells[g], F.on_one_cells[f]),
+            F.on_one_cells[B.beside1(g, f)],
+        )
+        if B2.two_cells[p] != want:
+            out.add("frame", (g, f, p), "pair constraint mistyped")
+    for A in B.objects:
+        p = F.phi_obj.get(A)
+        if p is None or p not in B2.two_cells:
+            out.add("totality", (A,), "object constraint missing")
+            continue
+        want = (B2.id1[F.on_objects[A]], F.on_one_cells[B.id1[A]])
+        if B2.two_cells[p] != want:
+            out.add("frame", (A, p), "object constraint mistyped")
+    if out.items:
+        return out.report()
+
+    G0, G1, G2 = F.on_objects, F.on_one_cells, F.on_two_cells
+    for f in B.one_cells:
+        if G2[B.id2[f]] != B2.id2[G1[f]]:
+            out.add("hom functor", (f,), "identity 2-cell not preserved")
+    for (b, a), c in B.vcomp.items():
+        if B2.then2(G2[a], G2[b]) != G2[c]:
+            out.add("hom functor", (b, a), "vertical composition not preserved")
+
+    for b, a in _hom_pairs(B):
+        g1, g2 = B.two_cells[b]
+        f1, f2 = B.two_cells[a]
+        lhs = B2.then2(B2.beside2(G2[b], G2[a]), F.phi_pair[(g2, f2)])
+        rhs = B2.then2(F.phi_pair[(g1, f1)], G2[B.beside2(b, a)])
+        if lhs != rhs:
+            out.add("phi naturality", (b, a))
+
+    for f, g, h in composable_triples(B.one_cells):
+        gf, hg = B.beside1(g, f), B.beside1(h, g)
+        lhs = B2.then2(
+            B2.beside2(F.phi_pair[(h, g)], B2.id2[G1[f]]),
+            B2.then2(F.phi_pair[(hg, f)], G2[B.assoc[(h, g, f)]]),
+        )
+        rhs = B2.then2(
+            B2.assoc[(G1[h], G1[g], G1[f])],
+            B2.then2(B2.beside2(B2.id2[G1[h]], F.phi_pair[(g, f)]), F.phi_pair[(h, gf)]),
+        )
+        if lhs != rhs:
+            out.add("hexagon", (h, g, f))
+
+    for f, (s, t) in B.one_cells.items():
+        lhs = B2.then2(
+            B2.beside2(B2.id2[G1[f]], F.phi_obj[s]),
+            B2.then2(F.phi_pair[(f, B.id1[s])], G2[B.runit[f]]),
+        )
+        if lhs != B2.runit[G1[f]]:
+            out.add("right unit axiom", (f,))
+        lhs = B2.then2(
+            B2.beside2(F.phi_obj[t], B2.id2[G1[f]]),
+            B2.then2(F.phi_pair[(B.id1[t], f)], G2[B.lunit[f]]),
+        )
+        if lhs != B2.lunit[G1[f]]:
+            out.add("left unit axiom", (f,))
+    return out.report()
+
+
+def morphism_from_lax_functor_check(G: LaxFunctor, B: FiniteBicategory, B2: FiniteBicategory) -> None:
+    """``morphism_from_lax_functor``'s own ``check=True`` block."""
+    for A in B.objects:
+        if G.on_objects.get(A) not in B2.objects:
+            raise InvalidInput(f"object {A!r} has no valid image")
+    for f, (s, t) in B.one_cells.items():
+        ff = G.on_one_cells.get(f)
+        if ff is None or B2.one_cells.get(ff) != (G.on_objects[s], G.on_objects[t]):
+            raise InvalidInput(f"image of 1-cell {f!r} breaks its frame")
+    for a, (x, y) in B.two_cells.items():
+        ga = G.on_two_cells.get(a)
+        if ga is None or B2.two_cells.get(ga) != (G.on_one_cells[x], G.on_one_cells[y]):
+            raise InvalidInput(f"image of 2-cell {a!r} breaks its frame")
+    for f in B.one_cells:
+        if G.on_two_cells[B.id2[f]] != B2.id2[G.on_one_cells[f]]:
+            raise InvalidInput(f"identity 2-cell on {f!r} not preserved")
+    for (b2c, a2c), c in B.vcomp.items():
+        if B2.then2(G.on_two_cells[a2c], G.on_two_cells[b2c]) != G.on_two_cells[c]:
+            raise InvalidInput("vertical composition not preserved")
+    for f, g in composable_pairs(B.one_cells):
+        if (g, f) not in G.phi_pair:
+            raise InvalidInput(f"pair constraint for ({g!r}, {f!r}) missing")
+    for A in B.objects:
+        if A not in G.phi_obj:
+            raise InvalidInput(f"object constraint for {A!r} missing")

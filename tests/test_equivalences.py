@@ -159,6 +159,13 @@ def test_frame_breaking_morphism_rejected():
         functor_from_morphism(F, X, X)
 
 
+def test_functor_into_a_lower_bound_rejected(z2cat):
+    # the bound-2 target has no composites for the source's paths of arity 3
+    F = OpMorphism({"o": "o"}, {"e": "e", "s": "s"})
+    with pytest.raises(InvalidInput, match=re.escape("composition not preserved on (1, 'e', 'e', 'e')")):
+        functor_from_morphism(F, from_category(z2cat, 4), from_category(z2cat, 2))
+
+
 def _candidate_functor(C, D, rng):
     """A seeded candidate functor C -> D: the identity when C is D, otherwise
     a random object map with each arrow sent to a random arrow of the right
@@ -460,29 +467,47 @@ def test_generation_rejects_bounds_below_two(sign, bound):
         from_bicategory(sign_bicategory_broken_pentagon(), bound)
 
 
-def test_malformed_lax_functor_rejected_before_generation(sign, monkeypatch):
-    def no_generation(B, bound):
+@pytest.fixture
+def no_generation(monkeypatch):
+    def fail(B, bound):
         raise AssertionError("generated before the functor was checked")
 
-    monkeypatch.setattr(eq, "_generate", no_generation)
+    monkeypatch.setattr(eq, "_generate", fail)
+
+
+def test_malformed_lax_functor_rejected_before_generation(sign, no_generation):
     G = dataclasses.replace(identity_lax_functor(sign), on_objects={})
-    with pytest.raises(InvalidInput, match="object 'pt' has no valid image"):
+    with pytest.raises(InvalidInput, match=re.escape("totality: ('pt',): object has no image")):
         morphism_from_lax_functor(G, sign, sign)
 
 
 @pytest.mark.parametrize(
-    "table, message",
+    "table, message, witness",
     [
-        ("phi_pair", "pair constraint for ('e', 'e') missing"),
-        ("phi_obj", "object constraint for 'pt' missing"),
+        ("phi_pair", "pair constraint missing", ("e", "e")),
+        ("phi_obj", "object constraint missing", ("pt",)),
     ],
 )
-def test_missing_constraint_rejected_before_generation(sign, monkeypatch, table, message):
-    def no_generation(B, bound):
-        raise AssertionError("generated before the functor was checked")
-
-    monkeypatch.setattr(eq, "_generate", no_generation)
+def test_missing_constraint_rejected_before_generation(sign, no_generation, table, message, witness):
     G = dataclasses.replace(identity_lax_functor(sign), **{table: {}})
+    with pytest.raises(InvalidInput, match=re.escape(f"totality: {witness!r}: {message}")):
+        morphism_from_lax_functor(G, sign, sign)
+
+
+@pytest.mark.parametrize(
+    "table, key, cell, message",
+    [
+        ("phi_pair", ("e", "e"), "1s", "frame: ('e', 'e', '1s'): pair constraint mistyped"),
+        ("phi_obj", "pt", "1s", "frame: ('pt', '1s'): object constraint mistyped"),
+        ("phi_pair", ("s", "s"), "nowhere", "totality: ('s', 's'): pair constraint missing"),
+    ],
+    ids=["mistyped pair", "mistyped object", "dangling id"],
+)
+def test_bad_constraint_rejected_before_generation(sign, no_generation, table, key, cell, message):
+    # a constraint of the wrong frame, or naming no 2-cell, used to pass the
+    # translation's own check and fail during generation
+    G = identity_lax_functor(sign)
+    G = dataclasses.replace(G, **{table: {**getattr(G, table), key: cell}})
     with pytest.raises(InvalidInput, match=re.escape(message)):
         morphism_from_lax_functor(G, sign, sign)
 

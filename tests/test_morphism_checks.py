@@ -1,0 +1,221 @@
+"""Morphism checks: one structural check per kind, and the translations.
+
+- ``validate_lax_functor`` equals its oracle in ``classical_oracles``, rule,
+  witness, message and order, on seeded single-entry corruptions of four lax
+  functors, and ``morphism_from_lax_functor`` raises ``InvalidInput`` exactly
+  when that report breaks a ``totality``, ``frame`` or ``hom functor`` rule;
+  every functor the translation's old hand-written check rejected is still
+  rejected.
+- Translating a composite of lax functors equals composing the translated
+  morphisms, and translating back gives the composite.
+- The ``check=True`` translations raise only ``InvalidInput`` or
+  ``InvalidBiasing`` on corrupted input, never a bare lookup error.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+
+import pytest
+
+import classical_oracles as old
+from opetokit import (
+    InvalidBiasing,
+    InvalidInput,
+    LaxFunctor,
+    OpMorphism,
+    classify_morphism,
+    from_category,
+    functor_from_morphism,
+    lax_functor_from_morphism,
+    morphism_from_lax_functor,
+    validate_lax_functor,
+)
+from opetokit.fixtures import (
+    absorbing_constraint_functor,
+    identity_lax_functor,
+    sign_twisted_endofunctor,
+    small_category_family,
+    z2_category,
+)
+
+STRUCTURAL = {"totality", "frame", "hom functor"}
+
+
+def _collapse(sign) -> LaxFunctor:
+    """The hom collapse of the sign bicategory onto the idempotent one, with
+    the absorbing constraint on (s, s): a lax functor that is not strict."""
+    return LaxFunctor(
+        on_objects={"pt": "pt"},
+        on_one_cells={"e": "i", "s": "i"},
+        on_two_cells={a: "1" for a in sign.two_cells},
+        phi_pair={**{pair: "1" for pair in sign.hcomp1}, ("s", "s"): "t"},
+        phi_obj={"pt": "1"},
+    )
+
+
+@pytest.fixture(scope="module")
+def functors(sign, sign_op, idem, idem_op, terminal, terminal_op):
+    """(functor, source, target, and their generated presentations) for the
+    four lax functors."""
+    return [
+        (identity_lax_functor(sign), sign, sign, sign_op, sign_op),
+        (sign_twisted_endofunctor(), sign, sign, sign_op, sign_op),
+        (_collapse(sign), sign, idem, sign_op, idem_op),
+        (absorbing_constraint_functor(), terminal, idem, terminal_op, idem_op),
+    ]
+
+
+def _corrupt(tables: dict, ids_of: dict, rng: random.Random) -> dict:
+    """One entry of one table dropped, sent to an unknown id, or sent to
+    another id of the target; ``ids_of`` names the target's ids per table."""
+    name = rng.choice(sorted(tables))
+    table = dict(tables[name])
+    key = rng.choice(sorted(table))
+    how = rng.choice(("drop", "unknown", "other"))
+    if how == "drop":
+        del table[key]
+    elif how == "unknown":
+        table[key] = "nowhere"
+    else:
+        table[key] = rng.choice(sorted(set(ids_of[name]) - {table[key]}) or ["nowhere"])
+    return {**tables, name: table}
+
+
+def _corrupt_lax(G: LaxFunctor, B2, rng: random.Random) -> LaxFunctor:
+    ids_of = {
+        "on_objects": B2.objects,
+        "on_one_cells": B2.one_cells,
+        "on_two_cells": B2.two_cells,
+        "phi_pair": B2.two_cells,
+        "phi_obj": B2.two_cells,
+    }
+    return LaxFunctor(**_corrupt(dataclasses.asdict(G), ids_of, rng))
+
+
+def _corrupt_op(F: OpMorphism, Y, rng: random.Random) -> OpMorphism:
+    """As ``_corrupt_lax``; a 1-dimensional ``Y`` has no 2-cell table."""
+    ids_of = {"on_objects": Y.objects, "on_one_cells": Y.cells1, "on_two_cells": getattr(Y, "cells2", ())}
+    tables = {name: table for name, table in dataclasses.asdict(F).items() if table}
+    return OpMorphism(**_corrupt(tables, ids_of, rng))
+
+
+def _raises(call, errors=InvalidInput) -> bool:
+    try:
+        call()
+    except errors:
+        return True
+    return False
+
+
+# -- one structural check for lax functors ---------------------------------------
+
+
+def test_lax_functor_checks_agree_with_the_oracles(functors):
+    counts = {"rejected": 0, "translated": 0, "escaped the old check": 0}
+    for seed in range(400):
+        rng = random.Random(seed)
+        G, B, B2, _, _ = functors[seed % len(functors)]
+        H = _corrupt_lax(G, B2, rng)
+        report = validate_lax_functor(H, B, B2)
+        assert report == old.validate_lax_functor(H, B, B2), seed
+        rejected = _raises(lambda: morphism_from_lax_functor(H, B, B2))
+        assert rejected == bool(report.rules() & STRUCTURAL), (seed, str(report))
+        old_rejected = _raises(lambda: old.morphism_from_lax_functor_check(H, B, B2))
+        assert rejected or not old_rejected, seed
+        counts["rejected" if rejected else "translated"] += 1
+        counts["escaped the old check"] += rejected and not old_rejected
+    # the corruptions reach both outcomes, and some structurally broken
+    # functors got past the old check
+    assert min(counts.values()) > 0, counts
+
+
+# -- functoriality of the translation --------------------------------------------
+
+
+def _compose_lax(H: LaxFunctor, G: LaxFunctor, B2) -> LaxFunctor:
+    """H after G, where H lands in ``B2``: level maps compose, and each
+    constraint is H's constraint on G's images followed by H of G's."""
+    return LaxFunctor(
+        on_objects={a: H.on_objects[x] for a, x in G.on_objects.items()},
+        on_one_cells={f: H.on_one_cells[x] for f, x in G.on_one_cells.items()},
+        on_two_cells={a: H.on_two_cells[x] for a, x in G.on_two_cells.items()},
+        phi_pair={
+            (g, f): B2.then2(
+                H.phi_pair[(G.on_one_cells[g], G.on_one_cells[f])], H.on_two_cells[p]
+            )
+            for (g, f), p in G.phi_pair.items()
+        },
+        phi_obj={
+            a: B2.then2(H.phi_obj[G.on_objects[a]], H.on_two_cells[p])
+            for a, p in G.phi_obj.items()
+        },
+    )
+
+
+def _compose_op(F2: OpMorphism, F1: OpMorphism) -> OpMorphism:
+    """F2 after F1, level by level."""
+    return OpMorphism(
+        {a: F2.on_objects[x] for a, x in F1.on_objects.items()},
+        {f: F2.on_one_cells[x] for f, x in F1.on_one_cells.items()},
+        {c: F2.on_two_cells[x] for c, x in F1.on_two_cells.items()},
+    )
+
+
+@pytest.mark.parametrize(
+    "outer, inner",
+    [
+        ("twisted", "twisted"),
+        ("twisted", "identity"),
+        ("identity", "twisted"),
+        ("collapse", "twisted"),
+        ("idem identity", "collapse"),
+        ("collapse", "identity"),
+    ],
+)
+def test_translation_preserves_composites(sign, sign_op, idem, idem_op, outer, inner):
+    made = {  # name: (lax functor, source, target)
+        "identity": (identity_lax_functor(sign), "sign", "sign"),
+        "twisted": (sign_twisted_endofunctor(), "sign", "sign"),
+        "collapse": (_collapse(sign), "sign", "idem"),
+        "idem identity": (identity_lax_functor(idem), "idem", "idem"),
+    }
+    bicategories = {"sign": (sign, sign_op), "idem": (idem, idem_op)}
+    H, middle, last = made[outer]
+    G, first, middle_again = made[inner]
+    assert middle == middle_again
+    (B, (X, b)), (B1, _), (B2, (X2, b2)) = (bicategories[n] for n in (first, middle, last))
+    HG = _compose_lax(H, G, B2)
+    assert validate_lax_functor(HG, B, B2).ok
+    F = morphism_from_lax_functor(HG, B, B2)
+    assert F == _compose_op(morphism_from_lax_functor(H, B1, B2), morphism_from_lax_functor(G, B, B1))
+    assert lax_functor_from_morphism(F, X, X2, b, b2) == HG
+
+
+# -- the translations raise domain errors only -------------------------------------
+
+
+def test_op1_translation_raises_domain_errors_only():
+    categories = [z2_category(), *small_category_family()[::97]]
+    outcomes = set()
+    for seed in range(200):
+        rng = random.Random(seed)
+        C = categories[seed % len(categories)]
+        X, Y = from_category(C, rng.randint(2, 4)), from_category(C, rng.randint(2, 4))
+        identity = OpMorphism({a: a for a in C.objects}, {f: f for f in C.arrows})
+        F = _corrupt_op(identity, Y, rng) if rng.random() < 0.8 else identity
+        outcomes.add(_raises(lambda: functor_from_morphism(F, X, Y)))
+    assert outcomes == {True, False}
+
+
+def test_op2_translations_raise_domain_errors_only(functors):
+    outcomes = set()
+    for seed in range(200):
+        rng = random.Random(seed)
+        G, B, B2, (X, b), (X2, b2) = functors[seed % len(functors)]
+        outcomes.add(_raises(lambda: morphism_from_lax_functor(_corrupt_lax(G, B2, rng), B, B2)))
+        F = _corrupt_op(morphism_from_lax_functor(G, B, B2), X2, rng)
+        for translate in (lax_functor_from_morphism, classify_morphism):
+            outcomes.add(_raises(lambda: translate(F, X, X2, b, b2), (InvalidInput, InvalidBiasing)))
+    assert outcomes == {True, False}
