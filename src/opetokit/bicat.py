@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .core import _by_source, composable_pairs, composable_triples
 from .errors import (
     DanglingId,
+    InvalidInput,
     MissingComposite,
     PathMismatch,
     ValidationReport,
@@ -596,7 +597,12 @@ def validate_functor(F: CatFunctor, C: FiniteCategory, D: FiniteCategory) -> Val
 
 def _lax_functor_structure(F: LaxFunctor, B: FiniteBicategory, B2: FiniteBicategory) -> _Collector:
     """``validate_lax_functor``'s ``totality``, ``frame`` and ``hom functor``
-    rules; a ``totality`` or ``frame`` violation ends the walk early."""
+    rules; a ``totality`` or ``frame`` violation ends the walk early.  Raises
+    ``InvalidInput`` with the report of a bicategory that is not valid."""
+    for side in (B, B2):
+        report = validate_bicategory(side)
+        if not report.ok:
+            raise InvalidInput(str(report))
     out = _Collector()
     for A in B.objects:
         if F.on_objects.get(A) not in B2.objects:
@@ -651,7 +657,9 @@ def validate_lax_functor(F: LaxFunctor, B: FiniteBicategory, B2: FiniteBicategor
     """Check the comparison-constraint axioms of a lax functor.
 
     Rules: ``totality``, ``frame``, ``hom functor``, ``phi naturality``,
-    ``hexagon``, ``right unit axiom``, ``left unit axiom``.
+    ``hexagon``, ``right unit axiom``, ``left unit axiom``.  Both bicategories
+    must be valid: otherwise ``InvalidInput`` is raised with the first failing
+    ``validate_bicategory`` report, source first.
     """
     out = _lax_functor_structure(F, B, B2)
     if any(v.rule != "hom functor" for v in out.items):

@@ -36,6 +36,8 @@ from .equivalences import (
 from .errors import OpetokitError, ParseError, UnknownKind, UsageError
 from .universality import check_coherence, is_universal_2cell
 
+Result = tuple[dict, list[str], int]  # what a command returns: payload, text lines, exit code
+
 
 def _bound(args) -> int:
     if args.arity_bound is not None:
@@ -56,79 +58,51 @@ def _load(filename: str):
     return doc["kind"], serialize.from_doc(doc)
 
 
-def _report_payload(kind: str, report) -> dict:
-    return {
-        "kind": kind,
-        "ok": report.ok,
-        "violations": [
-            {"rule": v.rule, "witness": list(v.witness), "message": v.message}
-            for v in report.violations
-        ],
-    }
+def _report(kind: str, report) -> Result:
+    """A validator's report as a command result: payload, text lines, exit code."""
+    violations, lines = [], []
+    for v in report.violations:
+        violations.append({"rule": v.rule, "witness": list(v.witness), "message": v.message})
+        lines.append(f"  {v.rule} {tuple(v.witness)}{f' {v.message}' if v.message else ''}")
+    head = f"{kind}: ok" if report.ok else f"{kind}: {len(violations)} violation(s)"
+    payload = {"kind": kind, "ok": report.ok, "violations": violations}
+    return payload, [head, *lines], 0 if report.ok else 1
 
 
-def _emit(args, payload: dict) -> None:
-    if getattr(args, "format", "text") == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return
-    if payload.get("ok"):
-        print(f"{payload['kind']}: ok")
-    else:
-        print(f"{payload['kind']}: {len(payload['violations'])} violation(s)")
-        for v in payload["violations"]:
-            detail = f" {v['message']}" if v.get("message") else ""
-            print(f"  {v['rule']} {tuple(v['witness'])}{detail}")
-
-
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> Result:
     kind, obj = _load(args.file)
     if args.kind and args.kind != kind:
         raise UnknownKind(f"file is {kind!r}, asked to validate as {args.kind!r}")
-    if kind == "category":
-        report = validate_category(obj)
-    elif kind == "bicategory":
-        report = validate_bicategory(obj)
-    elif kind == "op1cat":
-        report = validate_op1(obj)
-    elif kind == "op2cat":
-        report = validate_op2(obj[0])
-    elif kind == "laxfunctor":
+    if kind == "laxfunctor":
         raise UnknownKind("validating a laxfunctor needs its endpoint bicategories; "
                           "use the library call validate_lax_functor")
-    else:
+    validators = {"category": validate_category, "bicategory": validate_bicategory,
+                  "op1cat": validate_op1, "op2cat": lambda pair: validate_op2(pair[0])}
+    if kind not in validators:
         raise UnknownKind(f"no validator for kind {kind!r}")
-    _emit(args, _report_payload(kind, report))
-    return 0 if report.ok else 1
+    return _report(kind, validators[kind](obj))
 
 
-def cmd_universal(args) -> int:
+def cmd_universal(args) -> Result:
     kind, obj = _load(args.file)
     if kind != "op2cat":
         raise UnknownKind("universality checks need an op2cat file")
     X, _ = obj
     validity = validate_op2(X)
     if not validity.ok:
-        _emit(args, _report_payload(kind, validity))
-        return 1
+        return _report(kind, validity)
     if args.cell is not None:
         verdict = is_universal_2cell(X, args.cell)
         payload = {"kind": kind, "ok": verdict, "cell": args.cell,
                    "universal": verdict, "violations": []}
-        if args.format == "json":
-            _emit(args, payload)
-        else:
-            print(f"{args.cell}: {'universal' if verdict else 'non-universal'}")
-        return 0 if verdict else 1
+        line = f"{args.cell}: {'universal' if verdict else 'non-universal'}"
+        return payload, [line], 0 if verdict else 1
     report = check_coherence(X, direct_niche_search=args.direct_niche_search)
-    verdicts = {cid: cid in report.universal_two_cells for cid in sorted(X.cells2)}
-    if args.format == "json":
-        _emit(args, {**_report_payload(kind, report), "cells": verdicts,
-                     "universal_one_cells": sorted(report.universal_one_cells)})
-    else:
-        for cid, ok in verdicts.items():
-            print(f"{cid}: {'universal' if ok else 'non-universal'}")
-        print(f"coherence: {report}")
-    return 0 if report.ok else 1
+    cells = {cid: cid in report.universal_two_cells for cid in sorted(X.cells2)}
+    payload, _, code = _report(kind, report)
+    payload.update(cells=cells, universal_one_cells=sorted(report.universal_one_cells))
+    lines = [f"{cid}: {'universal' if ok else 'non-universal'}" for cid, ok in cells.items()]
+    return payload, [*lines, f"coherence: {report}"], code
 
 
 def _default_out(filename: str, new_kind: str) -> str:
@@ -136,15 +110,14 @@ def _default_out(filename: str, new_kind: str) -> str:
     return f"{base}.{new_kind}.json"
 
 
-def cmd_convert(args) -> int:
+def cmd_convert(args) -> Result:
     kind, obj = _load(args.file)
     bound = _bound(args)
     if args.to == "opic":
         if kind == "category":
             out = serialize.to_doc(from_category(obj, bound))
         elif kind == "bicategory":
-            X, biasing = from_bicategory(obj, bound)
-            out = serialize.to_doc(X, biasing)
+            out = serialize.to_doc(*from_bicategory(obj, bound))
         else:
             raise UnknownKind(f"cannot convert {kind!r} to the opetopic side")
     else:  # "bicat"; argparse rejects any other target
@@ -152,8 +125,7 @@ def cmd_convert(args) -> int:
             out = serialize.to_doc(to_category(obj))
         elif kind == "op2cat":
             X, biasing = obj
-            if biasing is None or args.seedless_tiebreak:
-                biasing = choose_biasing(X)
+            biasing = choose_biasing(X) if biasing is None or args.seedless_tiebreak else biasing
             out = serialize.to_doc(to_bicategory(X, biasing))
         else:
             raise UnknownKind(f"cannot convert {kind!r} to the classical side")
@@ -162,42 +134,33 @@ def cmd_convert(args) -> int:
         serialize.save_path(target, out)
     except OSError as exc:
         raise UsageError(f"cannot write {target}: {exc}") from None
-    print(target)
-    return 0
+    return {"kind": out["kind"], "ok": True, "out": target}, [target], 0
 
 
-def cmd_roundtrip(args) -> int:
+def cmd_roundtrip(args) -> Result:
     kind, obj = _load(args.file)
     bound = _bound(args)
     if kind == "category":
         back = serialize.to_doc(to_category(from_category(obj, bound)))
         original = serialize.to_doc(obj)
     elif kind == "bicategory":
-        X, biasing = from_bicategory(obj, bound)
-        back = serialize.to_doc(to_bicategory(X, biasing))
+        back = serialize.to_doc(to_bicategory(*from_bicategory(obj, bound)))
         original = serialize.to_doc(obj)
     elif kind == "op1cat":
         back = serialize.to_doc(from_category(to_category(obj), obj.arity_bound))
         original = serialize.to_doc(obj)
     elif kind == "op2cat":
         X, biasing = obj
-        if biasing is None:
-            biasing = choose_biasing(X)
-        regenerated, regenerated_biasing = from_bicategory(
-            to_bicategory(X, biasing), X.arity_bound
-        )
-        back = serialize.to_doc(regenerated, regenerated_biasing)
+        biasing = choose_biasing(X) if biasing is None else biasing
+        back = serialize.to_doc(*from_bicategory(to_bicategory(X, biasing), X.arity_bound))
         original = serialize.to_doc(X, biasing)
     else:
         raise UnknownKind(f"cannot roundtrip kind {kind!r}")
     if back == original:
-        print("roundtrip: identical")
-        return 0
+        return {"kind": kind, "ok": True, "differences": []}, ["roundtrip: identical"], 0
     diffs = _doc_diff(original, back)
-    print(f"roundtrip: {len(diffs)} difference(s)")
-    for d in diffs[:20]:
-        print(f"  {d}")
-    return 1
+    lines = [f"roundtrip: {len(diffs)} difference(s)", *(f"  {d}" for d in diffs[:20])]
+    return {"kind": kind, "ok": False, "differences": diffs}, lines, 1
 
 
 def _doc_diff(a: dict, b: dict, prefix: str = "") -> list[str]:
@@ -221,7 +184,7 @@ def _doc_diff(a: dict, b: dict, prefix: str = "") -> list[str]:
     return out
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> Result:
     kind_x, obj_x = _load(args.source)
     kind_y, obj_y = _load(args.target)
     kind_f, morphism = _load(args.morphism)
@@ -233,15 +196,14 @@ def cmd_classify(args) -> int:
                                    ("opmorphism", validate_op_morphism, (morphism, X, Y))):
         report = validate(*inputs)
         if not report.ok:
-            _emit(args, _report_payload(kind, report))
-            return 1
-    if b is None:
-        b = choose_biasing(X)
-    if b2 is None:
-        b2 = choose_biasing(Y)
+            return _report(kind, report)
+    b = choose_biasing(X) if b is None else b
+    b2 = choose_biasing(Y) if b2 is None else b2
     result = classify_morphism(morphism, X, Y, b, b2)
-    print(result)
-    return 0 if result.verdict in ("strict", "weak") else 1
+    code = 0 if result.verdict in ("strict", "weak") else 1
+    payload = {"kind": "opmorphism", "ok": code == 0, "verdict": result.verdict,
+               "witness": list(result.witness)}
+    return payload, [str(result)], code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,16 +249,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and write its result, the only output on stdout: the
+    payload as JSON under ``--format json``, its text lines otherwise."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        payload, lines, code = args.run(args)
     except (ParseError, UnknownKind, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OpetokitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    if getattr(args, "format", "text") == "json":
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

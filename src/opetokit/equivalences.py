@@ -536,7 +536,9 @@ def morphism_from_lax_functor(
     This is a data-level translation: ``check`` runs the ``totality``,
     ``frame`` and ``hom functor`` rules of ``validate_lax_functor`` and raises
     ``InvalidInput`` with their report; the constraint axioms are not checked
-    (use ``validate_lax_functor``).
+    (use ``validate_lax_functor``).  Both bicategories must be valid: under
+    ``check`` one that is not raises ``InvalidInput`` with its
+    ``validate_bicategory`` report, source first.
     """
     bound = DEFAULT_ARITY_BOUND if arity_bound is None else arity_bound
     if bound < 2:

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import re
+import shlex
+import tempfile
 from pathlib import Path
 
+import pytest
+
 from opetokit import cli, serialize
-from opetokit.bicat import LaxFunctor
 from opetokit.cli import main
 from opetokit.equivalences import (
     from_bicategory,
@@ -20,13 +25,16 @@ from opetokit.fixtures import (
     idempotent_bicategory,
     identity_lax_functor,
     sign_twisted_endofunctor,
+    sign_bicategory,
     small_category_family,
     terminal_bicategory,
 )
 
+from test_morphism_checks import _collapse
 from test_universality import _without_cell
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "docs" / "fixtures"
+TRANSCRIPT = Path(__file__).resolve().parent / "cli_transcript.txt"
 
 
 def _write(tmp_path, name, doc):
@@ -203,18 +211,9 @@ def test_classify_cli(tmp_path, capsys, sign, sign_op, terminal_op, idem_op):
     assert main(["classify", x_path, x_path, w_path]) == 0
     assert "weak" in capsys.readouterr().out
 
-    # the hom collapse onto the idempotent with the absorbing constraint on
-    # (s, s): a lax functor that is not strict
     XI, bI = idem_op
     i_path = _write(tmp_path, "i.json", serialize.to_doc(XI, bI))
-    collapse = LaxFunctor(
-        on_objects={"pt": "pt"},
-        on_one_cells={"e": "i", "s": "i"},
-        on_two_cells={a: "1" for a in sign.two_cells},
-        phi_pair={**{pair: "1" for pair in sign.hcomp1}, ("s", "s"): "t"},
-        phi_obj={"pt": "1"},
-    )
-    lax = morphism_from_lax_functor(collapse, sign, idempotent_bicategory())
+    lax = morphism_from_lax_functor(_collapse(sign), sign, idempotent_bicategory())
     l_path = _write(tmp_path, "l.json", serialize.to_doc(lax))
     assert main(["classify", x_path, i_path, l_path]) == 1
     assert capsys.readouterr().out.startswith("lax")
@@ -482,3 +481,74 @@ def test_usage_lines_list_every_flag():
         for text in (cli.__doc__, readme):
             line = re.search(rf"^\s*opetokit {command} .*$", text, re.M).group()
             assert flags == set(re.findall(r"--[a-z-]+", line)), (command, line)
+
+
+# -- the transcript: exact output of every command form --------------------------
+
+
+def _transcript_inputs(tmp: Path) -> None:
+    """Write the documents that the transcript's ``{tmp}`` paths name."""
+    sign, idem, terminal = sign_bicategory(), idempotent_bicategory(), terminal_bicategory()
+    doc = serialize.load_path(str(FIXTURE_DIR / "op2cat.json"))
+    biasing = {**doc["biasing"], "iota": {**doc["biasing"]["iota"], "pt": "@pt|ne"}}
+    idem_op = from_bicategory(idem)
+    docs = {
+        "dropped.json": {**doc, "graft": doc["graft"][1:]},
+        "biasing.json": {**doc, "biasing": biasing},
+        "idem.json": serialize.to_doc(*idem_op),
+        "no-unit.json": serialize.to_doc(_without_cell(idem_op[0], "@pt|1")),
+        "terminal.json": serialize.to_doc(*from_bicategory(terminal)),
+        "weak.json": serialize.to_doc(
+            morphism_from_lax_functor(sign_twisted_endofunctor(), sign, sign)),
+        "lax.json": serialize.to_doc(
+            morphism_from_lax_functor(_collapse(sign), sign, idem)),
+        "absorbing.json": serialize.to_doc(
+            morphism_from_lax_functor(absorbing_constraint_functor(), terminal, idem)),
+    }
+    for name, d in docs.items():
+        serialize.save_path(str(tmp / name), d)
+
+
+def _transcript_parts() -> list[str]:
+    """The transcript's header, then its blocks: ``$ opetokit ARGS``, the exact
+    stdout, then ``[stderr]`` and the exact stderr when there is any, then
+    ``[exit N]``."""
+    return re.split(r"(?m)^(?=\$ )", TRANSCRIPT.read_text(encoding="utf-8"))
+
+
+def _run_transcript_line(line: str, tmp: Path) -> str:
+    """Run one ``$ opetokit ARGS`` line and render it as a transcript block."""
+    places = {"{fixtures}": str(FIXTURE_DIR), "{tmp}": str(tmp)}
+    argv = shlex.split(line)[2:]
+    for place, path in places.items():
+        argv = [arg.replace(place, path) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    text = f"{line}\n{out.getvalue()}"
+    if err.getvalue():
+        text += f"[stderr]\n{err.getvalue()}"
+    text += f"[exit {code}]\n"
+    for place, path in places.items():
+        text = text.replace(path, place)
+    return text
+
+
+@pytest.fixture(scope="module")
+def transcript_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("transcript")
+    _transcript_inputs(tmp)
+    return tmp
+
+
+@pytest.mark.parametrize("block", _transcript_parts()[1:], ids=lambda b: b.split("\n", 1)[0][2:])
+def test_transcript(block, transcript_dir):
+    assert _run_transcript_line(block.split("\n", 1)[0], transcript_dir) == block
+
+
+if __name__ == "__main__":  # rewrite the transcript's outputs from the current program
+    with tempfile.TemporaryDirectory() as scratch:
+        _transcript_inputs(Path(scratch))
+        header, *blocks = _transcript_parts()
+        blocks = [_run_transcript_line(b.split("\n", 1)[0], Path(scratch)) for b in blocks]
+    TRANSCRIPT.write_text(header + "".join(blocks), encoding="utf-8")

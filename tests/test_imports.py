@@ -1,6 +1,7 @@
 """Every library module other than the package ``__init__`` uses every name
-it imports, and every private module-level name the package defines is read
-somewhere in the package; the checks read the source with ``ast`` only."""
+it imports, every private module-level name the package defines is read
+somewhere in the package, and the command line writes stdout from ``main``
+only; the checks read the source with ``ast`` only."""
 
 from __future__ import annotations
 
@@ -86,3 +87,42 @@ def test_the_check_finds_dead_definitions():
 def test_every_private_definition_is_read():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert dead_private_definitions(sources) == []
+
+
+def stdout_writes_outside(source: str, function: str) -> list[int]:
+    """Line numbers of the writes to stdout (a ``print`` not given
+    ``file=sys.stderr``, or any use of ``sys.stdout``) outside the top-level
+    function ``function``."""
+    tree = ast.parse(source)
+    inside = {
+        id(node)
+        for stmt in tree.body
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == function
+        for node in ast.walk(stmt)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+            target = next((k.value for k in node.keywords if k.arg == "file"), None)
+            if target is None or ast.unparse(target) != "sys.stderr":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stdout":
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_the_check_finds_stdout_writes():
+    source = (
+        "import sys\n"
+        "def helper():\n    print('x')\n    print('y', file=sys.stderr)\n"
+        "    sys.stdout.write('z')\n    print('w', file=sys.stdout)\n"
+        "def main():\n    print('ok')\n    sys.stdout.write('ok')\n"
+    )
+    assert stdout_writes_outside(source, "main") == [3, 5, 6]
+
+
+def test_the_command_line_writes_stdout_from_main_only():
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert stdout_writes_outside(source, "main") == []

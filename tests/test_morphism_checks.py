@@ -9,7 +9,9 @@
 - Translating a composite of lax functors equals composing the translated
   morphisms, and translating back gives the composite.
 - The ``check=True`` translations raise only ``InvalidInput`` or
-  ``InvalidBiasing`` on corrupted input, never a bare lookup error.
+  ``InvalidBiasing`` on corrupted input, never a bare lookup error; so do
+  ``validate_lax_functor`` and ``morphism_from_lax_functor`` when a
+  bicategory is not valid.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from opetokit import (
     functor_from_morphism,
     lax_functor_from_morphism,
     morphism_from_lax_functor,
+    validate_bicategory,
     validate_lax_functor,
 )
 from opetokit.fixtures import (
@@ -219,3 +222,17 @@ def test_op2_translations_raise_domain_errors_only(functors):
         for translate in (lax_functor_from_morphism, classify_morphism):
             outcomes.add(_raises(lambda: translate(F, X, X2, b, b2), (InvalidInput, InvalidBiasing)))
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("broken", ["source", "target", "both"])
+def test_an_invalid_bicategory_is_a_domain_error(sign, broken):
+    # the 1-cell s without its identity 2-cell: the functor's own rules would
+    # look that identity up, so both calls check the bicategories first
+    bad = dataclasses.replace(sign, id2={"e": "1e"})
+    B = sign if broken == "target" else bad
+    B2 = sign if broken == "source" else bad
+    expected = str(validate_bicategory(bad))
+    for call in (validate_lax_functor, morphism_from_lax_functor):
+        with pytest.raises(InvalidInput) as info:
+            call(identity_lax_functor(sign), B, B2)
+        assert str(info.value) == expected, call.__name__
