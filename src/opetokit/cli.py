@@ -7,16 +7,18 @@
     opetokit classify SOURCE TARGET MORPHISM
 
 Exit codes: 0 clean, 1 validation or classification negative, 2 parse or
-I/O error.  ``classify`` exits 0 for strict and weak verdicts and 1 for lax
-(a universal occupant exists whose image is not universal); it validates
-both structures and the morphism first and, on violations, prints the first
-failing report as ``validate`` does and exits 1.
+I/O error (a stdout closed by its reader included).  ``classify`` exits 0
+for strict and weak verdicts and 1 for lax (a universal occupant exists
+whose image is not universal); it validates both structures and the
+morphism first and, on violations, prints the first failing report as
+``validate`` does and exits 1.
 The environment variable OPETOKIT_ARITY_BOUND overrides the default bound 4.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -260,10 +262,14 @@ def main(argv=None) -> int:
     except OpetokitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    if getattr(args, "format", "text") == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print("\n".join(lines))
+    as_json = getattr(args, "format", "text") == "json"
+    try:
+        print(json.dumps(payload, indent=2, sort_keys=True) if as_json else "\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader is gone; the exit-time flush must not fail again
+        with contextlib.suppress(OSError, ValueError):  # a stdout with no descriptor
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     return code
 
 

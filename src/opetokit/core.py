@@ -462,6 +462,16 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
     ``dangling id``, ``frame``, ``identity``, ``totality``, ``right unit``,
     ``left unit``, ``sequential associativity``, ``parallel commutation``.
 
+    The table is read in blocks, one per occupied source path ``p`` of arity
+    ``m <= bound + 1``: the rows ``(a, i, b)`` for its occupants ``a``, its
+    slots ``i`` and the cells ``b`` into its ``i``-th edge of arity at most
+    ``bound + 1 - m``.  One ``map`` per outer cell looks its rows up, and two
+    list comparisons check their results' sources and targets.  The table
+    passes when every block does and the blocks cover all ``len(graft)``
+    (distinct) rows; otherwise ``_walk_table`` reports totality and frames
+    row by row, and if it finds nothing, the rows longer than the bound join
+    ``col`` and ``below`` after the blocks' rows, in arity order.
+
     A law instance is skipped when either side's graft has no table entry,
     and reported when both exist and differ.  Once the frames pass, every
     entry's result has the spliced source, so no entry has a composite
@@ -481,18 +491,14 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
       ``col[j][c]``, over the outer cells with those edges at those slots.
 
     Each batch is accepted by one ``itemgetter`` call per side when the two
-    tuples are equal: every pair is then present and equal, as a walk would
-    find.  A lookup raises ``KeyError`` only at an absent entry; such a
-    batch, and one whose tuples differ, is walked pair by pair under the
-    skip rule, so witnesses, messages and their order are those of a walk
-    over every instance.  A getter is rebuilt only when the cut length ``n``
-    changes, and ``n`` only falls: along a column's rows for the getters
-    over its first ``n`` values and outer cells, along the cells ``c`` for
-    the getter over ``graft(a, i, b)``, and along the cells ``b`` for the
-    getter over ``graft(a, j, c)``, which is kept per ``c``.  ``notes`` holds
-    ``arity_bound`` and, once the laws run, ``checked``: the instances each
-    law compared, summed from batch lengths (a walked batch counts the pairs
-    it compared).
+    tuples are equal: every pair is then present and equal.  A batch with an
+    absent entry (a ``KeyError``) or unequal tuples is walked pair by pair
+    under the skip rule, so witnesses, messages and their order are those of
+    a walk over every instance.  A getter is rebuilt only when the cut
+    length ``n`` changes, and ``n`` only falls along the loop that reuses
+    it.  ``notes`` holds ``arity_bound`` and, once the laws run,
+    ``checked``: the instances each law compared, summed from batch lengths
+    (a walked batch counts the pairs it compared).
     """
     rejected = _bound_report(X)
     if rejected is not None:
@@ -529,51 +535,65 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
         if f not in X.cells1:
             out.add("dangling id", (f,), "identity recorded for an unknown 1-cell")
 
-    # totality and frame agreement of the grafting table; an inner cell fits
-    # a slot of an outer cell of arity m when its arity is at most bound + 1 - m
-    bound = X.arity_bound
+    bound, graft_table = X.arity_bound, X.graft
     arity = {cid: cell.source.arity for cid, cell in X.cells2.items()}
     by_target: dict[str, list[str]] = {}
+    occupants: dict[tuple, list[str]] = {}  # as X.occupants, which validation leaves unbuilt
     for cid, cell in X.cells2.items():
         by_target.setdefault(cell.target, []).append(cid)
+        occupants.setdefault(cell.source.key(), []).append(cid)
+    canon = {key: key for key in occupants}  # one key object per path: compared by identity
+    source = {cid: key for key, ids in occupants.items() for cid in ids}
+    edges = {key: key[1:] if key[0] else () for key in occupants}  # by path
+    target = {cid: cell.target for cid, cell in X.cells2.items()}
     # fitting[f][k]: the cells into f of arity at most k, in cells2 order
     fitting = {
         f: [tuple(c for c in by_target.get(f, ()) if arity[c] <= k) for k in range(bound + 1)]
         for f in X.cells1
     }
-    for cid, outer in sorted(X.cells2.items()):
-        room = bound + 1 - arity[cid]
-        if room < 0:
+    # col[i][b]: {a: graft(a, i, b)} with the outer cells a in arity order;
+    # below[b]: the rows (j, c, graft(b, j, c)) as three lists, c in arity order
+    top = max(arity.values(), default=0)
+    col: list[dict[str, dict[str, str]]] = [{} for _ in range(top)]
+    below: dict[str, list[list]] = {}
+    covered = 0
+    for p in sorted(occupants, key=len):  # the blocks, paths in arity order
+        m, outs = len(p) - 1, occupants[p]
+        if not p[0] or m > bound + 1:
             continue
-        for slot, edge in enumerate(outer.source.edges):
-            for inner_id in fitting[edge][room]:
-                key = (cid, slot, inner_id)
-                if key not in X.graft:
-                    out.add("totality", key, "in-bound graft has no table entry")
-    source = {cid: cell.source.key() for cid, cell in X.cells2.items()}
-    for (cid, slot, inner_id), result in X.graft.items():
-        if cid not in X.cells2 or inner_id not in X.cells2 or result not in X.cells2:
-            out.add("dangling id", (cid, slot, inner_id, result))
-            continue
-        if not 0 <= slot < arity[cid]:
-            out.add("frame", (cid, slot, inner_id), "slot out of range")
-            continue
-        outer_key, inner_key = source[cid], source[inner_id]
-        if X.cells2[inner_id].target != outer_key[slot + 1]:
-            out.add("frame", (cid, slot, inner_id), "inner target differs from the slot edge")
-            continue
-        # the outer key with the slot's edge replaced by the inner key's edges
-        head, tail = outer_key[: slot + 1], outer_key[slot + 2 :]
-        if inner_key[0]:
-            spliced = head + inner_key[1:] + tail
-        else:
-            spliced = head + tail if len(head) + len(tail) > 1 else inner_key
-        if source[result] != spliced:
-            out.add("frame", (cid, slot, inner_id), "result source is not the spliced path")
-        if X.cells2[result].target != X.cells2[cid].target:
-            out.add("frame", (cid, slot, inner_id), "result target differs from the outer target")
+        # the slots i and inner cells b of the path's in-bound rows, b in arity order
+        fits = [(i, b) for i in range(m) for b in fitting[p[i + 1]][bound + 1 - m]]
+        fits.sort(key=lambda fit: arity[fit[1]])
+        js, cs = [i for i, _ in fits], [b for _, b in fits]
+        spliced = [canon.get(p[: i + 1] + edges[source[b]] + p[i + 2 :]) if m > 1 else source[b]
+                   for i, b in fits]
+        try:
+            rows = [list(map(graft_table.__getitem__, zip(repeat(a), js, cs))) for a in outs]
+            framed = all(list(map(source.__getitem__, row)) == spliced
+                         and list(map(target.__getitem__, row)) == [target[a]] * len(row)
+                         for a, row in zip(outs, rows))
+        except KeyError:  # an absent row or an unknown result
+            framed = False
+        covered = covered + len(fits) * len(outs) if framed else -1
+        if not framed:
+            break
+        for (i, b), results in zip(fits, zip(*rows)):
+            col[i].setdefault(b, {}).update(zip(outs, results))
+        for a, row in zip(outs, rows):
+            below[a] = [js, cs, row]
+    if covered != len(graft_table):
+        _walk_table(X, out, fitting, source, edges)
+        if not out.items:  # every row is framed: those longer than the bound follow
+            extra: dict[str, list[tuple]] = {}
+            beyond = [key for key in graft_table if arity[key[0]] + arity[key[2]] > bound + 1]
+            for a, i, b in sorted(beyond, key=lambda key: (arity[key[0]], arity[key[2]])):
+                col[i].setdefault(b, {})[a] = graft_table[a, i, b]
+                extra.setdefault(a, []).append((i, b, graft_table[a, i, b]))
+            for a, more in extra.items():
+                below[a] = [[*old, *new] for old, new in zip(below.get(a, ((), (), ())), zip(*more))]
+    del canon, occupants, target  # not read by the laws
     if out.items:
-        return out.report(arity_bound=X.arity_bound)
+        return out.report(arity_bound=bound)
 
     # unit laws
     for cid, outer in X.cells2.items():
@@ -587,22 +607,9 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
         if X.graft.get(key) != cid:
             out.add("left unit", key, "grafting under an identity must not change the cell")
 
-    # col[i][b]: {a: graft(a, i, b)} with the outer cells a in arity order
-    graft_table = X.graft
-    top = max(arity.values(), default=0)
-    col: list[dict[str, dict[str, str]]] = [{} for _ in range(top)]
-    for key in sorted(graft_table, key=lambda key: arity[key[0]]):
-        a, i, b = key
-        col[i].setdefault(b, {})[a] = graft_table[key]
     empty: dict[str, str] = {}
 
-    # sequential associativity: graft(graft(a,i,b), i+j, c) = graft(a, i, graft(b,j,c));
-    # below[b]: the table's own keys (b, j, c), in the arity order of c
-    below: dict[str, list[tuple[str, int, str]]] = {}
-    for key in graft_table:
-        below.setdefault(key[0], []).append(key)
-    for rows in below.values():
-        rows.sort(key=lambda key: arity[key[2]])
+    # sequential associativity: graft(graft(a,i,b), i+j, c) = graft(a, i, graft(b,j,c))
     found: list[tuple[tuple, str]] = []
     sequential = 0
     for i, col_i in enumerate(col):
@@ -611,12 +618,11 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
             arities = list(map(arity.__getitem__, outers))
             room = top + 2 - arity[b]
             cut = 0
-            for row in below.get(b, ()):
-                _, j, c = row
+            for j, c, bc in zip(*below.get(b, ((), (), ()))):
                 n = bisect_right(arities, room - arity[c])
                 if not n:
                     break
-                after, before = col[i + j].get(c, empty), col_i.get(graft_table[row], empty)
+                after, before = col[i + j].get(c, empty), col_i.get(bc, empty)
                 if n != cut:  # n only falls along the rows
                     cut, get_values, get_outers = n, _getter(values[:n]), _getter(outers[:n])
                 try:
@@ -641,10 +647,9 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
     # graft(graft(a,i,b), j+kb-1, c) = graft(graft(a,j,c), i, b), kb = arity(b)
     pairs: dict[tuple[int, str, int, str], list[str]] = {}
     for a in sorted(X.cells2, key=arity.__getitem__):
-        edges = source[a][1:] if arity[a] else ()
-        for j, ej in enumerate(edges):
+        for j, ej in enumerate(edges[source[a]]):
             for i in range(j):
-                pairs.setdefault((i, edges[i], j, ej), []).append(a)
+                pairs.setdefault((i, source[a][i + 1], j, ej), []).append(a)
     into = {f: sorted(cids, key=arity.__getitem__) for f, cids in by_target.items()}
     found = []
     parallel = 0
@@ -689,6 +694,35 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
             out.add("parallel commutation", witness, message)
     checked = {"sequential associativity": sequential, "parallel commutation": parallel}
     return out.report(arity_bound=X.arity_bound, checked=checked)
+
+
+def _walk_table(X: FiniteOpTwoCat, out: _Collector, fitting: dict, source: dict, edges: dict):
+    """``validate_op2``'s totality and frame rules, row by row, into ``out``."""
+    for cid, outer in sorted(X.cells2.items()):
+        room = X.arity_bound + 1 - outer.source.arity
+        if room < 0:
+            continue
+        for slot, edge in enumerate(outer.source.edges):
+            for inner_id in fitting[edge][room]:
+                key = (cid, slot, inner_id)
+                if key not in X.graft:
+                    out.add("totality", key, "in-bound graft has no table entry")
+    for (cid, slot, inner_id), result in X.graft.items():
+        if cid not in X.cells2 or inner_id not in X.cells2 or result not in X.cells2:
+            out.add("dangling id", (cid, slot, inner_id, result))
+            continue
+        if not 0 <= slot < X.cells2[cid].source.arity:
+            out.add("frame", (cid, slot, inner_id), "slot out of range")
+            continue
+        if X.cells2[inner_id].target != source[cid][slot + 1]:
+            out.add("frame", (cid, slot, inner_id), "inner target differs from the slot edge")
+            continue
+        # the outer key with the slot's edge replaced by the inner cell's edges
+        spliced = source[cid][: slot + 1] + edges[source[inner_id]] + source[cid][slot + 2 :]
+        if source[result] != (spliced if len(source[cid]) > 2 else source[inner_id]):
+            out.add("frame", (cid, slot, inner_id), "result source is not the spliced path")
+        if X.cells2[result].target != X.cells2[cid].target:
+            out.add("frame", (cid, slot, inner_id), "result target differs from the outer target")
 
 
 def _getter(keys) -> Callable:

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -462,6 +466,27 @@ def test_universal_cell_as_json(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out) == {
             "cell": cell, "kind": "op2cat", "ok": verdict, "universal": verdict, "violations": []
         }
+
+
+def test_a_stdout_closed_by_its_reader_exits_2(tmp_path, sign_op):
+    # every graft row missing: a report of about 75 kB in text and more in
+    # JSON, more than a pipe holds, so writing it must meet the closed pipe
+    X, b = sign_op
+    p = _write(tmp_path, "bare.json", serialize.to_doc(dataclasses.replace(X, graft={}), b))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    for fmt in ("text", "json"):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "opetokit.cli", "validate", p, "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = b""
+        while not first.endswith(b"\n"):  # one line, and not a byte more
+            first += os.read(proc.stdout.fileno(), 1)
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 2
+        assert first == (b"op2cat: 1084 violation(s)\n" if fmt == "text" else b"{\n")
+        assert proc.stderr.read() == b""  # no traceback, and no failed flush at exit
+        proc.stderr.close()
 
 
 def test_usage_lines_list_every_flag():

@@ -462,17 +462,19 @@ def test_law_instances_checked_on_z4():
     }
 
 
-def _walked(monkeypatch, X):
-    """``validate_op2``'s report on X and the number of batches it walked."""
+def _walked(monkeypatch, X, walk="_compare"):
+    """``validate_op2``'s report on X and the number of calls of ``core.<walk>``:
+    law batches walked pair by pair, or with ``_walk_table``, tables walked
+    row by row."""
     walks = []
-    compare = core._compare
+    walker = getattr(core, walk)
 
     def counting(*args):
         walks.append(args)
-        return compare(*args)
+        return walker(*args)
 
     with monkeypatch.context() as m:
-        m.setattr(core, "_compare", counting)
+        m.setattr(core, walk, counting)
         return validate_op2(X), len(walks)
 
 
@@ -493,6 +495,114 @@ def test_batches_are_walked_above_the_bound(monkeypatch):
     assert walked > 0
     assert report.ok
     assert report == oracle_validate_op2(X)
+
+
+@pytest.mark.parametrize("name", ("z3", "fixture", "sign", "arrow", "idempotent"))
+def test_clean_tables_pass_without_a_walk(monkeypatch, name):
+    # every block of rows passes and the blocks cover the whole table
+    X = _zn(3) if name == "z3" else _structures()[name][0]
+    report, walked = _walked(monkeypatch, X, "_walk_table")
+    assert report.ok and walked == 0
+
+
+@functools.cache
+def _sign_6_at_4() -> FiniteOpTwoCat:
+    """``sign`` generated at bound 6 and kept under bound 4: rows past the
+    bound by one and by two, so a column's outer cells past the bound, and a
+    cell's rows past it, come in two arities."""
+    return dataclasses.replace(eq.from_bicategory(sign_bicategory(), 6)[0], arity_bound=4)
+
+
+@pytest.mark.parametrize("name", ("sign-5-at-4", "sign-5-sparse-at-4", "sign-6-at-4"))
+def test_rows_longer_than_the_bound_send_the_table_to_the_walk(monkeypatch, name):
+    # the blocks cover only the rows within the bound; the walk finds the
+    # others framed, and they join the laws' columns in arity order, so the
+    # laws compare the oracle's instances
+    X = _sign_6_at_4() if name == "sign-6-at-4" else _structures()[name][0]
+    report, walked = _walked(monkeypatch, X, "_walk_table")
+    assert walked == 1 and report.ok
+    assert report == oracle_validate_op2(X)
+    assert report.notes["checked"]["sequential associativity"] > 0
+
+
+REJECT_BASES = ("sign", "arrow", "idempotent", "sign-5-at-4", "z3")
+REJECTIONS = (
+    "other niche", "other target", "unknown id", "slot out of range",
+    "inner off the edge", "longer than the bound", "drop",
+)
+
+
+def _reject(seed: int) -> FiniteOpTwoCat:
+    """A seeded corruption of one structure's grafting table that its table
+    phase rejects: a result swapped for a cell of another niche, for an
+    occupant (else any cell) with another target or for an unknown id, an
+    added row with a slot out of range, with an inner cell that targets
+    another edge or longer than the bound, or a dropped in-bound row.  A
+    corruption that needs a second 1-cell moves on to the next base."""
+    rng = random.Random(seed)
+    how = REJECTIONS[seed // len(REJECT_BASES) % len(REJECTIONS)]
+    for shift in range(len(REJECT_BASES)):
+        name = REJECT_BASES[(seed + shift) % len(REJECT_BASES)]
+        X = _zn(3) if name == "z3" else _structures()[name][0]
+        if len(X.cells1) > 1 or how not in ("other target", "inner off the edge"):
+            break
+    cells, bound, table = X.cells2, X.arity_bound, dict(X.graft)
+    arity = {cid: cell.source.arity for cid, cell in cells.items()}
+    by_target: dict[str, list[str]] = {}
+    for cid, cell in cells.items():
+        by_target.setdefault(cell.target, []).append(cid)
+    key = rng.choice(sorted(table))
+    result = cells[table[key]]
+    if how == "other niche":
+        table[key] = rng.choice(sorted(c for c, cell in cells.items() if cell.source != result.source))
+    elif how == "other target":
+        other = sorted(c for c, cell in cells.items() if cell.target != result.target)
+        same_niche = [c for c in other if cells[c].source == result.source]
+        table[key] = rng.choice(same_niche or other)
+    elif how == "unknown id":
+        table[key] = "ghost"
+    elif how == "drop":
+        del table[rng.choice(sorted(k for k in table if arity[k[0]] + arity[k[2]] <= bound + 1))]
+    else:
+        a = rng.choice(sorted(c for c in cells if arity[c]))
+        if how == "slot out of range":
+            row = (a, arity[a], rng.choice(sorted(cells)))
+        elif how == "inner off the edge":
+            i = rng.randrange(arity[a])
+            edge = cells[a].source.edges[i]
+            row = (a, i, rng.choice(sorted(c for c, cell in cells.items() if cell.target != edge)))
+        else:  # "longer than the bound"
+            a = rng.choice(sorted(c for c in cells if arity[c] == max(arity.values())))
+            row = rng.choice(sorted(
+                (a, i, b)
+                for i, edge in enumerate(cells[a].source.edges)
+                for b in by_target.get(edge, ())
+                if arity[a] + arity[b] > bound + 1 and (a, i, b) not in table
+            ))
+        table[row] = rng.choice(sorted(cells))
+    return dataclasses.replace(X, graft=table)
+
+
+@pytest.mark.parametrize("seed", range(len(REJECT_BASES) * len(REJECTIONS)))
+def test_agrees_with_oracle_on_table_rejections(seed):
+    Y = _reject(seed)
+    report = validate_op2(Y)
+    assert not report.ok
+    assert report == oracle_validate_op2(Y)
+
+
+def test_table_rejections_reach_every_table_rule():
+    reached = set()
+    for seed in range(len(REJECT_BASES) * len(REJECTIONS)):
+        reached |= {(v.rule, v.message) for v in validate_op2(_reject(seed)).violations}
+    assert {("totality", "in-bound graft has no table entry"), ("dangling id", "")} | {
+        ("frame", message) for message in (
+            "slot out of range",
+            "inner target differs from the slot edge",
+            "result source is not the spliced path",
+            "result target differs from the outer target",
+        )
+    } <= reached
 
 
 def test_getter_of_one_key_returns_a_one_tuple():
