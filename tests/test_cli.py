@@ -281,6 +281,21 @@ def test_convert_seedless_tiebreak(tmp_path, sign_op):
     assert serialize.load_path(out) == serialize.to_doc(to_bicategory(X, b))
 
 
+def test_convert_uses_a_stored_biasing(tmp_path, sign_op):
+    # without the flag the stored choice, not the canonical one, is used
+    X, b = sign_op
+    doc = serialize.to_doc(X, b)
+    doc["biasing"]["iota"]["pt"] = "@pt|ne"
+    p = _write(tmp_path, "x.json", doc)
+    out = str(tmp_path / "b.json")
+    assert main(["convert", p, "--to", "bicat", "--out", out]) == 0
+    from opetokit import to_bicategory
+
+    stored = serialize.from_doc(doc)[1]
+    assert stored != b
+    assert serialize.load_path(out) == serialize.to_doc(to_bicategory(X, stored))
+
+
 def test_convert_outputs_are_deterministic(tmp_path, sign):
     b_path = _write(tmp_path, "b.json", serialize.to_doc(sign))
     out1, out2 = str(tmp_path / "x1.json"), str(tmp_path / "x2.json")
