@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from .core import _by_source, composable_pairs, composable_triples
 from .errors import (
     DanglingId,
-    InvalidInput,
     MissingComposite,
     PathMismatch,
     ValidationReport,
     _Collector,
+    _require,
 )
 
 
@@ -226,8 +226,6 @@ def _comb_tree(subtrees):
 def _tree_value(B: FiniteBicategory, t) -> str:
     if t[0] == _LEAF:
         return t[1]
-    if t[0] == _UNIT:
-        return B.id1[t[1]]
     return B.beside1(_tree_value(B, t[2]), _tree_value(B, t[1]))
 
 
@@ -600,9 +598,7 @@ def _lax_functor_structure(F: LaxFunctor, B: FiniteBicategory, B2: FiniteBicateg
     rules; a ``totality`` or ``frame`` violation ends the walk early.  Raises
     ``InvalidInput`` with the report of a bicategory that is not valid."""
     for side in (B, B2):
-        report = validate_bicategory(side)
-        if not report.ok:
-            raise InvalidInput(str(report))
+        _require(validate_bicategory(side))
     out = _Collector()
     for A in B.objects:
         if F.on_objects.get(A) not in B2.objects:

@@ -56,8 +56,11 @@ def _bound(args) -> int:
 
 
 def _load(filename: str):
+    """A file's ``(kind, structure, biasing)``; the biasing is the one an
+    op2cat file stores, and ``None`` for every other file."""
     doc = serialize.load_path(filename)
-    return doc["kind"], serialize.from_doc(doc)
+    obj = serialize.from_doc(doc)
+    return (doc["kind"], *obj) if doc["kind"] == "op2cat" else (doc["kind"], obj, None)
 
 
 def _report(kind: str, report) -> Result:
@@ -72,24 +75,23 @@ def _report(kind: str, report) -> Result:
 
 
 def cmd_validate(args) -> Result:
-    kind, obj = _load(args.file)
+    kind, obj, _ = _load(args.file)
     if args.kind and args.kind != kind:
         raise UnknownKind(f"file is {kind!r}, asked to validate as {args.kind!r}")
     if kind == "laxfunctor":
         raise UnknownKind("validating a laxfunctor needs its endpoint bicategories; "
                           "use the library call validate_lax_functor")
     validators = {"category": validate_category, "bicategory": validate_bicategory,
-                  "op1cat": validate_op1, "op2cat": lambda pair: validate_op2(pair[0])}
+                  "op1cat": validate_op1, "op2cat": validate_op2}
     if kind not in validators:
         raise UnknownKind(f"no validator for kind {kind!r}")
     return _report(kind, validators[kind](obj))
 
 
 def cmd_universal(args) -> Result:
-    kind, obj = _load(args.file)
+    kind, X, _ = _load(args.file)
     if kind != "op2cat":
         raise UnknownKind("universality checks need an op2cat file")
-    X, _ = obj
     validity = validate_op2(X)
     if not validity.ok:
         return _report(kind, validity)
@@ -112,25 +114,30 @@ def _default_out(filename: str, new_kind: str) -> str:
     return f"{base}.{new_kind}.json"
 
 
+_PARTNER = {"category": "op1cat", "op1cat": "category", "bicategory": "op2cat", "op2cat": "bicategory"}
+
+
+def _across(kind: str, structure, biasing, bound: int):
+    """The structure's partner of kind ``_PARTNER[kind]`` and the biasing of the
+    op2cat end: generated from a bicategory, or the one an op2cat structure is
+    converted with, ``choose_biasing``'s when ``biasing`` is None."""
+    if kind == "category":
+        return from_category(structure, bound), None
+    if kind == "bicategory":
+        return from_bicategory(structure, bound)
+    if kind == "op1cat":
+        return to_category(structure), None
+    biasing = choose_biasing(structure) if biasing is None else biasing
+    return to_bicategory(structure, biasing), biasing
+
+
 def cmd_convert(args) -> Result:
-    kind, obj = _load(args.file)
+    kind, obj, biasing = _load(args.file)
     bound = _bound(args)
-    if args.to == "opic":
-        if kind == "category":
-            out = serialize.to_doc(from_category(obj, bound))
-        elif kind == "bicategory":
-            out = serialize.to_doc(*from_bicategory(obj, bound))
-        else:
-            raise UnknownKind(f"cannot convert {kind!r} to the opetopic side")
-    else:  # "bicat"; argparse rejects any other target
-        if kind == "op1cat":
-            out = serialize.to_doc(to_category(obj))
-        elif kind == "op2cat":
-            X, biasing = obj
-            biasing = choose_biasing(X) if biasing is None or args.seedless_tiebreak else biasing
-            out = serialize.to_doc(to_bicategory(X, biasing))
-        else:
-            raise UnknownKind(f"cannot convert {kind!r} to the classical side")
+    if kind not in _PARTNER or _PARTNER[kind].startswith("op") != (args.to == "opic"):
+        side = "opetopic" if args.to == "opic" else "classical"
+        raise UnknownKind(f"cannot convert {kind!r} to the {side} side")
+    out = serialize.to_doc(*_across(kind, obj, None if args.seedless_tiebreak else biasing, bound))
     target = args.out or _default_out(args.file, out["kind"])
     try:
         serialize.save_path(target, out)
@@ -140,24 +147,14 @@ def cmd_convert(args) -> Result:
 
 
 def cmd_roundtrip(args) -> Result:
-    kind, obj = _load(args.file)
+    kind, obj, biasing = _load(args.file)
     bound = _bound(args)
-    if kind == "category":
-        back = serialize.to_doc(to_category(from_category(obj, bound)))
-        original = serialize.to_doc(obj)
-    elif kind == "bicategory":
-        back = serialize.to_doc(to_bicategory(*from_bicategory(obj, bound)))
-        original = serialize.to_doc(obj)
-    elif kind == "op1cat":
-        back = serialize.to_doc(from_category(to_category(obj), obj.arity_bound))
-        original = serialize.to_doc(obj)
-    elif kind == "op2cat":
-        X, biasing = obj
-        biasing = choose_biasing(X) if biasing is None else biasing
-        back = serialize.to_doc(*from_bicategory(to_bicategory(X, biasing), X.arity_bound))
-        original = serialize.to_doc(X, biasing)
-    else:
+    if kind not in _PARTNER:
         raise UnknownKind(f"cannot roundtrip kind {kind!r}")
+    image, biasing = _across(kind, obj, biasing, bound)
+    back_bound = getattr(obj, "arity_bound", bound)  # an opetopic file keeps its own bound
+    back = serialize.to_doc(*_across(_PARTNER[kind], image, biasing, back_bound))
+    original = serialize.to_doc(obj, biasing)
     if back == original:
         return {"kind": kind, "ok": True, "differences": []}, ["roundtrip: identical"], 0
     diffs = _doc_diff(original, back)
@@ -187,13 +184,11 @@ def _doc_diff(a: dict, b: dict, prefix: str = "") -> list[str]:
 
 
 def cmd_classify(args) -> Result:
-    kind_x, obj_x = _load(args.source)
-    kind_y, obj_y = _load(args.target)
-    kind_f, morphism = _load(args.morphism)
+    kind_x, X, b = _load(args.source)
+    kind_y, Y, b2 = _load(args.target)
+    kind_f, morphism, _ = _load(args.morphism)
     if kind_x != "op2cat" or kind_y != "op2cat" or kind_f != "opmorphism":
         raise UnknownKind("classify needs two op2cat files and one opmorphism file")
-    X, b = obj_x
-    Y, b2 = obj_y
     for kind, validate, inputs in (("op2cat", validate_op2, (X,)), ("op2cat", validate_op2, (Y,)),
                                    ("opmorphism", validate_op_morphism, (morphism, X, Y))):
         report = validate(*inputs)

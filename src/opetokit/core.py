@@ -35,7 +35,7 @@ from .errors import (
 DEFAULT_ARITY_BOUND = 4
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PastingPath:
     """A linear pasting diagram: a composable chain of 1-cells.
 
@@ -63,12 +63,6 @@ class PastingPath:
         if self.edges:
             return (1,) + self.edges
         return (0, self.anchor)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PastingPath) and self.key() == other.key()
-
-    def __hash__(self) -> int:
-        return hash(self.key())
 
     def __repr__(self) -> str:
         if not self.edges:

@@ -30,6 +30,7 @@ from .errors import (
     NoUniversalOccupant,
     ValidationReport,
     _Collector,
+    _require,
 )
 from .core import (
     DEFAULT_ARITY_BOUND,
@@ -103,12 +104,6 @@ class MorphismClassification:
         if self.witness:
             return f"{self.verdict} (witness: {self.witness})"
         return self.verdict
-
-
-def _require(report, error=InvalidInput) -> None:
-    """Raise ``error`` with the report's text unless the report is ok."""
-    if not report.ok:
-        raise error(str(report))
 
 
 # ---------------------------------------------------------------------------

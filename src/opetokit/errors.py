@@ -132,3 +132,9 @@ class _Collector:
 
     def report(self, **notes) -> ValidationReport:
         return ValidationReport(tuple(self.items), dict(notes))
+
+
+def _require(report: ValidationReport, error=InvalidInput) -> None:
+    """Raise ``error`` with the report's text unless the report is ok."""
+    if not report.ok:
+        raise error(str(report))
