@@ -364,6 +364,14 @@ def bracketed_value(B: FiniteBicategory, edges, g: Bracketing) -> str:
 # validators
 
 
+def _unknown_keys(out: _Collector, table: dict, known, message: str) -> None:
+    """A ``dangling id`` for each key of ``table`` outside ``known``, in the
+    table's order."""
+    for key in table:
+        if key not in known:
+            out.add("dangling id", (key,), message)
+
+
 def validate_category(C: FiniteCategory) -> ValidationReport:
     out = _Collector()
     for f, (s, t) in C.arrows.items():
@@ -375,6 +383,7 @@ def validate_category(C: FiniteCategory) -> ValidationReport:
             out.add("identity", (a,), "no identity arrow")
         elif C.arrows[i] != (a, a):
             out.add("identity", (a, i), "identity endpoints are wrong")
+    _unknown_keys(out, C.identities, C.objects, "identities entry for an unknown object")
     if out.items:
         return out.report()
     for (g, f), h in C.compose.items():
@@ -428,6 +437,7 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
         i = B.id1.get(A)
         if i is None or i not in B.one_cells or B.one_cells[i] != (A, A):
             out.add("frame", (A,), "identity 1-cell missing or mistyped")
+    _unknown_keys(out, B.id1, B.objects, "id1 entry for an unknown object")
     if out.items:
         return out.report()
 
@@ -436,6 +446,7 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
         i = B.id2.get(f)
         if i is None or i not in B.two_cells or B.two_cells[i] != (f, f):
             out.add("hom category", (f,), "identity 2-cell missing or mistyped")
+    _unknown_keys(out, B.id2, B.one_cells, "id2 entry for an unknown 1-cell")
     for (b, a), c in B.vcomp.items():
         if not B.two_cells.keys() >= {b, a, c}:
             out.add("dangling id", (b, a, c))
@@ -463,11 +474,15 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
     for (g, f), h in B.hcomp1.items():
         if not B.one_cells.keys() >= {g, f, h}:
             out.add("dangling id", (g, f, h))
+        elif B.tgt1(f) != B.src1(g):
+            out.add("frame", (g, f), "hcomp1 entry for a non-composable pair")
         elif B.one_cells[h] != (B.src1(f), B.tgt1(g)):
             out.add("frame", (g, f, h), "1-cell composite mistyped")
     for (b, a), c in B.hcomp2.items():
         if not B.two_cells.keys() >= {b, a, c}:
             out.add("dangling id", (b, a, c))
+        elif B.tgt1(B.src2(a)) != B.src1(B.src2(b)):
+            out.add("frame", (b, a), "hcomp2 entry for a non-composable pair")
     if out.items:
         return out.report()
     for b, a in _hom_pairs(B.one_cells, B.two_cells):
@@ -509,6 +524,11 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
             out.add("frame", (h, g, f, a), "associator component mistyped")
         elif not is_invertible_2cell(B, a):
             out.add("associator invertible", (h, g, f, a))
+    for h, g, f in B.assoc:
+        if not B.one_cells.keys() >= {h, g, f}:
+            out.add("dangling id", (h, g, f), "assoc entry for an unknown 1-cell")
+        elif B.tgt1(f) != B.src1(g) or B.tgt1(g) != B.src1(h):
+            out.add("frame", (h, g, f), "assoc entry for a non-composable triple")
     if out.items:
         return out.report()
     backwards = {x: B.one_cells[f][::-1] for x, (f, _) in B.two_cells.items()}
@@ -533,6 +553,8 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
             out.add("frame", (f, l), "left unitor missing or mistyped")
         elif not is_invertible_2cell(B, l):
             out.add("unitor invertible", (f, l))
+    _unknown_keys(out, B.runit, B.one_cells, "runit entry for an unknown 1-cell")
+    _unknown_keys(out, B.lunit, B.one_cells, "lunit entry for an unknown 1-cell")
     if out.items:
         return out.report()
     for a, (f1, f2) in B.two_cells.items():

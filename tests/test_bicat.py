@@ -148,6 +148,42 @@ def test_bicategory_rules_name_their_witness(base, table, entry, expected):
     assert [(v.rule, v.witness, v.message) for v in report.violations] == [expected]
 
 
+@pytest.mark.parametrize("base, table, key, value, expected", [
+    ("sign", "id1", "zz", "e", ("dangling id", ("zz",), "id1 entry for an unknown object")),
+    ("sign", "id2", "zz", "1e", ("dangling id", ("zz",), "id2 entry for an unknown 1-cell")),
+    ("sign", "lunit", "zz", "1e", ("dangling id", ("zz",), "lunit entry for an unknown 1-cell")),
+    ("sign", "runit", "zz", "1e", ("dangling id", ("zz",), "runit entry for an unknown 1-cell")),
+    ("sign", "assoc", ("zz", "e", "e"), "1e",
+     ("dangling id", ("zz", "e", "e"), "assoc entry for an unknown 1-cell")),
+    ("arrow", "assoc", ("k", "k", "k"), "1k",
+     ("frame", ("k", "k", "k"), "assoc entry for a non-composable triple")),
+    ("arrow", "hcomp1", ("k", "k"), "k",
+     ("frame", ("k", "k"), "hcomp1 entry for a non-composable pair")),
+    ("arrow", "hcomp2", ("1k", "xk"), "1k",
+     ("frame", ("1k", "xk"), "hcomp2 entry for a non-composable pair")),
+], ids=["id1", "id2", "lunit", "runit", "assoc unknown", "assoc non-composable",
+        "hcomp1 non-composable", "hcomp2 non-composable"])
+def test_entries_outside_a_tables_domain_are_reported(base, table, key, value, expected):
+    # each of these entries was once accepted, and the round trip dropped it
+    B = sign_bicategory() if base == "sign" else arrow_bicategory()
+    broken = dataclasses.replace(B, **{table: {**getattr(B, table), key: value}})
+    report = validate_bicategory(broken)
+    assert [(v.rule, v.witness, v.message) for v in report.violations] == [expected]
+
+
+def test_identity_for_an_unknown_object_is_reported(z2cat):
+    C = dataclasses.replace(z2cat, identities={**z2cat.identities, "zz": "e"})
+    assert [(v.rule, v.witness, v.message) for v in validate_category(C).violations] == [
+        ("dangling id", ("zz",), "identities entry for an unknown object")
+    ]
+
+
+def test_out_of_domain_keys_are_reported_in_table_order(sign):
+    ids = ("u", "k", "w")
+    broken = dataclasses.replace(sign, lunit={**{f: "1e" for f in ids}, **sign.lunit})
+    assert [v.witness for v in validate_bicategory(broken).violations] == [(f,) for f in ids]
+
+
 def test_fixture_bicategories_are_clean(sign, idem, arrow, terminal):
     for B in (sign, idem, arrow, terminal):
         report = validate_bicategory(B)

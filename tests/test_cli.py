@@ -118,6 +118,21 @@ def test_validate_names_the_dangling_id(tmp_path, capsys, z2cat):
     assert any("s" in v["witness"] for v in payload["violations"])
 
 
+@pytest.mark.parametrize("kind", ["category", "bicategory"])
+def test_validate_and_roundtrip_agree_on_an_entry_outside_the_domain(
+        tmp_path, capsys, z2cat, sign, kind):
+    # an identity for an unknown object, a left unitor for an unknown 1-cell
+    if kind == "category":
+        structure = dataclasses.replace(z2cat, identities={**z2cat.identities, "zz": "e"})
+    else:
+        structure = dataclasses.replace(sign, lunit={**sign.lunit, "zz": "1e"})
+    p = _write(tmp_path, "x.json", serialize.to_doc(structure))
+    assert main(["validate", p]) == 1
+    assert "dangling id ('zz',)" in capsys.readouterr().out
+    assert main(["roundtrip", p]) == 1
+    assert "dangling id: ('zz',)" in capsys.readouterr().err
+
+
 def test_validate_kind_mismatch(tmp_path, z2cat):
     p = _write(tmp_path, "c.json", serialize.to_doc(z2cat))
     assert main(["validate", p, "--kind", "bicategory"]) == 2

@@ -2,8 +2,9 @@
 
 Each case holds several violations of one rule that a validator could emit
 in set order: comp rows for paths longer than the bound, identity 2-cells
-for unknown 1-cells, biasing choices for unknown objects and pairs, and
-binary universals whose composite 1-cell is not universal.  The cases run in
+for unknown 1-cells, biasing choices for unknown objects and pairs, binary
+universals whose composite 1-cell is not universal, and classical table
+entries for unknown or non-composable cells.  The cases run in
 fresh interpreters under two fixed ``PYTHONHASHSEED`` values; the outputs
 must be identical and follow the order of the tables.
 """
@@ -19,9 +20,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from opetokit.bicat import validate_bicategory, validate_category
 from opetokit.cli import main
 from opetokit.equivalences import from_bicategory, validate_biasing
-from opetokit.fixtures import sign_bicategory
+from opetokit.fixtures import arrow_bicategory, sign_bicategory, z2_category
 from opetokit.universality import check_coherence
 from test_op2_oracle import _corrupt
 
@@ -35,6 +37,17 @@ UNKNOWN_OBJECTS = ("x", "q", "m")
 UNKNOWN_PAIRS = (("p", "q"), ("z", "a"), ("c", "b"))
 # a corruption whose report holds several composite 1-cell violations
 COHERENCE_SEED = 45
+# classical table entries outside the table's domain: (base, table, entries)
+OUT_OF_DOMAIN = (
+    ("z2", "identities", {a: "e" for a in UNKNOWN_OBJECTS}),
+    ("sign", "id1", {a: "e" for a in UNKNOWN_OBJECTS}),
+    ("sign", "id2", {f: "1e" for f in UNKNOWN_ONE_CELLS}),
+    ("sign", "lunit", {f: "1e" for f in UNKNOWN_ONE_CELLS}),
+    ("sign", "runit", {f: "1e" for f in UNKNOWN_ONE_CELLS}),
+    ("sign", "assoc", {("e", f, "s"): "1e" for f in UNKNOWN_ONE_CELLS}),
+    ("arrow", "hcomp1", {("k", "k"): "k", ("k2", "k"): "k", ("k", "k2"): "k"}),
+    ("arrow", "assoc", {("k", "k", "k"): "1k", ("k2", "k", "k"): "1k", ("k", "iB", "k2"): "1k"}),
+)
 
 
 def _documents(tmp: Path) -> dict[str, str]:
@@ -69,6 +82,12 @@ def _emit(tmp: str) -> None:
     )
     out["validate_biasing"] = _violations(validate_biasing(X, extra))
     out["check_coherence"] = _violations(check_coherence(_corrupt(COHERENCE_SEED)[0]))
+    bases = {"z2": z2_category(), "sign": sign_bicategory(), "arrow": arrow_bicategory()}
+    for base, table, entries in OUT_OF_DOMAIN:
+        S = bases[base]
+        broken = dataclasses.replace(S, **{table: {**getattr(S, table), **entries}})
+        validate = validate_category if base == "z2" else validate_bicategory
+        out[f"{base} {table}"] = _violations(validate(broken))
     print(json.dumps(out))
 
 
@@ -111,3 +130,7 @@ def test_reports_follow_table_order_under_any_hash_seed(tmp_path):
     assert [position[w[0]] for w in group] == sorted(position[w[0]] for w in group)
     # the same report in this process, whatever its hash seed
     assert first["check_coherence"] == _violations(check_coherence(X))
+
+    for base, table, entries in OUT_OF_DOMAIN:
+        witnesses = [w for _, w in first[f"{base} {table}"]]
+        assert witnesses == [list(k) if isinstance(k, tuple) else [k] for k in entries], table
