@@ -23,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
-import sys
 from collections import Counter
 from pathlib import Path
 
@@ -31,6 +30,7 @@ import pytest
 
 from opetokit import (
     FiniteBicategory,
+    FiniteOpOneCat,
     check_coherence,
     choose_biasing,
     from_bicategory,
@@ -205,7 +205,7 @@ def corrupt_opetopic(name: str, table: str, mode: str, seed: int):
 def _check_opetopic(X) -> bool:
     """Whether the opetopic validators accept ``X``; if they do, it must
     convert to a structure that the classical validator accepts."""
-    if isinstance(X, type(OP_BASES["op1cat"])):
+    if isinstance(X, FiniteOpOneCat):
         if not validate_op1(X).ok:
             return False
         assert validate_category(to_category(X)).ok
@@ -243,4 +243,4 @@ if __name__ == "__main__":  # the full sweep, one line per (base, table, mode)
     for counts in sweeps:
         for group in sorted({key[:3] for key in counts}):
             flagged, accepted = (counts[(*group, verdict)] for verdict in ("flagged", "accepted"))
-            print(*group, f"flagged {flagged}", f"accepted {accepted}", file=sys.stdout)
+            print(*group, f"flagged {flagged}", f"accepted {accepted}")
