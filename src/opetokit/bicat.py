@@ -372,6 +372,21 @@ def _unknown_keys(out: _Collector, table: dict, known, message: str) -> None:
             out.add("dangling id", (key,), message)
 
 
+def _images(out: _Collector, table: str, what: str, images: dict, cells, targets,
+            ends=None, mismatch="") -> None:
+    """A map of cells (the functor's ``table``, of ``what``s): ``totality`` for
+    each of ``cells`` without an image in ``targets``, ``frame`` with
+    ``mismatch`` for an image whose frame is not the ``ends`` image of the
+    cell's, then ``dangling id`` for each key of ``images`` outside ``cells``."""
+    for c in cells:
+        image = images.get(c)
+        if image is None or image not in targets:
+            out.add("totality", (c,), f"{what} has no image")
+        elif ends is not None and targets[image] != tuple(map(ends.get, cells[c])):
+            out.add("frame", (c,), mismatch)
+    _unknown_keys(out, images, cells, f"{table} entry for an unknown {what}")
+
+
 def validate_category(C: FiniteCategory) -> ValidationReport:
     out = _Collector()
     for f, (s, t) in C.arrows.items():
@@ -595,15 +610,9 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
 
 def validate_functor(F: CatFunctor, C: FiniteCategory, D: FiniteCategory) -> ValidationReport:
     out = _Collector()
-    for a in C.objects:
-        if F.on_objects.get(a) not in D.objects:
-            out.add("totality", (a,), "object has no image")
-    for f, (s, t) in C.arrows.items():
-        ff = F.on_arrows.get(f)
-        if ff is None or ff not in D.arrows:
-            out.add("totality", (f,), "arrow has no image")
-        elif D.arrows[ff] != (F.on_objects.get(s), F.on_objects.get(t)):
-            out.add("frame", (f,), "image endpoints do not match")
+    _images(out, "on_objects", "object", F.on_objects, C.objects, D.objects)
+    _images(out, "on_arrows", "arrow", F.on_arrows, C.arrows, D.arrows, F.on_objects,
+            "image endpoints do not match")
     if out.items:
         return out.report()
     for a in C.objects:
@@ -616,29 +625,20 @@ def validate_functor(F: CatFunctor, C: FiniteCategory, D: FiniteCategory) -> Val
 
 
 def _lax_functor_structure(F: LaxFunctor, B: FiniteBicategory, B2: FiniteBicategory) -> _Collector:
-    """``validate_lax_functor``'s ``totality``, ``frame`` and ``hom functor``
-    rules; a ``totality`` or ``frame`` violation ends the walk early.  Raises
-    ``InvalidInput`` with the report of a bicategory that is not valid."""
+    """``validate_lax_functor``'s ``dangling id`` (an entry keyed by no cell of
+    ``B``), ``totality``, ``frame`` and ``hom functor`` rules; any but the last
+    ends the walk early.  Raises ``InvalidInput`` with the report of a
+    bicategory that is not valid."""
     for side in (B, B2):
         _require(validate_bicategory(side))
     out = _Collector()
-    for A in B.objects:
-        if F.on_objects.get(A) not in B2.objects:
-            out.add("totality", (A,), "object has no image")
-    for f, (s, t) in B.one_cells.items():
-        ff = F.on_one_cells.get(f)
-        if ff is None or ff not in B2.one_cells:
-            out.add("totality", (f,), "1-cell has no image")
-        elif B2.one_cells[ff] != (F.on_objects.get(s), F.on_objects.get(t)):
-            out.add("frame", (f,), "1-cell image endpoints do not match")
+    _images(out, "on_objects", "object", F.on_objects, B.objects, B2.objects)
+    _images(out, "on_one_cells", "1-cell", F.on_one_cells, B.one_cells, B2.one_cells,
+            F.on_objects, "1-cell image endpoints do not match")
     if out.items:
         return out
-    for a, (x, y) in B.two_cells.items():
-        fa = F.on_two_cells.get(a)
-        if fa is None or fa not in B2.two_cells:
-            out.add("totality", (a,), "2-cell has no image")
-        elif B2.two_cells[fa] != (F.on_one_cells[x], F.on_one_cells[y]):
-            out.add("frame", (a,), "2-cell image frame does not match")
+    _images(out, "on_two_cells", "2-cell", F.on_two_cells, B.two_cells, B2.two_cells,
+            F.on_one_cells, "2-cell image frame does not match")
     for f, g in composable_pairs(B.one_cells):
         p = F.phi_pair.get((g, f))
         if p is None or p not in B2.two_cells:
@@ -650,6 +650,11 @@ def _lax_functor_structure(F: LaxFunctor, B: FiniteBicategory, B2: FiniteBicateg
         )
         if B2.two_cells[p] != want:
             out.add("frame", (g, f, p), "pair constraint mistyped")
+    for g, f in F.phi_pair:
+        if not B.one_cells.keys() >= {g, f}:
+            out.add("dangling id", (g, f), "phi_pair entry for an unknown 1-cell")
+        elif B.tgt1(f) != B.src1(g):
+            out.add("frame", (g, f), "phi_pair entry for a non-composable pair")
     for A in B.objects:
         p = F.phi_obj.get(A)
         if p is None or p not in B2.two_cells:
@@ -658,6 +663,7 @@ def _lax_functor_structure(F: LaxFunctor, B: FiniteBicategory, B2: FiniteBicateg
         want = (B2.id1[F.on_objects[A]], F.on_one_cells[B.id1[A]])
         if B2.two_cells[p] != want:
             out.add("frame", (A, p), "object constraint mistyped")
+    _unknown_keys(out, F.phi_obj, B.objects, "phi_obj entry for an unknown object")
     if out.items:
         return out
 
@@ -674,10 +680,10 @@ def _lax_functor_structure(F: LaxFunctor, B: FiniteBicategory, B2: FiniteBicateg
 def validate_lax_functor(F: LaxFunctor, B: FiniteBicategory, B2: FiniteBicategory) -> ValidationReport:
     """Check the comparison-constraint axioms of a lax functor.
 
-    Rules: ``totality``, ``frame``, ``hom functor``, ``phi naturality``,
-    ``hexagon``, ``right unit axiom``, ``left unit axiom``.  Both bicategories
-    must be valid: otherwise ``InvalidInput`` is raised with the first failing
-    ``validate_bicategory`` report, source first.
+    Rules: ``dangling id``, ``totality``, ``frame``, ``hom functor``, ``phi
+    naturality``, ``hexagon``, ``right unit axiom``, ``left unit axiom``.  Both
+    bicategories must be valid: otherwise ``InvalidInput`` is raised with the
+    first failing ``validate_bicategory`` report, source first.
     """
     out = _lax_functor_structure(F, B, B2)
     if any(v.rule != "hom functor" for v in out.items):

@@ -123,13 +123,21 @@ class FiniteOpOneCat:
 
     ``comp`` assigns to every composable path of length at most
     ``arity_bound`` (including the empty path at each object) the 1-cell that
-    uniquely fills that niche.
+    uniquely fills that niche.  The path index ``paths`` is derived from the
+    other fields once per structure, on first use, and kept for its lifetime.
+    The tables must therefore not be mutated in place after a query; derive a
+    changed structure with ``dataclasses.replace``, which starts a fresh index.
     """
 
     objects: tuple[str, ...]
     cells1: dict[str, tuple[str, str]]
     comp: dict[tuple, str]
     arity_bound: int = DEFAULT_ARITY_BOUND
+
+    @cached_property
+    def paths(self) -> tuple[tuple[tuple, ...], ...]:
+        """The keys of ``path_layers(self)``, one tuple per length."""
+        return tuple(map(tuple, path_layers(self)))
 
     def src(self, f: str) -> str:
         return self.cells1[f][0]
@@ -248,25 +256,34 @@ def path_layers(X):
         ]
 
 
+def prefix_rows(cells1: dict[str, tuple[str, str]]):
+    """``f(layer, rows)``: for a layer m >= 1 of ``path_layers`` and its rows, the
+    rows of layer m + 1's keys without their last edge, in order.  Each key of
+    layer m is extended by every 1-cell out of its end, so its row repeats that often."""
+    after, last = _by_source(cells1), itemgetter(-1)
+    fanout = {f: len(after.get(t, ())) for f, (_, t) in cells1.items()}.__getitem__
+    return lambda layer, rows: chain.from_iterable(map(repeat, rows, map(fanout, map(last, layer))))
+
+
 def iter_paths(X):
-    """The keys of ``path_layers(X)``, layer after layer."""
-    return chain.from_iterable(path_layers(X))
+    """The keys of ``X.paths`` (of ``path_layers(X)`` in dimension 2), layer after layer."""
+    return chain.from_iterable(X.paths if isinstance(X, FiniteOpOneCat) else path_layers(X))
 
 
-def fold_paths(X, units: dict[str, str], step) -> dict[tuple, str]:
-    """A table over the keys of ``iter_paths(X)``, each row from its prefix's.
+def fold_paths(X: FiniteOpOneCat, units: dict[str, str], step) -> dict[tuple, str]:
+    """Fill the empty ``X.comp`` over ``X.paths``, each row from its prefix's.
 
     The empty path at ``a`` gets ``units[a]``, a one-edge path its edge, and
-    a longer path ``step(row of the path without its last edge, last edge)``.
+    a longer path ``step(row of the path without its last edge, last edge)``,
+    mapped a layer at a time in key order, as a row-by-row fold calls it.
     """
-    table: dict[tuple, str] = {}
-    for key in iter_paths(X):
-        if not key[0]:
-            table[key] = units[key[1]]
-        elif len(key) == 2:
-            table[key] = key[1]
-        else:
-            table[key] = step(table[key[:-1]], key[-1])
+    table, layers, prefixes = X.comp, X.paths, prefix_rows(X.cells1)
+    rows = list(map(units.__getitem__, map(itemgetter(1), layers[0])))
+    table.update(zip(layers[0], rows))
+    for m, layer in enumerate(layers[1:], 1):
+        ends = map(itemgetter(-1), layer)
+        rows = list(ends) if m == 1 else list(map(step, prefixes(layers[m - 1], rows), ends))
+        table.update(zip(layer, rows))
     return table
 
 
@@ -349,10 +366,12 @@ def validate_op1(X: FiniteOpOneCat) -> ValidationReport:
     every bound; the witnesses ``(path key, i, j)`` are the failing generating
     instances, in its order.
 
-    Every phase runs a layer of ``path_layers`` at a time: the rows of one
-    path length are looked up in ``map`` and compared as lists, frames
-    against the end edges' endpoints and each generator's collapsed rows
-    against the whole paths' rows.  Only a layer whose two sides differ is
+    Every phase runs a layer of ``X.paths`` at a time: one ``map`` over
+    ``comp`` gives its rows and totality (a missing key or a longer ``comp``
+    is walked key by key), frames are compared as lists against the end
+    edges' endpoints and each generator's collapsed rows against the whole
+    paths' rows, ``peel`` and ``bracket left`` reading the prefixes' rows by
+    position (``prefix_rows``).  Only a layer whose two sides differ is
     walked key by key, so the witnesses come in key order, the generators of
     one key in the order above.  ``notes`` holds ``arity_bound`` and, once
     substitution runs, ``checked``: the instances compared per generator
@@ -372,9 +391,12 @@ def validate_op1(X: FiniteOpOneCat) -> ValidationReport:
             if result not in cells1:
                 out.add("dangling id", (result,), f"comp{key} names an unknown 1-cell")
 
-    layers = list(path_layers(X))
-    everywhere = all(map(comp.__contains__, chain.from_iterable(layers)))
-    if len(comp) != sum(map(len, layers)) or not everywhere:
+    layers = X.paths
+    try:
+        rows = [list(map(comp.__getitem__, layer)) for layer in layers]
+    except KeyError:
+        rows = None
+    if rows is None or len(comp) != sum(map(len, layers)):
         for key in chain.from_iterable(layers):
             if key not in comp:
                 out.add("totality", (key,), "composable path has no recorded composite")
@@ -389,7 +411,6 @@ def validate_op1(X: FiniteOpOneCat) -> ValidationReport:
     src = {f: s for f, (s, _) in cells1.items()}
     tgt = {f: t for f, (_, t) in cells1.items()}
     first, last = itemgetter(1), itemgetter(-1)
-    rows = [list(map(comp.__getitem__, layer)) for layer in layers]
     for m, (layer, results) in enumerate(zip(layers, rows)):
         if m:
             starts = map(src.__getitem__, map(first, layer))
@@ -408,10 +429,10 @@ def validate_op1(X: FiniteOpOneCat) -> ValidationReport:
     if any(v.rule == "endpoints" for v in out.items):
         return out.report(arity_bound=bound)
 
-    def peeled(layer):
-        # the keys (1, comp[key[:-1]], key[-1])
-        prefixes = map(comp.__getitem__, map(itemgetter(slice(-1)), layer))
-        return zip(repeat(1), prefixes, map(last, layer))
+    prefixes = prefix_rows(cells1)
+
+    def peeled(m):  # the keys (1, comp[key[:-1]], key[-1])
+        return zip(repeat(1), prefixes(layers[m - 1], rows[m - 1]), map(last, layers[m]))
 
     checked = dict.fromkeys(("left unit", "right unit", "bracket left", "bracket right", "peel"), 0)
     for m, (layer, results) in enumerate(zip(layers, rows)):
@@ -431,11 +452,11 @@ def validate_op1(X: FiniteOpOneCat) -> ValidationReport:
         elif m == 3:
             tails = map(comp.__getitem__, zip(repeat(1), map(itemgetter(2), layer), map(last, layer)))
             collapsed = {
-                ("bracket left", 0, 2): peeled(layer),
+                ("bracket left", 0, 2): peeled(m),
                 ("bracket right", 1, 3): zip(repeat(1), map(first, layer), tails),
             }
         else:
-            collapsed = {("peel", 0, m - 1): peeled(layer)}
+            collapsed = {("peel", 0, m - 1): peeled(m)}
         sides = [list(map(comp.__getitem__, keys)) for keys in collapsed.values()]
         for name, _, _ in collapsed:
             checked[name] += len(layer)
@@ -816,5 +837,5 @@ def hom_category_of_frame(X: FiniteOpTwoCat, a: str, b: str) -> FiniteOpOneCat:
         cid: (f, X.cells2[cid].target) for f in objects for cid in X.occupants.get((1, f), ())
     }
     H = FiniteOpOneCat(objects, cells1, {}, X.arity_bound)
-    comp = fold_paths(H, X.ident2, lambda acc, nxt: graft(X, nxt, 0, acc))
-    return FiniteOpOneCat(objects, cells1, comp, X.arity_bound)
+    fold_paths(H, X.ident2, lambda acc, nxt: graft(X, nxt, 0, acc))
+    return H

@@ -61,6 +61,7 @@ from .bicat import (
     _hom_pairs,
     _lax_functor_structure,
     _normalize,
+    _unknown_keys,
     _whisker_at,
     chain_value,
     invert_two_cell,
@@ -147,8 +148,8 @@ def from_category(
     if check:
         _require(validate_category(C))
     X = FiniteOpOneCat(tuple(sorted(C.objects)), dict(C.arrows), {}, bound)
-    comp = fold_paths(X, C.identities, C.then)
-    return FiniteOpOneCat(X.objects, X.cells1, comp, bound)
+    fold_paths(X, C.identities, C.then)
+    return X
 
 
 def _check_level_maps(F: OpMorphism, X, Y) -> None:
@@ -171,8 +172,11 @@ def functor_from_morphism(
     if check:
         _check_level_maps(F, X, Y)
         for key in iter_paths(X):
+            row = X.comp.get(key)
+            if row not in X.cells1:
+                raise InvalidInput(f"source has no valid composite for {key}")
             image = key_image(key, F.on_objects, F.on_one_cells)
-            if Y.comp.get(image) != F.on_one_cells[X.comp[key]]:
+            if Y.comp.get(image) != F.on_one_cells[row]:
                 raise InvalidInput(f"composition not preserved on {key}")
     return CatFunctor(dict(F.on_objects), dict(F.on_one_cells))
 
@@ -451,8 +455,12 @@ def _check_translation(
 def validate_op_morphism(
     F: OpMorphism, X: FiniteOpTwoCat, X2: FiniteOpTwoCat
 ) -> ValidationReport:
-    """Full morphism check: frames, identities, and all grafting."""
+    """Full morphism check: entries keyed by no cell of ``X``, frames,
+    identities, and all grafting."""
     out = _Collector()
+    _unknown_keys(out, F.on_objects, X.objects, "on_objects entry for an unknown object")
+    _unknown_keys(out, F.on_one_cells, X.cells1, "on_one_cells entry for an unknown 1-cell")
+    _unknown_keys(out, F.on_two_cells, X.cells2, "on_two_cells entry for an unknown 2-cell")
     try:
         _check_morphism_shape(F, X, X2)
     except InvalidInput as exc:

@@ -546,6 +546,7 @@ def _transcript_inputs(tmp: Path) -> None:
     sign, idem, terminal = sign_bicategory(), idempotent_bicategory(), terminal_bicategory()
     doc = serialize.load_path(str(FIXTURE_DIR / "op2cat.json"))
     biasing = {**doc["biasing"], "iota": {**doc["biasing"]["iota"], "pt": "@pt|ne"}}
+    identity = serialize.load_path(str(FIXTURE_DIR / "opmorphism.json"))
     idem_op = from_bicategory(idem)
     docs = {
         "dropped.json": {**doc, "graft": doc["graft"][1:]},
@@ -559,6 +560,7 @@ def _transcript_inputs(tmp: Path) -> None:
             morphism_from_lax_functor(_collapse(sign), sign, idem)),
         "absorbing.json": serialize.to_doc(
             morphism_from_lax_functor(absorbing_constraint_functor(), terminal, idem)),
+        "extra.json": {**identity, "two_cells": {**identity["two_cells"], "zz": "1e"}},
     }
     for name, d in docs.items():
         serialize.save_path(str(tmp / name), d)

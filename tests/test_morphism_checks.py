@@ -12,17 +12,22 @@
   ``InvalidBiasing`` on corrupted input, never a bare lookup error; so do
   ``validate_lax_functor`` and ``morphism_from_lax_functor`` when a
   bicategory is not valid.
+- The morphism validators report a map entry keyed by no cell of the source
+  as ``dangling id``, and a constraint for a non-composable pair as
+  ``frame``; ``functor_from_morphism`` names a missing row on either side.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
+import re
 
 import pytest
 
 import classical_oracles as old
 from opetokit import (
+    CatFunctor,
     InvalidBiasing,
     InvalidInput,
     LaxFunctor,
@@ -33,11 +38,15 @@ from opetokit import (
     lax_functor_from_morphism,
     morphism_from_lax_functor,
     validate_bicategory,
+    validate_functor,
     validate_lax_functor,
+    validate_op_morphism,
 )
 from opetokit.fixtures import (
     absorbing_constraint_functor,
+    arrow_bicategory,
     identity_lax_functor,
+    sign_bicategory,
     sign_twisted_endofunctor,
     small_category_family,
     z2_category,
@@ -236,3 +245,67 @@ def test_an_invalid_bicategory_is_a_domain_error(sign, broken):
         with pytest.raises(InvalidInput) as info:
             call(identity_lax_functor(sign), B, B2)
         assert str(info.value) == expected, call.__name__
+
+
+# -- entries outside the source's domain -------------------------------------------
+
+
+def _violations(report) -> list[tuple]:
+    return [(v.rule, v.witness, v.message) for v in report.violations]
+
+
+@pytest.mark.parametrize("base, table, entry, expected", [
+    ("sign", "on_objects", ("zz", "pt"), ("dangling id", ("zz",), "on_objects entry for an unknown object")),
+    ("sign", "on_one_cells", ("zz", "e"),
+     ("dangling id", ("zz",), "on_one_cells entry for an unknown 1-cell")),
+    ("sign", "on_two_cells", ("zz", "1e"),
+     ("dangling id", ("zz",), "on_two_cells entry for an unknown 2-cell")),
+    ("sign", "phi_pair", (("zz", "e"), "1e"),
+     ("dangling id", ("zz", "e"), "phi_pair entry for an unknown 1-cell")),
+    ("arrow", "phi_pair", (("k", "k"), "1k"), ("frame", ("k", "k"), "phi_pair entry for a non-composable pair")),
+    ("sign", "phi_obj", ("zz", "1e"), ("dangling id", ("zz",), "phi_obj entry for an unknown object")),
+], ids=["object", "1-cell", "2-cell", "pair of an unknown 1-cell", "non-composable pair", "object constraint"])
+def test_lax_functor_entries_outside_the_source_are_reported(base, table, entry, expected):
+    B = sign_bicategory() if base == "sign" else arrow_bicategory()
+    G = identity_lax_functor(B)
+    assert validate_lax_functor(G, B, B).ok
+    key, value = entry
+    H = dataclasses.replace(G, **{table: {**getattr(G, table), key: value}})
+    assert _violations(validate_lax_functor(H, B, B)) == [expected]
+    with pytest.raises(InvalidInput):
+        morphism_from_lax_functor(H, B, B)
+
+
+def test_functor_entries_outside_the_source_are_reported(z2cat):
+    F = CatFunctor({"o": "o"}, {"e": "e", "s": "s"})
+    extra = CatFunctor({"o": "o", "zz": "o"}, {"zz": "e", "e": "e", "s": "s"})
+    assert validate_functor(F, z2cat, z2cat).ok
+    assert _violations(validate_functor(extra, z2cat, z2cat)) == [
+        ("dangling id", ("zz",), "on_objects entry for an unknown object"),
+        ("dangling id", ("zz",), "on_arrows entry for an unknown arrow"),
+    ]
+
+
+def test_op_morphism_entries_outside_the_source_are_reported(sign, sign_op):
+    X = sign_op[0]
+    F = morphism_from_lax_functor(identity_lax_functor(sign), sign, sign)
+    assert validate_op_morphism(F, X, X).ok
+    extra = OpMorphism({**F.on_objects, "zz": "pt"}, {**F.on_one_cells, "zy": "e"},
+                       {"zx": "1e", **F.on_two_cells})
+    assert _violations(validate_op_morphism(extra, X, X)) == [
+        ("dangling id", ("zz",), "on_objects entry for an unknown object"),
+        ("dangling id", ("zy",), "on_one_cells entry for an unknown 1-cell"),
+        ("dangling id", ("zx",), "on_two_cells entry for an unknown 2-cell"),
+    ]
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_functor_from_morphism_names_a_missing_row(side):
+    X = from_category(z2_category(), 3)
+    F = OpMorphism({"o": "o"}, {"e": "e", "s": "s"})
+    assert functor_from_morphism(F, X, X) == CatFunctor({"o": "o"}, {"e": "e", "s": "s"})
+    dropped = dataclasses.replace(X, comp={k: v for k, v in X.comp.items() if k != (1, "e", "e", "e")})
+    expected = {"source": "source has no valid composite for (1, 'e', 'e', 'e')",
+                "target": "composition not preserved on (1, 'e', 'e', 'e')"}[side]
+    with pytest.raises(InvalidInput, match=r"^" + re.escape(expected) + "$"):
+        functor_from_morphism(F, *((dropped, X) if side == "source" else (X, dropped)))
