@@ -136,8 +136,9 @@ class FiniteOpOneCat:
 
     @cached_property
     def paths(self) -> tuple[tuple[tuple, ...], ...]:
-        """The keys of ``path_layers(self)``, one tuple per length."""
-        return tuple(map(tuple, path_layers(self)))
+        """``_path_layers(self)``, sharing ``comp``'s key objects where it has the key."""
+        layers, own = _path_layers(self), {key: key for key in self.comp}.get
+        return tuple(tuple(map(own, layer, layer)) for layer in layers) if self.comp else layers
 
     def src(self, f: str) -> str:
         return self.cells1[f][0]
@@ -161,10 +162,11 @@ class FiniteOpTwoCat:
     pasting ``inner`` into the given source position of ``outer``.  ``ident2``
     names the 1-ary identity 2-cell on each 1-cell.
 
-    The niche index ``occupants`` is derived from ``cells2`` once per
-    structure, on first use, and kept for its lifetime.  The tables must
-    therefore not be mutated in place after a query; derive a changed
-    structure with ``dataclasses.replace``, which starts a fresh index.
+    The niche index ``occupants`` is derived from ``cells2``, and the path
+    index ``paths`` from ``objects``, ``cells1`` and ``arity_bound``:
+    once per structure, on first use, kept for its lifetime.  The tables
+    must therefore not be mutated in place after a query; derive a changed
+    structure with ``dataclasses.replace``, which starts fresh indexes.
     """
 
     objects: tuple[str, ...]
@@ -188,6 +190,11 @@ class FiniteOpTwoCat:
 
     def arity(self, alpha: str) -> int:
         return self.cell(alpha).source.arity
+
+    @cached_property
+    def paths(self) -> tuple[tuple[tuple, ...], ...]:
+        """``_path_layers(self)``."""
+        return _path_layers(self)
 
     @cached_property
     def occupants(self) -> dict[tuple, tuple[str, ...]]:
@@ -230,34 +237,27 @@ def _by_source(cells: dict[str, tuple[str, str]]) -> dict[str, list[str]]:
     return after
 
 
-def path_layers(X):
+def _path_layers(X) -> tuple[tuple[tuple, ...], ...]:
     """The keys of all composable paths over ``X.cells1`` up to the bound,
-    one list per length.
+    one tuple per length.
 
     Layer 0 holds the empty paths, one per object in ``X.objects`` order;
     layer m the paths of length m, in lexicographic order of their edges.
     The layers stop at the bound or before the first empty one.
     """
-    yield [(0, a) for a in X.objects]
     by_src = _by_source(X.cells1)
     for bucket in by_src.values():
         bucket.sort()
-    frontier = [(1, f) for f in sorted(X.cells1)]
-    length = 1
-    while frontier and length <= X.arity_bound:
-        yield frontier
-        length += 1
-        if length > X.arity_bound:
-            break
-        frontier = [
-            key + (g,)
-            for key in frontier
-            for g in by_src.get(X.cells1[key[-1]][1], ())
-        ]
+    layers, layer = [tuple((0, a) for a in X.objects)], tuple((1, f) for f in sorted(X.cells1))
+    while layer and len(layers) <= X.arity_bound:
+        layers.append(layer)
+        if len(layers) <= X.arity_bound:  # the next layer is within the bound
+            layer = tuple(key + (g,) for key in layer for g in by_src.get(X.cells1[key[-1]][1], ()))
+    return tuple(layers)
 
 
 def prefix_rows(cells1: dict[str, tuple[str, str]]):
-    """``f(layer, rows)``: for a layer m >= 1 of ``path_layers`` and its rows, the
+    """``f(layer, rows)``: for a layer m >= 1 of ``X.paths`` and its rows, the
     rows of layer m + 1's keys without their last edge, in order.  Each key of
     layer m is extended by every 1-cell out of its end, so its row repeats that often."""
     after, last = _by_source(cells1), itemgetter(-1)
@@ -266,8 +266,8 @@ def prefix_rows(cells1: dict[str, tuple[str, str]]):
 
 
 def iter_paths(X):
-    """The keys of ``X.paths`` (of ``path_layers(X)`` in dimension 2), layer after layer."""
-    return chain.from_iterable(X.paths if isinstance(X, FiniteOpOneCat) else path_layers(X))
+    """The keys of ``X.paths``, layer after layer."""
+    return chain.from_iterable(X.paths)
 
 
 def fold_paths(X: FiniteOpOneCat, units: dict[str, str], step) -> dict[tuple, str]:

@@ -152,6 +152,15 @@ def from_category(
     return X
 
 
+def _outside_the_source(F: OpMorphism, X) -> _Collector:
+    """A ``dangling id`` per entry of ``F`` keyed by no cell of ``X``, map by map."""
+    out = _Collector()
+    _unknown_keys(out, F.on_objects, X.objects, "on_objects entry for an unknown object")
+    _unknown_keys(out, F.on_one_cells, X.cells1, "on_one_cells entry for an unknown 1-cell")
+    _unknown_keys(out, F.on_two_cells, getattr(X, "cells2", ()), "on_two_cells entry for an unknown 2-cell")
+    return out
+
+
 def _check_level_maps(F: OpMorphism, X, Y) -> None:
     """Objects and 1-cells go to objects and 1-cells of the same frame."""
     for a in X.objects:
@@ -170,6 +179,7 @@ def functor_from_morphism(
 ) -> CatFunctor:
     """A morphism of 1-dimensional presentations is already a functor."""
     if check:
+        _require(_outside_the_source(F, X).report())
         _check_level_maps(F, X, Y)
         for key in iter_paths(X):
             row = X.comp.get(key)
@@ -322,38 +332,38 @@ def _cell_name(key: tuple, alpha: str) -> str:
 def _generate(B: FiniteBicategory, bound: int) -> _Generated:
     """Cells as (source path key, label) pairs, then their grafting table.
 
-    Cells come path by path in ``iter_paths`` order, so each ``by_target``
-    bucket is sorted by arity and one ``bisect_right`` cuts off the cells too
-    long to graft.  Per outer path and slot, ``cohs`` caches the coherence leg
-    by inner path key and ``legs`` caches ``then2(coh, whisk)`` and the spliced
-    key by inner cell id, both filled lazily in visiting order (outer, slot,
-    inner).  So on any input, a corrupt ``B`` too, the tables, their order and
-    the first exception are those of the row-by-row loop in the test oracles.
+    ``X`` is made first, its tables filled in place.  Cells come path by
+    path in the order of ``X.paths``, so each ``by_target`` bucket is sorted
+    by arity and one ``bisect_right`` cuts off the cells too long to graft.
+    Per outer path and slot, ``cohs`` caches the coherence leg by inner path
+    key and ``legs`` caches ``then2(coh, whisk)`` and the spliced key by inner
+    cell id, both filled lazily in visiting order (outer, slot, inner).  So
+    on any input, a corrupt ``B`` too, the tables, their order and the first
+    exception are those of the row-by-row loop in the test oracles.
     """
-    cells2: dict[str, TwoCell] = {}
+    X = FiniteOpTwoCat(tuple(sorted(B.objects)), dict(B.one_cells), {}, {}, {}, bound)
     value_of: dict[str, tuple[tuple, str]] = {}
     cell_of: dict[tuple, str] = {}
     by_target: dict[str, list[tuple]] = defaultdict(list)  # (cell id, path key, edges, label)
     arities: dict[str, list[int]] = defaultdict(list)  # the source arities of a by_target bucket
     out_of = _by_source(B.two_cells)
-    for key in iter_paths(FiniteOpOneCat(tuple(sorted(B.objects)), B.one_cells, {}, bound)):
+    for key in iter_paths(X):
         edges = key[1:] if key[0] else ()
         base = chain_value(B, edges, None if key[0] else key[1])
         source = PastingPath(edges) if edges else empty_path(key[1])
         for alpha in out_of.get(base, ()):
             t = B.two_cells[alpha][1]
             cid = _cell_name(key, alpha)
-            if cid in cells2:
+            if cid in X.cells2:
                 raise InvalidInput(f"generated cell id collision at {cid!r}")
-            cells2[cid] = TwoCell(cid, source, t)
+            X.cells2[cid] = TwoCell(cid, source, t)
             value_of[cid] = (key, alpha)
             cell_of[(key, alpha)] = cid
             by_target[t].append((cid, key, edges, alpha))
             arities[t].append(len(edges))
 
-    ident2 = {f: _cell_name((1, f), B.id2[f]) for f in B.one_cells}
+    X.ident2.update({f: _cell_name((1, f), B.id2[f]) for f in B.one_cells})
 
-    graft_table: dict[tuple[str, int, str], str] = {}
     shape = None
     for outer_id, (p, alpha_o) in value_of.items():
         if p != shape:  # a new outer path: cut its buckets, start its caches
@@ -376,16 +386,8 @@ def _generate(B: FiniteBicategory, bound: int) -> _Generated:
                     to_outer = B.then2(cohs[slot][q], _whisker_at(B, vals, slot, alpha_i))
                     spliced = edges[:slot] + inner + edges[slot + 1 :]
                     leg = legs[slot][inner_id] = to_outer, ((1, *spliced) if spliced else q)
-                graft_table[(outer_id, slot, inner_id)] = cell_of[(leg[1], B.then2(leg[0], alpha_o))]
+                X.graft[(outer_id, slot, inner_id)] = cell_of[(leg[1], B.then2(leg[0], alpha_o))]
 
-    X = FiniteOpTwoCat(
-        objects=tuple(sorted(B.objects)),
-        cells1=dict(B.one_cells),
-        cells2=cells2,
-        ident2=ident2,
-        graft=graft_table,
-        arity_bound=bound,
-    )
     biasing = Biasing(
         iota={a: cell_of[((0, a), B.id2[B.id1[a]])] for a in B.objects},
         c={
@@ -446,7 +448,8 @@ def _check_morphism_shape(
 def _check_translation(
     F: OpMorphism, X: FiniteOpTwoCat, X2: FiniteOpTwoCat, b: Biasing, b2: Biasing
 ) -> None:
-    """The morphism's shape, then both biasings."""
+    """No entry outside the source, the morphism's shape, then both biasings."""
+    _require(_outside_the_source(F, X).report())
     _check_morphism_shape(F, X, X2)
     _require(validate_biasing(X, b), InvalidBiasing)
     _require(validate_biasing(X2, b2), InvalidBiasing)
@@ -457,10 +460,7 @@ def validate_op_morphism(
 ) -> ValidationReport:
     """Full morphism check: entries keyed by no cell of ``X``, frames,
     identities, and all grafting."""
-    out = _Collector()
-    _unknown_keys(out, F.on_objects, X.objects, "on_objects entry for an unknown object")
-    _unknown_keys(out, F.on_one_cells, X.cells1, "on_one_cells entry for an unknown 1-cell")
-    _unknown_keys(out, F.on_two_cells, X.cells2, "on_two_cells entry for an unknown 2-cell")
+    out = _outside_the_source(F, X)
     try:
         _check_morphism_shape(F, X, X2)
     except InvalidInput as exc:

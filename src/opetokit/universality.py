@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from operator import itemgetter
 
 from .errors import ArityError, DanglingId, NicheMismatch, Violation
-from .core import FiniteOpOneCat, FiniteOpTwoCat, _by_source, path_layers
+from .core import FiniteOpOneCat, FiniteOpTwoCat, _by_source, prefix_rows
 
 
 def _factorizations(X: FiniteOpTwoCat, a: str, c: str) -> list[str]:
@@ -159,8 +159,10 @@ def check_coherence(X: FiniteOpTwoCat, direct_niche_search: bool = False) -> Coh
     by grafting universal binary occupants together, which closure makes
     universal: a path's occupant is the least universal binary occupant of
     (target of its prefix's occupant, last edge) grafted onto that occupant.
-    ``direct_niche_search`` forces the exhaustive search instead.  Violations
-    come in table order, never in hash order.
+    ``direct_niche_search`` forces the exhaustive search instead.  Niches are
+    taken a layer of ``X.paths`` at a time, each derived niche's prefix
+    occupant read by position (``prefix_rows``).  Violations come in table
+    order, never in hash order.
     """
     violations: list[Violation] = []
     u2 = frozenset(c for c in X.cells2 if is_universal_2cell(X, c))
@@ -173,29 +175,26 @@ def check_coherence(X: FiniteOpTwoCat, direct_niche_search: bool = False) -> Coh
                 Violation("1-niche without universal occupant", (a,))
             )
 
+    # a derived niche's occupant: its prefix's derived occupant grafted under
+    # the least universal occupant of the binary niche (its target, last edge)
+    def derived(prefix, last):
+        binary = prefix and niche_universals[(1, X.cells2[prefix[0]].target, last)]
+        occupant = X.graft.get((binary[0], 0, prefix[0])) if binary else None
+        return () if occupant is None else (occupant,)
+
     niche_universals: dict[tuple, tuple[str, ...]] = {}
-    layers = list(path_layers(X))  # by length: up to two edges are searched
-    for key in chain.from_iterable(layers):
-        if direct_niche_search or len(key) <= 3:
-            found = tuple(sorted(c for c in X.occupants.get(key, ()) if c in u2))
-            niche_universals[key] = found
-            if not found:
-                violations.append(Violation("niche without universal occupant", (key,)))
-            continue
-        # derive an occupant: graft the prefix's derived occupant under the
-        # least universal occupant of the binary niche (its target, last edge)
-        prefix = niche_universals[key[:-1]]
-        binary = prefix and niche_universals[(1, X.cells2[prefix[0]].target, key[-1])]
-        derived = X.graft.get((binary[0], 0, prefix[0])) if binary else None
-        niche_universals[key] = () if derived is None else (derived,)
-        if derived is None:
-            violations.append(
-                Violation(
-                    "niche without universal occupant",
-                    (key,),
-                    "no derivation from binary universals",
-                )
-            )
+    layers, prefixes, rows = X.paths, prefix_rows(X.cells1), []
+    for m, layer in enumerate(layers):
+        if direct_niche_search or m <= 2:  # up to two edges are searched
+            rows = [tuple(sorted(c for c in X.occupants.get(key, ()) if c in u2)) for key in layer]
+            note = ""
+        else:
+            rows = list(map(derived, prefixes(layers[m - 1], rows), map(itemgetter(-1), layer)))
+            note = "no derivation from binary universals"
+        niche_universals.update(zip(layer, rows))
+        for key, row in zip(layer, rows):
+            if not row:
+                violations.append(Violation("niche without universal occupant", (key,), note))
 
     # closure of universality under grafting, checked on generators
     for (outer, slot, inner), result in X.graft.items():

@@ -13,8 +13,9 @@
   ``validate_lax_functor`` and ``morphism_from_lax_functor`` when a
   bicategory is not valid.
 - The morphism validators report a map entry keyed by no cell of the source
-  as ``dangling id``, and a constraint for a non-composable pair as
-  ``frame``; ``functor_from_morphism`` names a missing row on either side.
+  as ``dangling id``, and the ``check=True`` translations reject it with
+  that report; a constraint for a non-composable pair is ``frame``;
+  ``functor_from_morphism`` names a missing row on either side.
 """
 
 from __future__ import annotations
@@ -297,6 +298,21 @@ def test_op_morphism_entries_outside_the_source_are_reported(sign, sign_op):
         ("dangling id", ("zy",), "on_one_cells entry for an unknown 1-cell"),
         ("dangling id", ("zx",), "on_two_cells entry for an unknown 2-cell"),
     ]
+    # the checked translations reject the same entries, one map at a time
+    b = sign_op[1]
+    X1, F1 = from_category(z2_category(), 3), OpMorphism({"o": "o"}, {"e": "e", "s": "s"})
+    assert classify_morphism(F, X, X, b, b).verdict == "strict"
+    assert functor_from_morphism(F1, X1, X1) == CatFunctor({"o": "o"}, {"e": "e", "s": "s"})
+    translations = ((lax_functor_from_morphism, F, (X, X, b, b)),
+                    (classify_morphism, F, (X, X, b, b)),
+                    (functor_from_morphism, F1, (X1, X1)))
+    for table, value, what in (("on_objects", "pt", "object"), ("on_one_cells", "e", "1-cell"),
+                               ("on_two_cells", "1e", "2-cell")):
+        expected = re.escape(f"dangling id: ('zz',): {table} entry for an unknown {what}")
+        for translate, base, args in translations:
+            one = dataclasses.replace(base, **{table: {**getattr(base, table), "zz": value}})
+            with pytest.raises(InvalidInput, match=f"^{expected}$"):
+                translate(one, *args)
 
 
 @pytest.mark.parametrize("side", ["source", "target"])

@@ -19,7 +19,6 @@ from opetokit.core import (
     FiniteOpOneCat,
     FiniteOpTwoCat,
     iter_paths,
-    path_layers,
     validate_op1,
     validate_op2,
 )
@@ -116,7 +115,7 @@ def test_path_layers_are_the_paths_by_length():
     for C in FAMILY[::17]:
         for bound in range(6):
             X = from_category(C, bound)
-            layers = list(path_layers(X))
+            layers = X.paths
             assert [len(key) - 1 if key[0] else 0 for key in iter_paths(X)] == [
                 m for m, layer in enumerate(layers) for _ in layer
             ]
@@ -154,7 +153,7 @@ def _others(X: FiniteOpOneCat, key: tuple) -> list[str]:
 
 def _aimed_corruptions() -> dict[str, FiniteOpOneCat]:
     X = _two_objects()
-    layers = list(path_layers(X))
+    layers = X.paths
     loop = next(f for f, (s, t) in sorted(X.cells1.items()) if s == t
                 and any(g != f and fr == (s, t) for g, fr in X.cells1.items()))
     arrow = next(f for f, (s, t) in sorted(X.cells1.items()) if s != t)

@@ -1,10 +1,16 @@
-"""The path index of ``FiniteOpOneCat``: built once, read by position.
+"""The path indexes of ``FiniteOpOneCat`` and ``FiniteOpTwoCat``: built
+once, read by position.
 
 - ``from_category`` enumerates the paths once, for the index of the
   structure it returns; ``validate_op1`` and ``to_category`` read that index
-  and enumerate nothing more.
-- A structure from a document, from ``dataclasses.replace`` or from the
-  constructor builds its own index on first use, exactly once.
+  and enumerate nothing more.  So does ``from_bicategory``, through
+  ``check_coherence``, ``choose_biasing`` and ``to_bicategory``.
+- A structure of either dimension from a document, from
+  ``dataclasses.replace`` or from the constructor builds its own index on
+  first use, exactly once.
+- The dimension-2 index is the oracle enumerator's paths, layer by layer,
+  on the fixtures and Z3 at bounds -1 to 6.
+- A filled dimension-1 table and its index share their key objects.
 - The prefix rows that ``prefix_rows`` reads by position are the rows of the
   keys without their last edge, on the category family at bounds 0 to 5.
 - ``validate_op1`` reports the same on a structure whose index is built and
@@ -15,29 +21,46 @@
 from __future__ import annotations
 
 import dataclasses
+from itertools import chain
 
 import pytest
 
 import path_oracles as old
 from opetokit import MissingComposite, core, serialize
-from opetokit.core import FiniteOpOneCat, prefix_rows, validate_op1
-from opetokit.equivalences import from_category, to_category
-from opetokit.fixtures import z2_category
+from opetokit.core import FiniteOpOneCat, iter_paths, prefix_rows, validate_op1
+from opetokit.equivalences import (
+    choose_biasing,
+    from_bicategory,
+    from_category,
+    to_bicategory,
+    to_category,
+)
+from opetokit.fixtures import (
+    arrow_bicategory,
+    idempotent_bicategory,
+    sign_bicategory,
+    terminal_bicategory,
+    z2_category,
+)
+from opetokit.universality import check_coherence
 from test_op1_layers import AIMED, oracle_validate_op1
 from test_op1_oracle import FAMILY, _corrupt
+from test_op2_oracle import FIXTURE, _zn
+
+BICATEGORIES = (sign_bicategory, idempotent_bicategory, arrow_bicategory, terminal_bicategory)
 
 
 @pytest.fixture
 def enumerations(monkeypatch):
-    """The structures ``core.path_layers`` is called on, in call order."""
+    """The structures ``core._path_layers`` is called on, in call order."""
     calls: list = []
-    real = core.path_layers
+    real = core._path_layers
 
     def counted(X):
         calls.append(X)
         return real(X)
 
-    monkeypatch.setattr(core, "path_layers", counted)
+    monkeypatch.setattr(core, "_path_layers", counted)
     return calls
 
 
@@ -51,25 +74,91 @@ def test_from_category_output_is_not_enumerated_again(enumerations):
         assert enumerations == [X]
 
 
-def _copies(X: FiniteOpOneCat) -> dict[str, FiniteOpOneCat]:
+def test_from_bicategory_output_is_not_enumerated_again(enumerations):
+    for make in BICATEGORIES:
+        B = make()
+        enumerations.clear()
+        X, b = from_bicategory(B, 4)
+        assert enumerations == [X]
+        assert check_coherence(X).ok
+        assert choose_biasing(X) == b
+        assert to_bicategory(X, b, check=True) == B
+        assert enumerations == [X]
+
+
+def _from_document(X):
+    Y = serialize.from_doc(serialize.loads(serialize.dumps(serialize.to_doc(X))))
+    return Y[0] if isinstance(Y, tuple) else Y  # an op2cat document also gives a biasing
+
+
+def _copies(X) -> dict:
     return {
-        "document": serialize.from_doc(serialize.loads(serialize.dumps(serialize.to_doc(X)))),
+        "document": _from_document(X),
         "replace": dataclasses.replace(X),
-        "constructor": FiniteOpOneCat(X.objects, X.cells1, X.comp, X.arity_bound),
+        "constructor": type(X)(*(getattr(X, f.name) for f in dataclasses.fields(X))),
     }
 
 
-@pytest.mark.parametrize("origin", ["document", "replace", "constructor"])
-def test_a_new_structure_builds_its_own_index_once(enumerations, origin):
-    X = from_category(z2_category(), 4)
+def _read_op1(Y) -> bool:
+    return validate_op1(Y).ok and to_category(Y) == z2_category()
+
+
+def _read_op2(Y) -> bool:
+    return check_coherence(Y).ok and to_bicategory(Y, choose_biasing(Y)) == sign_bicategory()
+
+
+ORIGINS = ("document", "replace", "constructor")
+STRUCTURES = {  # a structure of each dimension, and a reading of its index
+    "op1": (lambda: from_category(z2_category(), 4), _read_op1),
+    "op2": (lambda: from_bicategory(sign_bicategory(), 4)[0], _read_op2),
+}
+
+
+@pytest.mark.parametrize(
+    "dimension, origin",
+    [pytest.param("op1", origin, id=origin) for origin in ORIGINS]
+    + [pytest.param("op2", origin, id=f"op2 {origin}") for origin in ORIGINS],
+)
+def test_a_new_structure_builds_its_own_index_once(enumerations, dimension, origin):
+    make, read = STRUCTURES[dimension]
+    X = make()
     Y = _copies(X)[origin]
     assert "paths" not in vars(Y)
     enumerations.clear()
     for _ in range(2):
-        assert validate_op1(Y).ok
-        assert to_category(Y) == z2_category()
+        assert read(Y)
     assert enumerations == [Y]
     assert Y.paths == X.paths
+
+
+def _op2_structures() -> dict:
+    named = {make.__name__: from_bicategory(make(), 4)[0] for make in BICATEGORIES}
+    return {"fixture": serialize.from_doc(serialize.load_path(str(FIXTURE)))[0], **named, "z3": _zn(3)}
+
+
+@pytest.mark.parametrize("bound", range(-1, 7))
+def test_op2_paths_are_the_oracle_paths_by_length(bound):
+    for name, X in _op2_structures().items():
+        Y = dataclasses.replace(X, arity_bound=bound)
+        keys = [p.key() for p in old.iter_paths(Y)]
+        by_length = [tuple(key for key in keys if (len(key) - 1 if key[0] else 0) == m)
+                     for m in range(max(bound, 0) + 1)]
+        while len(by_length) > 1 and not by_length[-1]:
+            by_length.pop()
+        assert Y.paths == tuple(by_length), name
+        assert list(iter_paths(Y)) == keys, name
+        if bound <= 0:
+            assert Y.paths == (tuple((0, a) for a in Y.objects),), name
+
+
+def test_a_filled_table_shares_its_keys_with_the_index():
+    X = from_category(z2_category(), 6)
+    for Y in _copies(X).values():
+        own = {key: key for key in Y.comp}
+        assert all(own[key] is key for key in chain.from_iterable(Y.paths))
+    extra = dataclasses.replace(X, comp={k: v for k, v in X.comp.items() if len(k) < 5})
+    missing = [key for key in iter_paths(extra) if key not in extra.comp]
+    assert missing and extra.paths == X.paths
 
 
 @pytest.mark.parametrize("bound", range(6))
