@@ -136,9 +136,8 @@ class FiniteOpOneCat:
 
     @cached_property
     def paths(self) -> tuple[tuple[tuple, ...], ...]:
-        """``_path_layers(self)``, sharing ``comp``'s key objects where it has the key."""
-        layers, own = _path_layers(self), {key: key for key in self.comp}.get
-        return tuple(tuple(map(own, layer, layer)) for layer in layers) if self.comp else layers
+        """``_path_layers(self)``."""
+        return _path_layers(self)
 
     def src(self, f: str) -> str:
         return self.cells1[f][0]
@@ -163,10 +162,11 @@ class FiniteOpTwoCat:
     names the 1-ary identity 2-cell on each 1-cell.
 
     The niche index ``occupants`` is derived from ``cells2``, and the path
-    index ``paths`` from ``objects``, ``cells1`` and ``arity_bound``:
-    once per structure, on first use, kept for its lifetime.  The tables
-    must therefore not be mutated in place after a query; derive a changed
-    structure with ``dataclasses.replace``, which starts fresh indexes.
+    index ``paths`` from ``objects``, ``cells1`` and ``arity_bound``, once
+    per structure on first use.  So do not mutate the tables in place after
+    a query (``dataclasses.replace`` starts fresh indexes), except that
+    ``paths`` may be read while the other three tables are filled, as
+    ``equivalences._generate`` does; ``occupants`` may not.
     """
 
     objects: tuple[str, ...]

@@ -152,12 +152,12 @@ def from_category(
     return X
 
 
-def _outside_the_source(F: OpMorphism, X) -> _Collector:
-    """A ``dangling id`` per entry of ``F`` keyed by no cell of ``X``, map by map."""
+def _outside_the_source(F: OpMorphism, X, cells2) -> _Collector:
+    """A ``dangling id`` per entry of ``F`` keyed by no cell of ``X`` (2-cells: ``cells2``)."""
     out = _Collector()
     _unknown_keys(out, F.on_objects, X.objects, "on_objects entry for an unknown object")
     _unknown_keys(out, F.on_one_cells, X.cells1, "on_one_cells entry for an unknown 1-cell")
-    _unknown_keys(out, F.on_two_cells, getattr(X, "cells2", ()), "on_two_cells entry for an unknown 2-cell")
+    _unknown_keys(out, F.on_two_cells, cells2, "on_two_cells entry for an unknown 2-cell")
     return out
 
 
@@ -179,7 +179,7 @@ def functor_from_morphism(
 ) -> CatFunctor:
     """A morphism of 1-dimensional presentations is already a functor."""
     if check:
-        _require(_outside_the_source(F, X).report())
+        _require(_outside_the_source(F, X, ()).report())
         _check_level_maps(F, X, Y)
         for key in iter_paths(X):
             row = X.comp.get(key)
@@ -449,7 +449,7 @@ def _check_translation(
     F: OpMorphism, X: FiniteOpTwoCat, X2: FiniteOpTwoCat, b: Biasing, b2: Biasing
 ) -> None:
     """No entry outside the source, the morphism's shape, then both biasings."""
-    _require(_outside_the_source(F, X).report())
+    _require(_outside_the_source(F, X, X.cells2).report())
     _check_morphism_shape(F, X, X2)
     _require(validate_biasing(X, b), InvalidBiasing)
     _require(validate_biasing(X2, b2), InvalidBiasing)
@@ -460,7 +460,7 @@ def validate_op_morphism(
 ) -> ValidationReport:
     """Full morphism check: entries keyed by no cell of ``X``, frames,
     identities, and all grafting."""
-    out = _outside_the_source(F, X)
+    out = _outside_the_source(F, X, X.cells2)
     try:
         _check_morphism_shape(F, X, X2)
     except InvalidInput as exc:

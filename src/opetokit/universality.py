@@ -165,6 +165,7 @@ def check_coherence(X: FiniteOpTwoCat, direct_niche_search: bool = False) -> Coh
     order, never in hash order.
     """
     violations: list[Violation] = []
+    niche_universals: dict[tuple, tuple[str, ...]] = {}
     u2 = frozenset(c for c in X.cells2 if is_universal_2cell(X, c))
     u1 = frozenset(f for f in X.cells1 if is_universal_1cell(X, f))
 
@@ -182,8 +183,7 @@ def check_coherence(X: FiniteOpTwoCat, direct_niche_search: bool = False) -> Coh
         occupant = X.graft.get((binary[0], 0, prefix[0])) if binary else None
         return () if occupant is None else (occupant,)
 
-    niche_universals: dict[tuple, tuple[str, ...]] = {}
-    layers, prefixes, rows = X.paths, prefix_rows(X.cells1), []
+    layers, prefixes = X.paths, prefix_rows(X.cells1)
     for m, layer in enumerate(layers):
         if direct_niche_search or m <= 2:  # up to two edges are searched
             rows = [tuple(sorted(c for c in X.occupants.get(key, ()) if c in u2)) for key in layer]

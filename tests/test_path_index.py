@@ -10,7 +10,8 @@ once, read by position.
   first use, exactly once.
 - The dimension-2 index is the oracle enumerator's paths, layer by layer,
   on the fixtures and Z3 at bounds -1 to 6.
-- A filled dimension-1 table and its index share their key objects.
+- ``from_bicategory`` reads its structure's path index while it fills the
+  tables, and never its niche index.
 - The prefix rows that ``prefix_rows`` reads by position are the rows of the
   keys without their last edge, on the category family at bounds 0 to 5.
 - ``validate_op1`` reports the same on a structure whose index is built and
@@ -21,7 +22,6 @@ once, read by position.
 from __future__ import annotations
 
 import dataclasses
-from itertools import chain
 
 import pytest
 
@@ -84,6 +84,13 @@ def test_from_bicategory_output_is_not_enumerated_again(enumerations):
         assert choose_biasing(X) == b
         assert to_bicategory(X, b, check=True) == B
         assert enumerations == [X]
+
+
+def test_generation_reads_no_niche_index():
+    """``_generate`` reads ``X.paths`` while it fills the tables, never ``X.occupants``."""
+    for make in BICATEGORIES:
+        X, _ = from_bicategory(make(), 4)
+        assert "paths" in vars(X) and "occupants" not in vars(X)
 
 
 def _from_document(X):
@@ -149,16 +156,6 @@ def test_op2_paths_are_the_oracle_paths_by_length(bound):
         assert list(iter_paths(Y)) == keys, name
         if bound <= 0:
             assert Y.paths == (tuple((0, a) for a in Y.objects),), name
-
-
-def test_a_filled_table_shares_its_keys_with_the_index():
-    X = from_category(z2_category(), 6)
-    for Y in _copies(X).values():
-        own = {key: key for key in Y.comp}
-        assert all(own[key] is key for key in chain.from_iterable(Y.paths))
-    extra = dataclasses.replace(X, comp={k: v for k, v in X.comp.items() if len(k) < 5})
-    missing = [key for key in iter_paths(extra) if key not in extra.comp]
-    assert missing and extra.paths == X.paths
 
 
 @pytest.mark.parametrize("bound", range(6))
