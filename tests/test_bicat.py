@@ -105,6 +105,17 @@ def test_category_rules_name_their_witness(C, rule, expected):
     assert _found(validate_category(C), rule) == expected
 
 
+def test_category_table_reports_its_entries_before_totality():
+    # one pair dropped and another entry mistyped in the same compose table
+    compose = {**ARROW_CATEGORY.compose, ("f", "1a"): "1a"}
+    del compose[("1b", "f")]
+    report = validate_category(dataclasses.replace(ARROW_CATEGORY, compose=compose))
+    assert [(v.rule, v.witness, v.message) for v in report.violations] == [
+        ("frame", ("f", "1a", "1a"), "composite endpoints are wrong"),
+        ("totality", ("1b", "f"), "composable pair missing from the table"),
+    ]
+
+
 def test_functor_totality_names_the_missing_image(z2cat):
     F = CatFunctor({"o": "o"}, {"e": "e", "s": "s"})
     assert validate_functor(F, z2cat, z2cat).ok

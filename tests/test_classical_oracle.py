@@ -7,7 +7,10 @@ library takes them from ``composable_pairs``, ``composable_triples`` and
 
 - equal ``validate_bicategory`` reports, rule, witness, message and order,
   on the fixture bicategories, the Z3 2-group, the labelled Z2 bicategory of
-  ``test_bicat`` and 1,120 seeded single-entry corruptions of eight tables;
+  ``test_bicat``, 1,120 seeded single-entry corruptions of eight tables and
+  260 seeded two-defect corruptions of ``vcomp`` and ``hcomp1`` (one entry
+  dropped, another replaced), which pin where a table's totality report
+  falls among its entries' reports;
 - equal ``to_bicategory`` tables, in insertion order, on the presentations
   generated from those corruptions and on presentations with one swapped
   graft row under a chosen occupant (or the same exception);
@@ -105,6 +108,43 @@ def test_reports_agree_on_corruptions(name, field):
     for seed in range(SEEDS_PER_TABLE):
         B = _corrupt(name, field, seed)
         assert _outcome(validate_bicategory, B) == _outcome(old.validate_bicategory, B), seed
+
+
+def _corrupt_twice(name: str, field: str, seed: int) -> FiniteBicategory:
+    """One entry of a composition table dropped and another replaced, by a
+    cell of another frame where there is one."""
+    rng = random.Random(f"{name}/{field}/twice/{seed}")
+    B = _base(name)
+    table = dict(getattr(B, field))
+    dropped, replaced = rng.sample(sorted(table), 2)
+    cells = B.one_cells if field == "hcomp1" else B.two_cells
+    value = table[replaced]
+    del table[dropped]
+    others = sorted(c for c in cells if cells[c] != cells[value])
+    table[replaced] = rng.choice(others or sorted(c for c in cells if c != value))
+    return dataclasses.replace(B, **{field: table})
+
+
+TWICE = [(name, field) for name, field in itertools.product(BASES, ("vcomp", "hcomp1"))
+         if len(getattr(_base(name), field)) > 1]  # 13 tables x 20 = 260 corruptions
+
+
+@pytest.mark.parametrize("name, field", TWICE)
+def test_reports_agree_on_two_defects_in_one_table(name, field):
+    for seed in range(SEEDS_PER_TABLE):
+        B = _corrupt_twice(name, field, seed)
+        assert _outcome(validate_bicategory, B) == _outcome(old.validate_bicategory, B), seed
+
+
+def test_two_defect_corruptions_mix_totality_and_entry_reports():
+    # the sweep above pins the order only if a report holds both kinds
+    for field, entry_rule in (("vcomp", "hom category"), ("hcomp1", "frame")):
+        mixed = 0
+        for name, seed in itertools.product(BASES, range(SEEDS_PER_TABLE)):
+            if (name, field) in TWICE:
+                rules = [v.rule for v in validate_bicategory(_corrupt_twice(name, field, seed)).violations]
+                mixed += {"totality", entry_rule} <= set(rules)
+        assert mixed >= 5, field
 
 
 def test_corruptions_reach_the_rewritten_rules():

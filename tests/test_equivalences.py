@@ -388,6 +388,8 @@ def test_sign_twisted_morphism_is_weak(sign, sign_op):
 def test_absorbing_morphism_is_lax(terminal, terminal_op, idem, idem_op):
     XT, bT = terminal_op
     XI, bI = idem_op
+    # G breaks the unit axioms, so this pins that classify_morphism(check=True)
+    # checks the shape only; a valid lax witness is pinned below
     G = absorbing_constraint_functor()
     F = morphism_from_lax_functor(G, terminal, idem)
     assert F.on_two_cells[bT.iota["pt"]] == "@pt|t"
@@ -398,6 +400,27 @@ def test_absorbing_morphism_is_lax(terminal, terminal_op, idem, idem_op):
     assert lax_functor_from_morphism(F, XT, XI, bT, bI) == G
     # but it is not a morphism of the structures: grafting is not preserved
     assert "grafting" in validate_op_morphism(F, XT, XI).rules()
+
+
+def test_collapse_with_an_absorbing_pair_constraint_is_a_lax_morphism(sign, idem):
+    # a valid lax functor, unlike absorbing_constraint_functor() above: its
+    # translation is a morphism, and classify_morphism finds it lax
+    from opetokit import LaxFunctor
+
+    G = LaxFunctor(
+        on_objects={"pt": "pt"},
+        on_one_cells={f: "i" for f in sign.one_cells},
+        on_two_cells={a: "1" for a in sign.two_cells},
+        phi_pair={pair: "t" if pair == ("s", "s") else "1" for pair in sign.hcomp1},
+        phi_obj={"pt": "1"},
+    )
+    assert validate_lax_functor(G, sign, idem).ok
+    (X, b), (XI, bI) = from_bicategory(sign, 3), from_bicategory(idem, 3)
+    F = morphism_from_lax_functor(G, sign, idem, 3)
+    assert validate_op_morphism(F, X, XI).ok
+    result = classify_morphism(F, X, XI, b, bI)
+    assert (result.verdict, result.witness) == ("lax", ("e;s;s|1e", "i;i;i|t"))
+    assert lax_functor_from_morphism(F, X, XI, b, bI) == G
 
 
 def test_classification_stable_across_runs(sign, sign_op, terminal, terminal_op, idem, idem_op):

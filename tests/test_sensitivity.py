@@ -11,11 +11,17 @@ structure that the validator on the other side accepts:
 - a corrupted op1cat fixture that ``validate_op1`` accepts converts to a
   category that ``validate_category`` accepts;
 - a corrupted Z3 presentation that ``validate_op2`` and ``check_coherence``
-  accept converts to a bicategory that ``validate_bicategory`` accepts.
+  accept converts to a bicategory that ``validate_bicategory`` accepts;
+- a corrupted map of a morphism that its validator (``validate_functor``,
+  ``validate_lax_functor`` or ``validate_op_morphism``) accepts translates to
+  the other side, where the validator accepts it and the translation back
+  gives it unchanged.  The morphisms are the identity functor on Z2, the
+  identity and the sign-twisted lax functors on sign, and the translation of
+  the identity on sign at bound 3.
 
 Tier-1 runs a seeded sample; ``python tests/test_sensitivity.py`` runs the
-full sweep and prints, for each table, how many corruptions were flagged and
-how many accepted.
+full sweep and prints, for each table or map, how many corruptions were
+flagged and how many accepted.
 """
 
 from __future__ import annotations
@@ -29,20 +35,37 @@ from pathlib import Path
 import pytest
 
 from opetokit import (
+    CatFunctor,
     FiniteBicategory,
     FiniteOpOneCat,
+    LaxFunctor,
+    OpMorphism,
     check_coherence,
     choose_biasing,
     from_bicategory,
+    from_category,
+    functor_from_morphism,
+    lax_functor_from_morphism,
+    morphism_from_lax_functor,
     serialize,
     to_bicategory,
     to_category,
     validate_bicategory,
     validate_category,
+    validate_functor,
+    validate_lax_functor,
     validate_op1,
     validate_op2,
+    validate_op_morphism,
 )
-from opetokit.fixtures import arrow_bicategory, idempotent_bicategory, sign_bicategory
+from opetokit.fixtures import (
+    arrow_bicategory,
+    identity_lax_functor,
+    idempotent_bicategory,
+    sign_bicategory,
+    sign_twisted_endofunctor,
+    z2_category,
+)
 from test_generated_families import BOUND, check_equivalence, groups
 
 FIXTURES = Path(__file__).resolve().parent.parent / "docs" / "fixtures"
@@ -229,6 +252,99 @@ def test_opetopic_corruptions_are_flagged_or_convert_to_valid_structures():
         _check_opetopic(X)
 
 
+# -- morphisms --------------------------------------------------------------------
+
+
+Z2, SIGN = z2_category(), sign_bicategory()
+Z2_OP = from_category(Z2)
+SIGN_OP, SIGN_BIASING = from_bicategory(SIGN, 3)
+MORPHISMS = {
+    "functor": CatFunctor({"o": "o"}, {f: f for f in Z2.arrows}),
+    "identity": identity_lax_functor(SIGN),
+    "twisted": sign_twisted_endofunctor(),
+    "op morphism": morphism_from_lax_functor(identity_lax_functor(SIGN), SIGN, SIGN, 3),
+}
+MAP_VALUES = {  # the cells a map's values are drawn from
+    "on_objects": SIGN.objects,
+    "on_one_cells": tuple(SIGN.one_cells),
+    "on_two_cells": tuple(SIGN.two_cells),
+    "phi_pair": tuple(SIGN.two_cells),
+    "phi_obj": tuple(SIGN.two_cells),
+}
+MORPHISM_VALUES = {
+    "functor": {"on_objects": Z2.objects, "on_arrows": tuple(Z2.arrows)},
+    "identity": MAP_VALUES,
+    "twisted": MAP_VALUES,
+    "op morphism": {"on_objects": SIGN_OP.objects, "on_one_cells": tuple(SIGN_OP.cells1),
+                    "on_two_cells": tuple(SIGN_OP.cells2)},
+}
+
+
+def corrupt_morphism(name: str, table: str, mode: str, seed: int):
+    """One corruption of one map of a morphism; an added entry is keyed by an
+    unknown cell (every map is total, so no known key is missing)."""
+    rng = random.Random(f"{name}/{table}/{mode}/{seed}")
+    F = MORPHISMS[name]
+    entries = dict(getattr(F, table))
+    values = sorted(MORPHISM_VALUES[name][table])
+    if mode == "add":
+        key = rng.choice(sorted(entries))
+        if isinstance(key, tuple):
+            key = list(key)
+            key[rng.randrange(len(key))] = UNKNOWN
+            key = tuple(key)
+        else:
+            key = UNKNOWN
+        entries[key] = rng.choice(values)
+    else:
+        key = rng.choice(sorted(entries))
+        others = [v for v in values if v != entries[key]]
+        if mode == "drop" or not others:
+            mode = "drop"
+            del entries[key]
+        else:
+            entries[key] = rng.choice(others)
+    return dataclasses.replace(F, **{table: entries}), mode
+
+
+def _check_morphism(F) -> bool:
+    """Whether the validator of ``F``'s kind accepts it; if it does, its
+    translation must pass the other side's check and translate back to ``F``."""
+    if isinstance(F, CatFunctor):
+        if not validate_functor(F, Z2, Z2).ok:
+            return False
+        assert functor_from_morphism(OpMorphism(F.on_objects, F.on_arrows), Z2_OP, Z2_OP) == F
+        return True
+    X, b = SIGN_OP, SIGN_BIASING
+    if isinstance(F, LaxFunctor):
+        if not validate_lax_functor(F, SIGN, SIGN).ok:
+            return False
+        image = morphism_from_lax_functor(F, SIGN, SIGN, 3)
+        assert validate_op_morphism(image, X, X).ok
+        assert lax_functor_from_morphism(image, X, X, b, b) == F
+        return True
+    if not validate_op_morphism(F, X, X).ok:
+        return False
+    image = lax_functor_from_morphism(F, X, X, b, b)
+    assert validate_lax_functor(image, SIGN, SIGN).ok
+    assert morphism_from_lax_functor(image, SIGN, SIGN, 3) == F
+    return True
+
+
+def _morphism_cases(seeds: int):
+    for name, F in MORPHISMS.items():
+        for field, mode in itertools.product(dataclasses.fields(F), MODES):
+            for seed in range(seeds):
+                yield name, field.name, mode, seed
+
+
+def test_morphism_corruptions_are_flagged_or_round_trip():
+    counts = _sweep(_morphism_cases(OP_SAMPLE_SEEDS), corrupt_morphism, _check_morphism)
+    # every added entry is flagged; some replacements are other valid morphisms
+    assert not any(key[2] == "add" and key[3] == "accepted" for key in counts)
+    assert any(key[3] == "accepted" for key in counts)
+
+
 def _sweep(cases, corrupt, check) -> Counter:
     counts = Counter()
     for name, table, mode, seed in cases:
@@ -239,7 +355,8 @@ def _sweep(cases, corrupt, check) -> Counter:
 
 if __name__ == "__main__":  # the full sweep, one line per (base, table, mode)
     sweeps = (_sweep(_bicategory_cases(SWEEP_SEEDS), corrupt_bicategory, _check_bicategory),
-              _sweep(_opetopic_cases(OP_SWEEP_SEEDS), corrupt_opetopic, _check_opetopic))
+              _sweep(_opetopic_cases(OP_SWEEP_SEEDS), corrupt_opetopic, _check_opetopic),
+              _sweep(_morphism_cases(OP_SWEEP_SEEDS), corrupt_morphism, _check_morphism))
     for counts in sweeps:
         for group in sorted({key[:3] for key in counts}):
             flagged, accepted = (counts[(*group, verdict)] for verdict in ("flagged", "accepted"))
