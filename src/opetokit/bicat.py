@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import _by_source, composable_pairs, composable_triples
+from .core import _by_source, _unknown_ends, _unknown_keys, composable_pairs, composable_triples
 from .errors import (
     DanglingId,
     MissingComposite,
@@ -364,14 +364,6 @@ def bracketed_value(B: FiniteBicategory, edges, g: Bracketing) -> str:
 # validators
 
 
-def _unknown_keys(out: _Collector, table: dict, known, message: str) -> None:
-    """A ``dangling id`` for each key of ``table`` outside ``known``, in the
-    table's order."""
-    for key in table:
-        if key not in known:
-            out.add("dangling id", (key,), message)
-
-
 def _images(out: _Collector, table: str, what: str, images: dict, cells, targets,
             ends=None, mismatch="") -> None:
     """A map of cells (the functor's ``table``, of ``what``s): ``totality`` for
@@ -387,11 +379,29 @@ def _images(out: _Collector, table: str, what: str, images: dict, cells, targets
     _unknown_keys(out, images, cells, f"{table} entry for an unknown {what}")
 
 
+def _composites(out: _Collector, table: dict, cells: dict, rule: str, entry: str, mistyped: str) -> None:
+    """Per entry ``(g, f) -> h`` of ``table`` over ``cells`` (id -> ends): ``dangling id``
+    for an unknown cell, else ``rule`` with ``entry`` if f does not end where g
+    starts, else ``rule`` with ``mistyped`` unless h runs from f's start to g's end."""
+    for (g, f), h in table.items():
+        if not cells.keys() >= {g, f, h}:
+            out.add("dangling id", (g, f, h))
+        elif cells[f][1] != cells[g][0]:
+            out.add(rule, (g, f), entry)
+        elif cells[h] != (cells[f][0], cells[g][1]):
+            out.add(rule, (g, f, h), mistyped)
+
+
+def _missing_composites(out: _Collector, table: dict, cells: dict, message: str) -> None:
+    """A ``totality`` for each composable pair ``(g, f)`` of ``cells`` not in ``table``."""
+    for f, g in composable_pairs(cells):
+        if (g, f) not in table:
+            out.add("totality", (g, f), message)
+
+
 def validate_category(C: FiniteCategory) -> ValidationReport:
     out = _Collector()
-    for f, (s, t) in C.arrows.items():
-        if s not in C.objects or t not in C.objects:
-            out.add("dangling id", (f,), "endpoint object missing")
+    _unknown_ends(out, C.arrows, C.objects)
     for a in C.objects:
         i = C.identities.get(a)
         if i is None or i not in C.arrows:
@@ -401,17 +411,9 @@ def validate_category(C: FiniteCategory) -> ValidationReport:
     _unknown_keys(out, C.identities, C.objects, "identities entry for an unknown object")
     if out.items:
         return out.report()
-    for (g, f), h in C.compose.items():
-        if g not in C.arrows or f not in C.arrows or h not in C.arrows:
-            out.add("dangling id", (g, f, h))
-            continue
-        if C.tgt(f) != C.src(g):
-            out.add("frame", (g, f), "entry for a non-composable pair")
-        elif C.arrows[h] != (C.src(f), C.tgt(g)):
-            out.add("frame", (g, f, h), "composite endpoints are wrong")
-    for f, g in composable_pairs(C.arrows):
-        if (g, f) not in C.compose:
-            out.add("totality", (g, f), "composable pair missing from the table")
+    _composites(out, C.compose, C.arrows, "frame", "entry for a non-composable pair",
+                "composite endpoints are wrong")
+    _missing_composites(out, C.compose, C.arrows, "composable pair missing from the table")
     if out.items:
         return out.report()
     for f in C.arrows:
@@ -440,9 +442,7 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
     naturality``, ``right unitor naturality``, ``pentagon``, ``triangle``.
     """
     out = _Collector()
-    for f, (s, t) in B.one_cells.items():
-        if s not in B.objects or t not in B.objects:
-            out.add("dangling id", (f,))
+    _unknown_ends(out, B.one_cells, B.objects, "")
     for a, (x, y) in B.two_cells.items():
         if x not in B.one_cells or y not in B.one_cells:
             out.add("dangling id", (a,))
@@ -462,16 +462,9 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
         if i is None or i not in B.two_cells or B.two_cells[i] != (f, f):
             out.add("hom category", (f,), "identity 2-cell missing or mistyped")
     _unknown_keys(out, B.id2, B.one_cells, "id2 entry for an unknown 1-cell")
-    for (b, a), c in B.vcomp.items():
-        if not B.two_cells.keys() >= {b, a, c}:
-            out.add("dangling id", (b, a, c))
-        elif B.tgt2(a) != B.src2(b):
-            out.add("hom category", (b, a), "vertical entry for a non-composable pair")
-        elif B.two_cells[c] != (B.src2(a), B.tgt2(b)):
-            out.add("hom category", (b, a, c), "vertical composite mistyped")
-    for a, b in composable_pairs(B.two_cells):
-        if (b, a) not in B.vcomp:
-            out.add("totality", (b, a), "vertical composite missing")
+    _composites(out, B.vcomp, B.two_cells, "hom category",
+                "vertical entry for a non-composable pair", "vertical composite mistyped")
+    _missing_composites(out, B.vcomp, B.two_cells, "vertical composite missing")
     if out.items:
         return out.report()
     for a in B.two_cells:
@@ -482,17 +475,9 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
             out.add("hom category", (c, b, a), "vertical associativity fails")
 
     # horizontal composition tables
-    comp1 = [(g, f) for f, g in composable_pairs(B.one_cells)]
-    for g, f in comp1:
-        if (g, f) not in B.hcomp1:
-            out.add("totality", (g, f), "1-cell composite missing")
-    for (g, f), h in B.hcomp1.items():
-        if not B.one_cells.keys() >= {g, f, h}:
-            out.add("dangling id", (g, f, h))
-        elif B.tgt1(f) != B.src1(g):
-            out.add("frame", (g, f), "hcomp1 entry for a non-composable pair")
-        elif B.one_cells[h] != (B.src1(f), B.tgt1(g)):
-            out.add("frame", (g, f, h), "1-cell composite mistyped")
+    _missing_composites(out, B.hcomp1, B.one_cells, "1-cell composite missing")
+    _composites(out, B.hcomp1, B.one_cells, "frame", "hcomp1 entry for a non-composable pair",
+                "1-cell composite mistyped")
     for (b, a), c in B.hcomp2.items():
         if not B.two_cells.keys() >= {b, a, c}:
             out.add("dangling id", (b, a, c))
@@ -515,6 +500,7 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
         return out.report()
 
     # functoriality of horizontal composition
+    comp1 = [(g, f) for f, g in composable_pairs(B.one_cells)]
     for g, f in comp1:
         if B.beside2(B.id2[g], B.id2[f]) != B.id2[B.beside1(g, f)]:
             out.add("hcomp identity", (g, f))

@@ -33,6 +33,7 @@ from .errors import (
 )
 
 DEFAULT_ARITY_BOUND = 4
+_MISSING_END = "endpoint object missing"
 
 
 @dataclass(frozen=True)
@@ -321,12 +322,26 @@ def composable_triples(cells: dict[str, tuple[str, str]]) -> list[tuple[str, str
 # validation
 
 
+def _unknown_keys(out: _Collector, table: dict, known, message: str, rule: str = "dangling id") -> None:
+    """A ``rule`` violation for each key of ``table`` outside ``known``, in table order."""
+    for key in table:
+        if key not in known:
+            out.add(rule, (key,), message)
+
+
+def _unknown_ends(out: _Collector, cells: dict, objects, message: str = _MISSING_END) -> None:
+    """A ``dangling id`` for each of ``cells`` with an endpoint outside ``objects``."""
+    for f, (s, t) in cells.items():
+        if s not in objects or t not in objects:
+            out.add("dangling id", (f,), message)
+
+
 def validate_op0(X: FiniteOpZeroCat) -> ValidationReport:
     out = _Collector()
     loops: dict[str, int] = {a: 0 for a in X.objects}
     for f, (s, t) in X.cells1.items():
         if s not in X.objects or t not in X.objects:
-            out.add("dangling id", (f,), "endpoint object missing")
+            out.add("dangling id", (f,), _MISSING_END)
         elif s != t:
             out.add("frame", (f,), "1-cells of a 0-dimensional presentation must be loops")
         else:
@@ -383,9 +398,7 @@ def validate_op1(X: FiniteOpOneCat) -> ValidationReport:
         return rejected
     out = _Collector()
     comp, cells1, bound = X.comp, X.cells1, X.arity_bound
-    for f, (s, t) in cells1.items():
-        if s not in X.objects or t not in X.objects:
-            out.add("dangling id", (f,), "endpoint object missing")
+    _unknown_ends(out, cells1, X.objects)
     if not all(map(cells1.__contains__, comp.values())):
         for key, result in comp.items():
             if result not in cells1:
@@ -401,9 +414,7 @@ def validate_op1(X: FiniteOpOneCat) -> ValidationReport:
             if key not in comp:
                 out.add("totality", (key,), "composable path has no recorded composite")
         known = set(chain.from_iterable(layers))
-        for key in comp:
-            if key not in known:
-                out.add("dangling id", (key,), "comp entry for a path that does not exist at this bound")
+        _unknown_keys(out, comp, known, "comp entry for a path that does not exist at this bound")
     if out.items:
         return out.report(arity_bound=bound)
 
@@ -487,9 +498,10 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
     row by row, and if it finds nothing, the rows longer than the bound join
     ``col`` and ``below`` after the blocks' rows, in arity order.
 
-    A law instance is skipped when either side's graft has no table entry,
-    and reported when both exist and differ.  Once the frames pass, every
-    entry's result has the spliced source, so no entry has a composite
+    The unit laws report every absent unit row, even beyond the bound; the
+    grafting laws skip an instance when either side's graft has no table
+    entry, and report it when both exist and differ.  Once the frames pass,
+    every entry's result has the spliced source, so no entry has a composite
     longer than ``top``, the longest cell, and the batches below are cut at
     that arity.  When ``top <= bound``, totality makes every entry within
     the cut present; when ``top > bound``, some may be absent.
@@ -519,9 +531,7 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
     if rejected is not None:
         return rejected
     out = _Collector()
-    for f, (s, t) in X.cells1.items():
-        if s not in X.objects or t not in X.objects:
-            out.add("dangling id", (f,), "endpoint object missing")
+    _unknown_ends(out, X.cells1, X.objects)
     for cid, cell in X.cells2.items():
         if cid != cell.id:
             out.add("dangling id", (cid,), "cell stored under a different id")
@@ -546,9 +556,7 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
         cell = X.cells2[ident]
         if cell.source != path(f) or cell.target != f:
             out.add("identity", (f, ident), "identity 2-cell has the wrong frame")
-    for f in X.ident2:
-        if f not in X.cells1:
-            out.add("dangling id", (f,), "identity recorded for an unknown 1-cell")
+    _unknown_keys(out, X.ident2, X.cells1, "identity recorded for an unknown 1-cell")
 
     bound, graft_table = X.arity_bound, X.graft
     arity = {cid: cell.source.arity for cid, cell in X.cells2.items()}

@@ -40,6 +40,7 @@ from .core import (
     PastingPath,
     TwoCell,
     _by_source,
+    _unknown_keys,
     composable_pairs,
     composable_triples,
     empty_path,
@@ -61,7 +62,6 @@ from .bicat import (
     _hom_pairs,
     _lax_functor_structure,
     _normalize,
-    _unknown_keys,
     _whisker_at,
     chain_value,
     invert_two_cell,
@@ -218,9 +218,7 @@ def choose_biasing(X: FiniteOpTwoCat) -> Biasing:
 
 def validate_biasing(X: FiniteOpTwoCat, b: Biasing) -> ValidationReport:
     out = _Collector()
-    walked = set()
     for kind, chosen, place, occupants in _biased_niches(X, b):
-        walked.add((kind, place))
         where = place if kind == "binary" else (place,)
         cell_id = chosen.get(place)
         if cell_id is None or cell_id not in X.cells2:
@@ -230,12 +228,9 @@ def validate_biasing(X: FiniteOpTwoCat, b: Biasing) -> ValidationReport:
             out.add("niche", (*where, cell_id), f"chosen cell not in {niche} niche")
         elif not is_universal_2cell(X, cell_id):
             out.add("universality", (*where, cell_id), f"chosen {kind} occupant not universal")
-    for a in b.iota:
-        if ("nullary", a) not in walked:
-            out.add("niche", (a,), "choice for an unknown object")
-    for pair in b.c:
-        if ("binary", pair) not in walked:
-            out.add("niche", (pair,), "choice for a non-composable pair")
+    _unknown_keys(out, b.iota, X.objects, "choice for an unknown object", "niche")
+    pairs = set(composable_pairs(X.cells1))
+    _unknown_keys(out, b.c, pairs, "choice for a non-composable pair", "niche")
     return out.report()
 
 
