@@ -122,9 +122,21 @@ def _new_key(B: FiniteBicategory, table: str, entries: dict, rng: random.Random)
     return tuple(key)
 
 
+def _drop_or_replace(entries: dict, values: list, mode: str, rng: random.Random) -> str:
+    """Drop a random entry, or replace its value by another of ``values``; the
+    mode really used: a value with no other of its kind is dropped instead."""
+    key = rng.choice(sorted(entries))
+    others = [v for v in values if v != entries[key]]
+    if mode == "drop" or not others:
+        del entries[key]
+        return "drop"
+    entries[key] = rng.choice(others)
+    return mode
+
+
 def corrupt_bicategory(name: str, table: str, mode: str, seed: int):
     """One corruption of one table of a base bicategory, and the mode it
-    really used: a value with no other of its kind is dropped instead."""
+    really used."""
     rng = random.Random(f"{name}/{table}/{mode}/{seed}")
     B = BASES[name]()
     entries = dict(getattr(B, table))
@@ -132,13 +144,7 @@ def corrupt_bicategory(name: str, table: str, mode: str, seed: int):
     if mode == "add":
         entries[_new_key(B, table, entries, rng)] = rng.choice(values)
     else:
-        key = rng.choice(sorted(entries))
-        others = [v for v in values if v != entries[key]]
-        if mode == "drop" or not others:
-            mode = "drop"
-            del entries[key]
-        else:
-            entries[key] = rng.choice(others)
+        mode = _drop_or_replace(entries, values, mode, rng)
     return dataclasses.replace(B, **{table: entries}), mode
 
 
@@ -215,13 +221,7 @@ def corrupt_opetopic(name: str, table: str, mode: str, seed: int):
                 break
         entries[key] = rng.choice(values)
     else:
-        key = rng.choice(sorted(entries))
-        others = [v for v in values if v != entries[key]]
-        if mode == "drop" or not others:
-            mode = "drop"
-            del entries[key]
-        else:
-            entries[key] = rng.choice(others)
+        mode = _drop_or_replace(entries, values, mode, rng)
     return dataclasses.replace(X, **{table: entries}), mode
 
 
@@ -297,13 +297,7 @@ def corrupt_morphism(name: str, table: str, mode: str, seed: int):
             key = UNKNOWN
         entries[key] = rng.choice(values)
     else:
-        key = rng.choice(sorted(entries))
-        others = [v for v in values if v != entries[key]]
-        if mode == "drop" or not others:
-            mode = "drop"
-            del entries[key]
-        else:
-            entries[key] = rng.choice(others)
+        mode = _drop_or_replace(entries, values, mode, rng)
     return dataclasses.replace(F, **{table: entries}), mode
 
 
