@@ -13,10 +13,10 @@ repeats an id or a table key raises ``ParseError``; ``loads`` already
 rejects an object that repeats a key, and shares one ``str`` per distinct
 string of a document.  ``from_doc`` keeps the strings it is given, so a
 document built by hand is not deduplicated.  ``dumps`` writes
-``json.dumps(doc, indent=2, sort_keys=True)`` without its pure-Python
-encoder: a top-level list of flat rows fills one template from columns
-encoded at once, and any other value is laid out by ``json.dumps`` and
-indented one level (encoded JSON holds no raw newline inside a string).
+``json.dumps(doc, indent=2, sort_keys=True)`` as one join of pieces: a
+top-level list of rows sharing one set of string keys goes a column at a
+time, each distinct value encoded once, and any other value is laid out by
+``json`` and indented (encoded JSON holds no raw newline inside a string).
 """
 
 from __future__ import annotations
@@ -124,12 +124,13 @@ class _Rows(_Codec):
         self.fields = fields
 
     def dump(self, table):
-        # a dict display per key width: keys are pairs or triples
+        keys = sorted(table)  # distinct pairs or triples: sorted as the items
+        rows = zip(keys, list(map(table.__getitem__, keys)))  # faster than a lazy map
         if len(self.fields) == 3:
             f, g, last = self.fields
-            return [{f: x, g: y, last: v} for (x, y), v in sorted(table.items())]
+            return [{f: x, g: y, last: v} for (x, y), v in rows]
         f, g, h, last = self.fields
-        return [{f: x, g: y, h: z, last: v} for (x, y, z), v in sorted(table.items())]
+        return [{f: x, g: y, h: z, last: v} for (x, y, z), v in rows]
 
     def load(self, raw, where):
         return _read_table(raw, self.fields[:-1], self.fields[-1:], where)
@@ -307,38 +308,52 @@ def from_doc(doc: dict):
     return obj, Biasing(**_load(doc["biasing"], "op2cat.biasing", _BIASING))
 
 
-_ENCODE = {str: encode_basestring_ascii, int: int.__repr__}
+_COMPACT = json.JSONEncoder(sort_keys=True).encode
+_INDENTED = json.JSONEncoder(indent=2, sort_keys=True).encode
 
 
-def _row_list(rows) -> str | None:
-    """A non-empty list of flat rows with one key set and every field a string
-    or an int, as ``dumps`` lays out a top-level field: one ``%`` template
-    filled from columns encoded at once.  None for any other value."""
+def _column(values: list) -> list[str]:
+    """Each value as JSON text at a row field's depth, each distinct one encoded once."""
+    kinds = set(map(type, values))
+    if kinds == {str} or kinds == {int}:
+        encode = encode_basestring_ascii if kinds == {str} else int.__repr__
+        text = {v: encode(v) for v in set(values)}
+        return list(map(text.__getitem__, values))
+    keys = list(map(_COMPACT, values))  # not the values: 1 == 1.0 == True
+    text = {k: _INDENTED(v).replace("\n", "\n      ") for k, v in dict(zip(keys, values)).items()}
+    return list(map(text.__getitem__, keys))
+
+
+def _row_table(rows) -> list[str] | None:
+    """The pieces of a top-level list of objects sharing one set of string keys,
+    a column at a time between constant separators; None for any other value."""
     if type(rows) is not list or set(map(type, rows)) != {dict}:
         return None
-    fields = sorted(rows[0])
+    fields = sorted(rows[0]) if set(map(type, rows[0])) == {str} else []
     if not fields or set(map(len, rows)) != {len(fields)}:
         return None
-    columns = []
+    names = [f"\n      {encode_basestring_ascii(name)}: " for name in fields]
+    table = [None] * (2 * len(fields) * len(rows))
     try:
-        for name in fields:
-            column = list(map(itemgetter(name), rows))
-            (kind,) = set(map(type, column))
-            columns.append(map(_ENCODE[kind], column))
-    except (KeyError, ValueError):  # another key set, mixed types or another type
+        for j, head in enumerate(["\n    },\n    {" + names[0]] + ["," + n for n in names[1:]]):
+            table[2 * j::2 * len(fields)] = [head] * len(rows)
+            table[2 * j + 1::2 * len(fields)] = _column(list(map(itemgetter(fields[j]), rows)))
+    except KeyError:  # another key set of the same size
         return None
-    lines = [f"      {encode_basestring_ascii(name).replace('%', '%%')}: %s" for name in fields]
-    template = "{\n" + ",\n".join(lines) + "\n    }"
-    return "[\n    " + ",\n    ".join(map(template.__mod__, zip(*columns))) + "\n  ]"
+    table[0] = "[\n    {" + names[0]
+    table.append("\n    }\n  ]")
+    return table
 
 
 def dumps(doc: dict) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)`` and a newline."""
-    return "{\n" + ",\n".join(
-        f"  {encode_basestring_ascii(key)}: "
-        + (_row_list(value) or json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "))
-        for key, value in sorted(doc.items())
-    ) + "\n}\n"
+    """``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, joined once."""
+    pieces = ["{"]
+    for key, value in sorted(doc.items()):
+        pieces.append(f"\n  {encode_basestring_ascii(key)}: ")
+        pieces += _row_table(value) or [_INDENTED(value).replace("\n", "\n  ")]
+        pieces.append(",")
+    pieces[-1] = "\n}\n" if doc else "{}\n"
+    return "".join(pieces)
 
 
 def loads(text: str) -> dict:

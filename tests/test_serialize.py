@@ -350,6 +350,7 @@ def _writer_docs() -> dict[str, dict]:
     category = _fixture("category.json")
     row = category["compose"][0]
     docs["mixed key sets"] = dict(category, compose=[row, {"g": "e", "f": "e"}, row])
+    docs["a later row with one more key"] = dict(category, compose=[row, dict(row, r="e")])
     docs["same width, other keys"] = dict(category, compose=[row, {"g": "e", "f": "e", "r": "e"}])
     docs["int among strings"] = dict(category, compose=[row, dict(row, result=3)])
     for name, value in (("bool", True), ("float", 2.5), ("null", None)):
@@ -357,12 +358,77 @@ def _writer_docs() -> dict[str, dict]:
             category, compose=[dict(r, result=value) for r in category["compose"]]
         )
     docs["percent signs in field names"] = {"kind": "set", "rows": [{"%s": "%d", "a%": 1}]}
+    docs["field names that are not strings"] = {"kind": "set", "rows": [{1: "a"}]}
+    docs["1, 1.0 and true in one column"] = {
+        "kind": "set", "rows": [{"v": v} for v in (1, 1.0, True, 1, True, 1.0)],
+    }
+    source = {"edges": ["e", "f"]}
+    docs["nested values repeated across rows"] = {
+        "kind": "set",
+        "rows": [{"id": i, "source": dict(source), "n": {"s": source}} for i in "abc"],
+    }
+    docs["strings and objects in one column"] = {
+        "kind": "set", "rows": [{"v": "e"}, {"v": {"e": "e"}}, {"v": "e"}, {"v": ["e"]}],
+    }
+    docs["empty nested list and object"] = {
+        "kind": "set", "rows": [{"v": []}, {"v": {}}, {"v": {"a": [], "b": {}, "c": [[]]}}],
+    }
+    docs["escaped strings inside nested values"] = {
+        "kind": "set",
+        "rows": [{"id": e, "source": {"edges": [e, "x"], e: {e: e}}} for e in ESCAPED],
+    }
+    docs["one-row table"] = {"kind": "set", "rows": [{"id": "a", "slot": 0, "src": None}]}
     return docs
 
 
 @pytest.mark.parametrize("name", sorted(_writer_docs()))
 def test_dumps_writes_what_the_whole_document_encoder_writes(name):
     doc = _writer_docs()[name]
+    assert serialize.dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# values equal as dict keys but not as JSON, escaped strings, and every JSON type
+CLASHING = st.sampled_from((0, 1, 1.0, True, False, 0.0))
+SCALARS = CLASHING | st.sampled_from((None, 2.5, 10**20, "", "1", *ESCAPED))
+NAMES = st.sampled_from(("a", "b", "id", "%s", "", *ESCAPED))
+VALUES = st.recursive(
+    SCALARS | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(NAMES, inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@st.composite
+def row_tables(draw):
+    """Rows sharing one set of string keys, each column drawn from a few values
+    so that rows repeat them, or such rows with one defect."""
+    fields = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(1, 6))
+    columns = [
+        draw(st.lists(st.sampled_from(draw(st.lists(CLASHING | VALUES, min_size=1, max_size=3))),
+                      min_size=n, max_size=n))
+        for _ in fields
+    ]
+    rows = [dict(zip(fields, values)) for values in zip(*columns)]
+    row = draw(st.sampled_from(rows))
+    defect = draw(st.sampled_from((None,) * 5 + ("drop", "add", "rename", "int keys", "not a row")))
+    if defect == "drop":
+        del row[fields[0]]
+    elif defect == "add":  # no name in NAMES ends in "x"
+        row[fields[0] + "x"] = None
+    elif defect == "rename":
+        row[fields[0] + "x"] = row.pop(fields[0])
+    elif defect == "int keys":
+        rows = [dict(enumerate(r.values())) for r in rows]
+    elif defect == "not a row":
+        rows[rows.index(row)] = draw(VALUES)
+    return rows
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rows=row_tables(), fields=st.dictionaries(NAMES, VALUES, max_size=2))
+def test_dumps_writes_what_the_whole_document_encoder_writes_on_row_tables(rows, fields):
+    doc = {"kind": "set", **fields, "rows": rows}
     assert serialize.dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -429,23 +495,32 @@ def test_loads_shares_one_string_per_distinct_string(name):
     assert len(first) < len(strings) or name == "set.json"
 
 
-def _retained_bytes(parse, text: str) -> int:
-    """What ``parse(text)``'s result holds, as traced by ``tracemalloc``."""
+def _traced_bytes(call, arg) -> tuple[int, int]:
+    """What ``call(arg)``'s result holds and the peak on the way, as traced by
+    ``tracemalloc``."""
     gc.collect()
     tracemalloc.start()
     try:
-        doc = parse(text)
-        retained, _ = tracemalloc.get_traced_memory()
+        kept = call(arg)  # alive while the memory is read
+        return tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return retained
 
 
 def test_loads_retains_at_most_seven_tenths_of_json_loads():
     # a parse that stops sharing strings retains as much as json.loads
     text = _text("Z3 op2cat")
-    ratio = _retained_bytes(serialize.loads, text) / _retained_bytes(json.loads, text)
+    retained, _ = _traced_bytes(serialize.loads, text)
+    ratio = retained / _traced_bytes(json.loads, text)[0]
     assert ratio <= 0.7, ratio
+
+
+def test_dumps_peaks_at_most_two_and_a_quarter_times_its_text():
+    # a writer that encodes every row anew, or copies the table text, peaks higher
+    doc = _writer_docs()["Z3 op2cat"]
+    _, peak = _traced_bytes(serialize.dumps, doc)
+    ratio = peak / len(serialize.dumps(doc))
+    assert ratio <= 2.25, ratio
 
 
 def _corrupted_fixture(seed: int) -> FiniteOpTwoCat:
