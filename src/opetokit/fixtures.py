@@ -264,8 +264,18 @@ def arrow_perturbed_functor() -> LaxFunctor:
 
 def _category_tables(objects, arrows, identities):
     """Every associative composition table over a fixed arrow configuration,
-    by backtracking: after each assignment, every composable triple whose two
-    bracketings are both assigned is checked again."""
+    by backtracking over the free entries in order.
+
+    A composable triple (f, g, h) fails when both bracketings h(gf) and (hg)f
+    are assigned and differ.  The entries with an identity side are forced,
+    and a triple with f or g an identity reads one entry on both sides, so
+    it never fails: neither does the table of forced entries alone.  Every
+    other triple is on the watch list of each free entry (y, x) that it can
+    read, those with h == y (the entries hg and (h, gf)) or f == x (gf and
+    (hg, f)), from the step at which its gf and hg are both assigned.
+    Assigning the i-th free entry re-checks only its watch list: no other
+    triple's bracketings change, and the parent table was consistent, so
+    each table is checked as fully as by a re-check of all triples."""
     cells = {a: arrows[a] for a in sorted(arrows)}
     ident = set(identities.values())
     table: dict[tuple[str, str], str] = {}
@@ -277,35 +287,42 @@ def _category_tables(objects, arrows, identities):
             table[(g, f)] = f
         else:
             free.append((g, f))
-    candidates = {
-        (g, f): [h for h, frame in cells.items() if frame == (cells[f][0], cells[g][1])]
+    candidates = [
+        [h for h, frame in cells.items() if frame == (cells[f][0], cells[g][1])]
         for (g, f) in free
-    }
-    if any(not c for c in candidates.values()):
+    ]
+    if not all(candidates):
         return
-    triples = composable_triples(cells)
+    rank = {key: i for i, key in enumerate(free)}
+    watch: list[list[tuple]] = [[] for _ in free]
+    for f, g, h in composable_triples(cells):
+        if f in ident or g in ident:
+            continue
+        gf, hg = (g, f), (h, g)  # gf is free; hg is forced when h is an identity
+        first = max(rank[gf], rank.get(hg, -1))
+        for i, (y, x) in enumerate(free[first:], first):
+            if y == h or x == f:
+                watch[i].append((gf, hg, h, f))
+    yield from _extensions(table, free, candidates, watch, 0)
 
-    def consistent() -> bool:
-        for f, g, h in triples:
-            # an unassigned gf or hg makes its bracketing's lookup miss
-            left = table.get((h, table.get((g, f))))
-            right = table.get((table.get((h, g)), f))
+
+def _extensions(table, free, candidates, watch, i):
+    """The consistent tables that extend ``table`` by ``free[i:]``."""
+    if i == len(free):
+        yield dict(table)
+        return
+    key = free[i]
+    checks = watch[i]
+    for value in candidates[i]:
+        table[key] = value
+        for gf, hg, h, f in checks:
+            left = table.get((h, table[gf]))
+            right = table.get((table[hg], f))
             if left is not None and right is not None and left != right:
-                return False
-        return True
-
-    def rec(i: int):
-        if i == len(free):
-            yield dict(table)
-            return
-        key = free[i]
-        for value in candidates[key]:
-            table[key] = value
-            if consistent():
-                yield from rec(i + 1)
-        del table[key]
-
-    yield from rec(0)
+                break
+        else:
+            yield from _extensions(table, free, candidates, watch, i + 1)
+    del table[key]
 
 
 def _exhaustive_small_categories():

@@ -9,6 +9,9 @@ arrows, skipping the non-composable ones, on every backtracking step;
 source; ``to_bicategory`` solves ``hcomp2`` by a loop over all pairs of
 1-ary cells.  The library now takes the same cells from
 ``composable_pairs``, ``composable_triples`` and ``_by_source``.
+``_category_tables`` is also the reference for the library's watch lists,
+which re-check after each assignment only the triples that the new entry
+can change.
 
 Two lax-functor checks are kept as well: ``validate_lax_functor`` as it was
 before its ``totality``, ``frame`` and ``hom functor`` rules moved into a

@@ -15,14 +15,22 @@ library takes them from ``composable_pairs``, ``composable_triples`` and
   generated from those corruptions and on presentations with one swapped
   graft row under a chosen occupant (or the same exception);
 - equal ``_normalize`` results on every bracketed chain of up to four edges;
-- equal composition tables of the category family, in order;
+- equal composition tables of the category family, in order, and equal
+  sequences of tables, each in insertion order, from ``_category_tables`` on
+  every configuration of at most 3 non-identity arrows on 3 objects (220
+  configurations, 1,131 tables);
 - equal ``is_universal_1cell_op1`` verdicts on every arrow of the family.
+
+The family build must also leave no cyclic garbage.  ``python
+tests/test_classical_oracle.py`` runs the full sweep of ``_category_tables``,
+which adds the 35 configurations of 4 non-identity arrows on 2 objects.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import importlib.util
 import itertools
 import random
@@ -229,6 +237,47 @@ def test_category_family_agrees_with_oracle():
         assert list(C.compose.items()) == list(D.compose.items()), n
 
 
+def _arrow_configurations(objects: tuple[str, ...], extra: int):
+    """Every arrow configuration on ``objects`` with ``extra`` non-identity
+    arrows: one per multiset of homs, the arrows named in hom order."""
+    identities = {o: f"id{o}" for o in objects}
+    homs = list(itertools.product(objects, repeat=2))
+    for chosen in itertools.combinations_with_replacement(homs, extra):
+        arrows = {identities[o]: (o, o) for o in objects}
+        arrows.update((f"a{k}", hom) for k, hom in enumerate(chosen))
+        yield objects, arrows, identities
+
+
+def _tables_agree(configurations) -> tuple[int, int]:
+    """Configurations and tables compared; each sequence of tables, and each
+    table's insertion order, must equal the oracle's."""
+    configs = tables = 0
+    for objects, arrows, identities in configurations:
+        new = [list(t.items()) for t in fixtures._category_tables(objects, arrows, identities)]
+        oracle = [list(t.items()) for t in old._category_tables(objects, arrows, identities)]
+        assert new == oracle, arrows
+        configs, tables = configs + 1, tables + len(new)
+    return configs, tables
+
+
+def test_category_tables_agree_with_oracle_on_three_objects():
+    configurations = (c for extra in range(4) for c in _arrow_configurations(("A", "B", "C"), extra))
+    assert _tables_agree(configurations) == (220, 1131)
+
+
+def test_the_family_build_leaves_no_cyclic_garbage():
+    # the backtracker holds no reference cycle, so every table it drops is
+    # freed at once; a cycle would wait for the collector, beside the next
+    # build's tables
+    gc.collect()
+    gc.disable()
+    try:
+        fixtures.small_category_family()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_universal_1cell_verdicts_agree_on_the_family():
     # every arrow of every category, and of a copy with one length-2 row dropped
     verdicts = set()
@@ -243,3 +292,11 @@ def test_universal_1cell_verdicts_agree_on_the_family():
                 assert verdict == old.is_universal_1cell_op1(Y, f), (n, f)
                 verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+if __name__ == "__main__":  # the full sweep: also every 2-object configuration with 6 arrows
+    for objects, most in ((("A", "B", "C"), 3), (("A", "B"), 4)):
+        for extra in range(most + 1):
+            configs, tables = _tables_agree(_arrow_configurations(objects, extra))
+            print(f"{len(objects)} objects, {extra} non-identity arrows: "
+                  f"{configs} configurations, {tables} tables agree")
