@@ -7,6 +7,11 @@ unique way to substitute a 2-cell into one source position of another.  All
 tables are fully materialised up to a fixed arity bound, every value is
 immutable after construction, and every operation here is a pure function.
 
+A structure at bound b holds nothing past b: no ``comp`` key longer than b,
+and no 2-cell whose source is longer than b, hence no graft row whose result
+is.  ``validate_op1`` and ``validate_op2`` report each such key or cell as a
+``dangling id`` on a path that does not exist at this bound.
+
 Cell equality is identifier equality throughout.
 
 Internally a path is its key: ``(1, *edges)``, or ``(0, anchor)`` for the
@@ -160,7 +165,8 @@ class FiniteOpTwoCat:
     ``graft`` records, for every admissible (outer, slot, inner) triple whose
     result stays within the arity bound, the target of the unique 3-cell
     pasting ``inner`` into the given source position of ``outer``.  ``ident2``
-    names the 1-ary identity 2-cell on each 1-cell.
+    names the 1-ary identity 2-cell on each 1-cell.  No 2-cell's source is
+    longer than ``arity_bound``, so no row's result is either.
 
     The niche index ``occupants`` is derived from ``cells2``, and the path
     index ``paths`` from ``objects``, ``cells1`` and ``arity_bound``, once
@@ -488,23 +494,18 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
     ``dangling id``, ``frame``, ``identity``, ``totality``, ``right unit``,
     ``left unit``, ``sequential associativity``, ``parallel commutation``.
 
-    The table is read in blocks, one per occupied source path ``p`` of arity
-    ``m <= bound + 1``: the rows ``(a, i, b)`` for its occupants ``a``, its
-    slots ``i`` and the cells ``b`` into its ``i``-th edge of arity at most
-    ``bound + 1 - m``.  One ``map`` per outer cell looks its rows up, and two
-    list comparisons check their results' sources and targets.  The table
-    passes when every block does and the blocks cover all ``len(graft)``
-    (distinct) rows; otherwise ``_walk_table`` reports totality and frames
-    row by row, and if it finds nothing, the rows longer than the bound join
-    ``col`` and ``below`` after the blocks' rows, in arity order.
-
-    The unit laws report every absent unit row, even beyond the bound; the
-    grafting laws skip an instance when either side's graft has no table
-    entry, and report it when both exist and differ.  Once the frames pass,
-    every entry's result has the spliced source, so no entry has a composite
-    longer than ``top``, the longest cell, and the batches below are cut at
-    that arity.  When ``top <= bound``, totality makes every entry within
-    the cut present; when ``top > bound``, some may be absent.
+    A 2-cell whose source is longer than the bound is a ``dangling id``, as
+    a ``comp`` key is in ``validate_op1``, so once the cells pass no cell,
+    and no framed row's result, is longer than the bound.  The table is read
+    in blocks, one per occupied source path ``p`` of arity ``m``: the rows
+    ``(a, i, b)`` for its occupants ``a``, its slots ``i`` and the cells
+    ``b`` into its ``i``-th edge of arity at most ``bound + 1 - m``.  One
+    ``map`` per outer cell looks its rows up, and two list comparisons check
+    their results' sources and targets.  The table passes when every block
+    does and the blocks cover all ``len(graft)`` (distinct) rows; otherwise
+    ``_walk_table`` reports totality and frames row by row.  Once it passes,
+    totality makes every entry a law reads present, and the batches below
+    are cut at ``top``, the longest cell's arity.
 
     Both laws are checked in batches over the columns
     ``col[i][b] = {a: graft(a, i, b)}``, outer cells in arity order:
@@ -518,14 +519,11 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
       ``col[j][c]``, over the outer cells with those edges at those slots.
 
     Each batch is accepted by one ``itemgetter`` call per side when the two
-    tuples are equal: every pair is then present and equal.  A batch with an
-    absent entry (a ``KeyError``) or unequal tuples is walked pair by pair
-    under the skip rule, so witnesses, messages and their order are those of
-    a walk over every instance.  A getter is rebuilt only when the cut
-    length ``n`` changes, and ``n`` only falls along the loop that reuses
-    it.  ``notes`` holds ``arity_bound`` and, once the laws run,
-    ``checked``: the instances each law compared, summed from batch lengths
-    (a walked batch counts the pairs it compared).
+    tuples are equal; otherwise it is walked pair by pair, so witnesses,
+    messages and their order are those of a walk over every instance.  A
+    getter is rebuilt only when the cut length ``n`` changes, and ``n`` only
+    falls along the loop that reuses it.  ``notes`` holds ``arity_bound``
+    and, once the laws run, ``checked``: the instances each law compared.
     """
     rejected = _bound_report(X)
     if rejected is not None:
@@ -545,6 +543,8 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
             continue
         if X.cells1[cell.target] != (s, t):
             out.add("frame", (cid,), "source path endpoints differ from target endpoints")
+        if cell.source.arity > X.arity_bound:
+            out.add("dangling id", (cid,), "2-cell on a path that does not exist at this bound")
     if out.items:
         return out.report(arity_bound=X.arity_bound)
 
@@ -582,7 +582,7 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
     covered = 0
     for p in sorted(occupants, key=len):  # the blocks, paths in arity order
         m, outs = len(p) - 1, occupants[p]
-        if not p[0] or m > bound + 1:
+        if not p[0]:
             continue
         # the slots i and inner cells b of the path's in-bound rows, b in arity order
         fits = [(i, b) for i in range(m) for b in fitting[p[i + 1]][bound + 1 - m]]
@@ -604,16 +604,8 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
             col[i].setdefault(b, {}).update(zip(outs, results))
         for a, row in zip(outs, rows):
             below[a] = [js, cs, row]
-    if covered != len(graft_table):
+    if covered != len(graft_table):  # a row is absent, misframed or past the bound
         _walk_table(X, out, fitting, source, edges)
-        if not out.items:  # every row is framed: those longer than the bound follow
-            extra: dict[str, list[tuple]] = {}
-            beyond = [key for key in graft_table if arity[key[0]] + arity[key[2]] > bound + 1]
-            for a, i, b in sorted(beyond, key=lambda key: (arity[key[0]], arity[key[2]])):
-                col[i].setdefault(b, {})[a] = graft_table[a, i, b]
-                extra.setdefault(a, []).append((i, b, graft_table[a, i, b]))
-            for a, more in extra.items():
-                below[a] = [[*old, *new] for old, new in zip(below.get(a, ((), (), ())), zip(*more))]
     del canon, occupants, target  # not read by the laws
     if out.items:
         return out.report(arity_bound=bound)
@@ -630,8 +622,6 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
         if X.graft.get(key) != cid:
             out.add("left unit", key, "grafting under an identity must not change the cell")
 
-    empty: dict[str, str] = {}
-
     # sequential associativity: graft(graft(a,i,b), i+j, c) = graft(a, i, graft(b,j,c))
     found: list[tuple[tuple, str]] = []
     sequential = 0
@@ -645,17 +635,14 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
                 n = bisect_right(arities, room - arity[c])
                 if not n:
                     break
-                after, before = col[i + j].get(c, empty), col_i.get(bc, empty)
+                after, before = col[i + j][c], col_i[bc]
                 if n != cut:  # n only falls along the rows
                     cut, get_values, get_outers = n, _getter(values[:n]), _getter(outers[:n])
-                try:
-                    if get_values(after) == get_outers(before):
-                        sequential += n
-                        continue
-                except KeyError:  # an absent entry: only when top > bound
-                    pass
-                lhs = list(map(after.get, values[:n]))
-                rhs = list(map(before.get, outers[:n]))
+                if get_values(after) == get_outers(before):
+                    sequential += n
+                    continue
+                lhs = list(map(after.__getitem__, values[:n]))
+                rhs = list(map(before.__getitem__, outers[:n]))
                 witnesses = ((a, i, b, j, c) for a in outers)
                 sequential += _compare(witnesses, lhs, rhs, found)
     del below
@@ -683,7 +670,7 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
             kb = arity[b]
             if not bisect_right(arities, top + 1 - kb):  # no graft(a, i, b) left
                 break
-            col_ib = col[i].get(b, empty)
+            col_ib = col[i][b]
             cut = 0
             for c in into.get(ej, ()):
                 kc = arity[c]
@@ -691,22 +678,19 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
                 n = bisect_right(arities, min(top + 2 - kb - kc, top + 1 - kb, top + 1 - kc))
                 if not n:
                     break
-                col_jc, after = col[j].get(c, empty), col[j + kb - 1].get(c, empty)
-                try:
-                    if n != cut:  # n only falls along the cells c
-                        get_ib, cut = _getter(_getter(outers[:n])(col_ib)), n
-                    cut_c, get_jc = jc_getters.get(c, (0, None))
-                    if n != cut_c:  # n only falls along the cells b
-                        get_jc = _getter(_getter(outers[:n])(col_jc))
-                        jc_getters[c] = n, get_jc
-                    if get_ib(after) == get_jc(col_ib):
-                        parallel += n
-                        continue
-                except KeyError:  # an absent entry: only when top > bound
-                    pass
+                col_jc, after = col[j][c], col[j + kb - 1][c]
+                if n != cut:  # n only falls along the cells c
+                    get_ib, cut = _getter(_getter(outers[:n])(col_ib)), n
+                cut_c, get_jc = jc_getters.get(c, (0, None))
+                if n != cut_c:  # n only falls along the cells b
+                    get_jc = _getter(_getter(outers[:n])(col_jc))
+                    jc_getters[c] = n, get_jc
+                if get_ib(after) == get_jc(col_ib):
+                    parallel += n
+                    continue
                 xs = outers[:n]
-                lhs = list(map(after.get, map(col_ib.get, xs)))
-                rhs = list(map(col_ib.get, map(col_jc.get, xs)))
+                lhs = list(map(after.__getitem__, map(col_ib.__getitem__, xs)))
+                rhs = list(map(col_ib.__getitem__, map(col_jc.__getitem__, xs)))
                 witnesses = ((a, i, b, j, c) for a in xs)
                 parallel += _compare(witnesses, lhs, rhs, found)
     if found:
@@ -723,8 +707,6 @@ def _walk_table(X: FiniteOpTwoCat, out: _Collector, fitting: dict, source: dict,
     """``validate_op2``'s totality and frame rules, row by row, into ``out``."""
     for cid, outer in sorted(X.cells2.items()):
         room = X.arity_bound + 1 - outer.source.arity
-        if room < 0:
-            continue
         for slot, edge in enumerate(outer.source.edges):
             for inner_id in fitting[edge][room]:
                 key = (cid, slot, inner_id)
@@ -759,14 +741,11 @@ def _getter(keys) -> Callable:
 def _compare(witnesses, lhs: list, rhs: list, found: list) -> int:
     """Walk one batch of law instances pair by pair.
 
-    A pair with a missing side is skipped; one whose sides differ is appended
-    to ``found`` with its witness.  Returns the number of pairs compared.
+    A pair whose sides differ is appended to ``found`` with its witness.
+    Returns the number of pairs compared.
     """
-    present = [
-        (w, l, r) for w, l, r in zip(witnesses, lhs, rhs) if l is not None and r is not None
-    ]
-    found.extend((w, f"{l} != {r}") for w, l, r in present if l != r)
-    return len(present)
+    found.extend((w, f"{l} != {r}") for w, l, r in zip(witnesses, lhs, rhs) if l != r)
+    return len(lhs)
 
 
 # ---------------------------------------------------------------------------

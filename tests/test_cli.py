@@ -340,6 +340,20 @@ def test_universal_reports_invalid_structure_first(tmp_path, capsys):
     assert capsys.readouterr().out == as_json
 
 
+def test_validate_names_the_cells_past_the_bound(tmp_path, capsys):
+    # the op2cat fixture read at bound 3: its arity-4 cells do not exist there
+    doc = serialize.load_path(str(FIXTURE_DIR / "op2cat.json"))
+    doc["arity_bound"] = 3
+    past = [c["id"] for c in doc["two_cells"] if len(c["source"]["edges"]) == 4]
+    assert len(past) == 32
+    p = _write(tmp_path, "at-3.json", doc)
+    assert main(["validate", p]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"op2cat: {len(past)} violation(s)"] + [
+        f"  dangling id ({cid!r},) 2-cell on a path that does not exist at this bound"
+        for cid in past
+    ]
+
+
 def test_universal_all_json_on_an_incoherent_structure(tmp_path, capsys, idem_op):
     # valid grafting tables, but the empty niche at pt has no universal occupant
     p = _write(tmp_path, "no-unit.json", serialize.to_doc(_without_cell(idem_op[0], "@pt|1")))

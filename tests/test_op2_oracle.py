@@ -5,7 +5,9 @@ were (``validate_op2`` with its one-line splice helper inlined, and counting
 the law instances it compares):
 ``occupants_of_niche`` and ``factorizations_through`` scan all of ``cells2``,
 ``validate_op2`` enumerates every law instance and skips the ones whose
-composites have no table entry, and the universality predicates and
+composites have no table entry (it pairs rows with no arity cut, so an
+instance whose composite would be longer than the bound reads an absent
+row), and the universality predicates and
 ``_solve_unique`` scan ``cells2`` per query.  The library must agree with
 them, report for report and in the same order, on the shipped fixture, the
 generated structures and seeded corruptions of their grafting tables.
@@ -172,6 +174,8 @@ def oracle_validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
             continue
         if X.cells1[cell.target] != (s, t):
             out.add("frame", (cid,), "source path endpoints differ from target endpoints")
+        if cell.source.arity > X.arity_bound:
+            out.add("dangling id", (cid,), "2-cell on a path that does not exist at this bound")
     if out.items:
         return out.report(arity_bound=X.arity_bound)
 
@@ -279,9 +283,9 @@ def _structures() -> dict[str, tuple]:
     """Named (structure, biasing) pairs: the fixture and generated ones.
 
     ``sign-5-at-4`` keeps the arity-5 cells of a bound-5 generation under
-    bound 4, so the table holds composites longer than the bound.
-    ``sign-5-sparse-at-4`` also drops every graft row, other than a unit
-    row, whose result is longer than 4, so entries the laws read are absent.
+    bound 4, cells that do not exist at that bound.  ``sign-5-sparse-at-4``
+    also drops every graft row, other than a unit row, whose result is
+    longer than 4.
     """
     X5, b5 = eq.from_bicategory(sign_bicategory(), 5)
     units = set(X5.ident2.values())
@@ -304,7 +308,7 @@ def _structures() -> dict[str, tuple]:
 STRUCTURE_NAMES = (
     "fixture", "sign", "sign-5", "sign-5-at-4", "sign-5-sparse-at-4", "idempotent", "arrow"
 )
-CORRUPTED_BASES = ("fixture", "sign", "idempotent", "arrow", "sign-5-at-4")
+CORRUPTED_BASES = ("fixture", "sign", "idempotent", "arrow", "sign-5")
 
 
 def _corrupt(seed: int):
@@ -409,8 +413,9 @@ def _assert_agrees(monkeypatch, X, b):
 
 @pytest.mark.parametrize("name", STRUCTURE_NAMES)
 def test_agrees_with_oracle_on_clean_structures(monkeypatch, name):
+    # a structure read below the bound it was generated at is rejected
     X, b = _structures()[name]
-    assert _assert_agrees(monkeypatch, X, b).ok
+    assert _assert_agrees(monkeypatch, X, b).ok == (not name.endswith("-at-4"))
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -478,23 +483,13 @@ def _walked(monkeypatch, X, walk="_compare"):
         return validate_op2(X), len(walks)
 
 
-@pytest.mark.parametrize("name", ("z3", "sign", "arrow", "sign-5-at-4"))
+@pytest.mark.parametrize("name", ("z3", "sign", "arrow", "sign-5"))
 def test_clean_batches_pass_without_a_walk(monkeypatch, name):
-    # every entry a getter reads is present, above the bound too, so every
-    # batch is accepted by its getters alone
+    # every entry a getter reads is present, so every batch is accepted by
+    # its getters alone
     X = _zn(3) if name == "z3" else _structures()[name][0]
     report, walked = _walked(monkeypatch, X)
     assert report.ok and walked == 0
-
-
-def test_batches_are_walked_above_the_bound(monkeypatch):
-    # top > bound and entries longer than the bound are absent: a getter
-    # raises KeyError and its batch is walked under the skip rule
-    X, _ = _structures()["sign-5-sparse-at-4"]
-    report, walked = _walked(monkeypatch, X)
-    assert walked > 0
-    assert report.ok
-    assert report == oracle_validate_op2(X)
 
 
 @pytest.mark.parametrize("name", ("z3", "fixture", "sign", "arrow", "idempotent"))
@@ -507,25 +502,27 @@ def test_clean_tables_pass_without_a_walk(monkeypatch, name):
 
 @functools.cache
 def _sign_6_at_4() -> FiniteOpTwoCat:
-    """``sign`` generated at bound 6 and kept under bound 4: rows past the
-    bound by one and by two, so a column's outer cells past the bound, and a
-    cell's rows past it, come in two arities."""
+    """``sign`` generated at bound 6 and kept under bound 4: cells past the
+    bound by one and by two."""
     return dataclasses.replace(eq.from_bicategory(sign_bicategory(), 6)[0], arity_bound=4)
 
 
 @pytest.mark.parametrize("name", ("sign-5-at-4", "sign-5-sparse-at-4", "sign-6-at-4"))
-def test_rows_longer_than_the_bound_send_the_table_to_the_walk(monkeypatch, name):
-    # the blocks cover only the rows within the bound; the walk finds the
-    # others framed, and they join the laws' columns in arity order, so the
-    # laws compare the oracle's instances
+def test_cells_longer_than_the_bound_are_dangling(monkeypatch, name):
+    # the cell phase names each cell past the bound, in cells2 order, and
+    # stops before the table
     X = _sign_6_at_4() if name == "sign-6-at-4" else _structures()[name][0]
     report, walked = _walked(monkeypatch, X, "_walk_table")
-    assert walked == 1 and report.ok
+    past = [cid for cid, cell in X.cells2.items() if cell.source.arity > 4]
+    assert past and walked == 0
+    assert [(v.rule, v.witness, v.message) for v in report.violations] == [
+        ("dangling id", (cid,), "2-cell on a path that does not exist at this bound")
+        for cid in past
+    ]
     assert report == oracle_validate_op2(X)
-    assert report.notes["checked"]["sequential associativity"] > 0
 
 
-REJECT_BASES = ("sign", "arrow", "idempotent", "sign-5-at-4", "z3")
+REJECT_BASES = ("sign", "arrow", "idempotent", "sign-5", "z3")
 REJECTIONS = (
     "other niche", "other target", "unknown id", "slot out of range",
     "inner off the edge", "longer than the bound", "drop",
