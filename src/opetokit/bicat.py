@@ -379,13 +379,14 @@ def _images(out: _Collector, table: str, what: str, images: dict, cells, targets
     _unknown_keys(out, images, cells, f"{table} entry for an unknown {what}")
 
 
-def _composites(out: _Collector, table: dict, cells: dict, rule: str, entry: str, mistyped: str) -> None:
+def _composites(out: _Collector, table: dict, cells: dict, rule: str, unknown: str, entry: str,
+                mistyped: str) -> None:
     """Per entry ``(g, f) -> h`` of ``table`` over ``cells`` (id -> ends): ``dangling id``
-    for an unknown cell, else ``rule`` with ``entry`` if f does not end where g
-    starts, else ``rule`` with ``mistyped`` unless h runs from f's start to g's end."""
+    with ``unknown`` for an unknown cell, else ``rule`` with ``entry`` if f does not end
+    where g starts, else ``rule`` with ``mistyped`` unless h runs from f's start to g's end."""
     for (g, f), h in table.items():
         if not cells.keys() >= {g, f, h}:
-            out.add("dangling id", (g, f, h))
+            out.add("dangling id", (g, f, h), unknown)
         elif cells[f][1] != cells[g][0]:
             out.add(rule, (g, f), entry)
         elif cells[h] != (cells[f][0], cells[g][1]):
@@ -411,8 +412,8 @@ def validate_category(C: FiniteCategory) -> ValidationReport:
     _unknown_keys(out, C.identities, C.objects, "identities entry for an unknown object")
     if out.items:
         return out.report()
-    _composites(out, C.compose, C.arrows, "frame", "entry for a non-composable pair",
-                "composite endpoints are wrong")
+    _composites(out, C.compose, C.arrows, "frame", "compose entry for an unknown arrow",
+                "entry for a non-composable pair", "composite endpoints are wrong")
     _missing_composites(out, C.compose, C.arrows, "composable pair missing from the table")
     if out.items:
         return out.report()
@@ -442,10 +443,10 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
     naturality``, ``right unitor naturality``, ``pentagon``, ``triangle``.
     """
     out = _Collector()
-    _unknown_ends(out, B.one_cells, B.objects, "")
+    _unknown_ends(out, B.one_cells, B.objects)
     for a, (x, y) in B.two_cells.items():
         if x not in B.one_cells or y not in B.one_cells:
-            out.add("dangling id", (a,))
+            out.add("dangling id", (a,), "endpoint 1-cell missing")
         elif B.one_cells[x] != B.one_cells[y]:
             out.add("frame", (a,), "2-cell endpoints live in different frames")
     for A in B.objects:
@@ -462,7 +463,7 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
         if i is None or i not in B.two_cells or B.two_cells[i] != (f, f):
             out.add("hom category", (f,), "identity 2-cell missing or mistyped")
     _unknown_keys(out, B.id2, B.one_cells, "id2 entry for an unknown 1-cell")
-    _composites(out, B.vcomp, B.two_cells, "hom category",
+    _composites(out, B.vcomp, B.two_cells, "hom category", "vcomp entry for an unknown 2-cell",
                 "vertical entry for a non-composable pair", "vertical composite mistyped")
     _missing_composites(out, B.vcomp, B.two_cells, "vertical composite missing")
     if out.items:
@@ -476,11 +477,11 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
 
     # horizontal composition tables
     _missing_composites(out, B.hcomp1, B.one_cells, "1-cell composite missing")
-    _composites(out, B.hcomp1, B.one_cells, "frame", "hcomp1 entry for a non-composable pair",
-                "1-cell composite mistyped")
+    _composites(out, B.hcomp1, B.one_cells, "frame", "hcomp1 entry for an unknown 1-cell",
+                "hcomp1 entry for a non-composable pair", "1-cell composite mistyped")
     for (b, a), c in B.hcomp2.items():
         if not B.two_cells.keys() >= {b, a, c}:
-            out.add("dangling id", (b, a, c))
+            out.add("dangling id", (b, a, c), "hcomp2 entry for an unknown 2-cell")
         elif B.tgt1(B.src2(a)) != B.src1(B.src2(b)):
             out.add("frame", (b, a), "hcomp2 entry for a non-composable pair")
     if out.items:

@@ -22,6 +22,7 @@ empty path.  Keys index ``comp``, the niche index and violation witnesses;
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -522,8 +523,35 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
     tuples are equal; otherwise it is walked pair by pair, so witnesses,
     messages and their order are those of a walk over every instance.  A
     getter is rebuilt only when the cut length ``n`` changes, and ``n`` only
-    falls along the loop that reuses it.  ``notes`` holds ``arity_bound``
-    and, once the laws run, ``checked``: the instances each law compared.
+    falls along the loop that reuses it.
+
+    The unit laws are checked first.  Once both hold, a batch that grafts an
+    identity ``1`` as ``b`` or ``c`` is implied and not compared.  Given the
+    totality and frames checked above, both sides of each such instance are
+    one cell, by right unit (ru: graft(x, k, 1) = x) and left unit (lu:
+    graft(1, 0, x) = x):
+
+    - sequential, ``b = 1``: ``j = 0``, and both sides are graft(a, i, c),
+      the left by ru on ``a``, the right by lu on ``c``;
+    - sequential, ``c = 1``: both sides are graft(a, i, b), the left by ru
+      on graft(a, i, b), the right by ru on ``b``;
+    - sequential, ``a = 1``: ``i = 0``, and both sides are graft(b, j, c),
+      by lu on ``b`` and on graft(b, j, c);
+    - parallel, ``b = 1``: ``kb = 1``, and both sides are graft(a, j, c),
+      the left by ru on ``a``, the right by ru on graft(a, j, c), whose
+      slot ``i < j`` still holds ``ei``;
+    - parallel, ``c = 1``: both sides are graft(a, i, b), the left by ru on
+      graft(a, i, b), whose slot ``j+kb-1`` holds ``ej``, the right by ru
+      on ``a``.
+
+    The case ``a = 1`` is compared all the same: it would remove no batch,
+    only one outer cell from each batch of a column ``(0, b)``.  When a unit
+    law fails every instance is compared, so the violations never depend on
+    the skip.  ``notes`` holds ``arity_bound`` and, once the laws run, per
+    law ``checked``, the instances compared, and ``implied``, those skipped
+    (0 when a unit law fails), both summed from batch cuts.  A cut depends
+    on ``c`` only through its arity, so the batches of an identity ``b``
+    are counted one arity of ``c`` at a time, not walked.
     """
     rejected = _bound_report(X)
     if rejected is not None:
@@ -622,19 +650,32 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
         if X.graft.get(key) != cid:
             out.add("left unit", key, "grafting under an identity must not change the cell")
 
+    # once both unit laws hold, the batches grafting an identity as b or c are
+    # implied: their cuts are counted, not compared; units[1_f] = f
+    units = {} if out.items else {ident: f for f, ident in X.ident2.items()}
+    # count[f][k]: the number of cells into f of arity k
+    count = {f: Counter(map(arity.__getitem__, cids)) for f, cids in by_target.items()}
+
     # sequential associativity: graft(graft(a,i,b), i+j, c) = graft(a, i, graft(b,j,c))
     found: list[tuple[tuple, str]] = []
-    sequential = 0
+    sequential = sequential_implied = 0
     for i, col_i in enumerate(col):
         for b, column in col_i.items():
             outers, values = list(column), list(column.values())
             arities = list(map(arity.__getitem__, outers))
             room = top + 2 - arity[b]
+            if b in units:  # the rows (0, c, c), c into f: one cut per arity k of c
+                cuts = (bisect_right(arities, room - k) * n for k, n in count[units[b]].items())
+                sequential_implied += sum(cuts)
+                continue
             cut = 0
             for j, c, bc in zip(*below.get(b, ((), (), ()))):
                 n = bisect_right(arities, room - arity[c])
                 if not n:
                     break
+                if c in units:
+                    sequential_implied += n
+                    continue
                 after, before = col[i + j][c], col_i[bc]
                 if n != cut:  # n only falls along the rows
                     cut, get_values, get_outers = n, _getter(values[:n]), _getter(outers[:n])
@@ -662,7 +703,7 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
                 pairs.setdefault((i, source[a][i + 1], j, ej), []).append(a)
     into = {f: sorted(cids, key=arity.__getitem__) for f, cids in by_target.items()}
     found = []
-    parallel = 0
+    parallel = parallel_implied = 0
     for (i, ei, j, ej), outers in pairs.items():
         arities = list(map(arity.__getitem__, outers))
         jc_getters: dict[str, tuple[int, Callable]] = {}  # c: (n, over graft(a, j, c))
@@ -670,6 +711,10 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
             kb = arity[b]
             if not bisect_right(arities, top + 1 - kb):  # no graft(a, i, b) left
                 break
+            if b in units:  # kb = 1: one cut per arity k of c
+                cuts = (bisect_right(arities, min(top, top + 1 - k)) * n for k, n in count[ej].items())
+                parallel_implied += sum(cuts)
+                continue
             col_ib = col[i][b]
             cut = 0
             for c in into.get(ej, ()):
@@ -678,6 +723,9 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
                 n = bisect_right(arities, min(top + 2 - kb - kc, top + 1 - kb, top + 1 - kc))
                 if not n:
                     break
+                if c in units:
+                    parallel_implied += n
+                    continue
                 col_jc, after = col[j][c], col[j + kb - 1][c]
                 if n != cut:  # n only falls along the cells c
                     get_ib, cut = _getter(_getter(outers[:n])(col_ib)), n
@@ -700,7 +748,8 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
         for witness, message in found:
             out.add("parallel commutation", witness, message)
     checked = {"sequential associativity": sequential, "parallel commutation": parallel}
-    return out.report(arity_bound=X.arity_bound, checked=checked)
+    implied = {"sequential associativity": sequential_implied, "parallel commutation": parallel_implied}
+    return out.report(arity_bound=X.arity_bound, checked=checked, implied=implied)
 
 
 def _walk_table(X: FiniteOpTwoCat, out: _Collector, fitting: dict, source: dict, edges: dict):

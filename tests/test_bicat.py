@@ -99,13 +99,16 @@ ARROW_CATEGORY = FiniteCategory(
      "unit", [(("s",), "right identity law fails")]),
     (dataclasses.replace(z2_category(), identities={**z2_category().identities, "zz": "e"}),
      "dangling id", [(("zz",), "identities entry for an unknown object")]),
+    (dataclasses.replace(ARROW_CATEGORY, compose={**ARROW_CATEGORY.compose, ("zz", "1a"): "1a"}),
+     "dangling id", [(("zz", "1a", "1a"), "compose entry for an unknown arrow")]),
     # one entry mistyped and another dropped: the entries are reported before totality
     (dataclasses.replace(ARROW_CATEGORY, compose={
         ("1a", "1a"): "1a", ("f", "1a"): "1a", ("1b", "1b"): "1b"}),
      None, [(("f", "1a", "1a"), "composite endpoints are wrong"),
             (("1b", "f"), "composable pair missing from the table")]),
 ], ids=["identity endpoints", "non-composable pair", "composite endpoints", "left unit",
-        "right unit", "identity for an unknown object", "mistyped entry and missing pair"])
+        "right unit", "identity for an unknown object", "compose for an unknown arrow",
+        "mistyped entry and missing pair"])
 def test_category_rules_name_their_witness(C, rule, expected):
     assert validate_category(ARROW_CATEGORY).ok
     assert _found(validate_category(C), rule) == expected
@@ -142,7 +145,16 @@ def test_dangling_composition_entries_are_reported(sign, table, position):
 
 
 @pytest.mark.parametrize("base, table, entry, expected", [
-    ("sign", "one_cells", ("stray", ("nowhere", "pt")), ("dangling id", ("stray",), "")),
+    ("sign", "one_cells", ("stray", ("nowhere", "pt")),
+     ("dangling id", ("stray",), "endpoint object missing")),
+    ("sign", "two_cells", ("lost", ("e", "ghost")),
+     ("dangling id", ("lost",), "endpoint 1-cell missing")),
+    ("sign", "vcomp", (("zz", "1e"), "1e"),
+     ("dangling id", ("zz", "1e", "1e"), "vcomp entry for an unknown 2-cell")),
+    ("sign", "hcomp1", (("zz", "e"), "e"),
+     ("dangling id", ("zz", "e", "e"), "hcomp1 entry for an unknown 1-cell")),
+    ("sign", "hcomp2", (("zz", "1e"), "1e"),
+     ("dangling id", ("zz", "1e", "1e"), "hcomp2 entry for an unknown 2-cell")),
     ("arrow", "two_cells", ("bad", ("iA", "k")),
      ("frame", ("bad",), "2-cell endpoints live in different frames")),
     ("arrow", "vcomp", (("xk", "a0"), "a1"),
@@ -159,7 +171,8 @@ def test_dangling_composition_entries_are_reported(sign, table, position):
      ("frame", ("k", "k"), "hcomp1 entry for a non-composable pair")),
     ("arrow", "hcomp2", (("1k", "xk"), "1k"),
      ("frame", ("1k", "xk"), "hcomp2 entry for a non-composable pair")),
-], ids=["1-cell endpoint", "2-cell across frames", "non-composable vertical entry",
+], ids=["1-cell endpoint", "2-cell endpoint", "vcomp for an unknown 2-cell",
+        "hcomp1 for an unknown 1-cell", "hcomp2 for an unknown 2-cell", "2-cell across frames", "non-composable vertical entry",
         "id1 for an unknown object", "id2 for an unknown 1-cell", "lunit for an unknown 1-cell",
         "runit for an unknown 1-cell", "assoc for an unknown 1-cell", "non-composable assoc entry",
         "non-composable hcomp1 entry", "non-composable hcomp2 entry"])

@@ -217,6 +217,45 @@ def test_roundtrip_corrupted_biasing(tmp_path, capsys, sign_op):
     assert "difference" in capsys.readouterr().out
 
 
+def _counting_to_doc(monkeypatch) -> list:
+    """Replace ``serialize.to_doc`` with a wrapper that records each call."""
+    calls, to_doc = [], serialize.to_doc
+
+    def counting(*args):
+        calls.append(args)
+        return to_doc(*args)
+
+    monkeypatch.setattr(serialize, "to_doc", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", (
+    "category", "op1cat", "bicategory", "bicategory_idempotent", "op2cat",
+))
+def test_identical_roundtrip_builds_no_document(monkeypatch, capsys, name):
+    # the structures are compared; documents are built only to list differences
+    calls = _counting_to_doc(monkeypatch)
+    assert main(["roundtrip", str(FIXTURE_DIR / f"{name}.json")]) == 0
+    assert capsys.readouterr().out == "roundtrip: identical\n"
+    assert calls == []
+
+
+def test_roundtrip_under_another_binary_choice_lists_its_differences(
+        tmp_path, monkeypatch, capsys, sign_op):
+    # e;s|ns is universal but not the generated choice for (e, s); its image
+    # comes back with the generated biasing
+    X, b = sign_op
+    p = _write(tmp_path, "x.json",
+               serialize.to_doc(X, dataclasses.replace(b, c={**b.c, ("e", "s"): "e;s|ns"})))
+    calls = _counting_to_doc(monkeypatch)
+    assert main(["roundtrip", p]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "roundtrip: 2 difference(s)"
+    assert [line.split(":")[0] for line in lines[1:]] == ["  biasing.c", "  graft"]
+    assert "graft: 296 row(s) differ" in lines[2]
+    assert len(calls) == 2
+
+
 def test_classify_cli(tmp_path, capsys, sign, sign_op, terminal_op, idem_op):
     X, b = sign_op
     x_path = _write(tmp_path, "x.json", serialize.to_doc(X, b))

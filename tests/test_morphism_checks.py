@@ -12,6 +12,10 @@
   ``InvalidBiasing`` on corrupted input, never a bare lookup error; so do
   ``validate_lax_functor`` and ``morphism_from_lax_functor`` when a
   bicategory is not valid.
+- A change of biasing is a weak functor that is not strict: the identity
+  morphism between the generated biasing of ``sign`` at bound 4 and each of
+  its other 31 universal biasings, in both directions, classifies ``weak``
+  and translates to a valid lax functor whose constraints are invertible.
 - The morphism validators report a map entry keyed by no cell of the source
   as ``dangling id``, and the ``check=True`` translations reject it with
   that report; a constraint for a non-composable pair is ``frame``;
@@ -21,23 +25,30 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 import re
 
 import pytest
 
 import classical_oracles as old
+import opetokit.equivalences as eq
 from opetokit import (
+    Biasing,
     CatFunctor,
     InvalidBiasing,
     InvalidInput,
     LaxFunctor,
     OpMorphism,
     classify_morphism,
+    from_bicategory,
     from_category,
     functor_from_morphism,
+    is_invertible_2cell,
+    is_universal_2cell,
     lax_functor_from_morphism,
     morphism_from_lax_functor,
+    to_bicategory,
     validate_bicategory,
     validate_functor,
     validate_lax_functor,
@@ -325,3 +336,33 @@ def test_functor_from_morphism_names_a_missing_row(side):
                 "target": "composition not preserved on (1, 'e', 'e', 'e')"}[side]
     with pytest.raises(InvalidInput, match=r"^" + re.escape(expected) + "$"):
         functor_from_morphism(F, *((dropped, X) if side == "source" else (X, dropped)))
+
+
+def _universal_biasings(X):
+    """Every biasing of X that chooses a universal occupant in each niche."""
+    niches = [(kind, place, [c for c in occupants if is_universal_2cell(X, c)])
+              for kind, _, place, occupants in eq._biased_niches(X, Biasing({}, {}))]
+    for cells in itertools.product(*(universal for _, _, universal in niches)):
+        b = Biasing({}, {})
+        for (kind, place, _), cell in zip(niches, cells):
+            (b.iota if kind == "nullary" else b.c)[place] = cell
+        yield b
+
+
+def test_a_change_of_biasing_is_weak_and_not_strict():
+    # the identity morphism from the generated biasing to another one, and
+    # back, preserves universality but not the choices
+    X, generated = from_bicategory(sign_bicategory(), 4)
+    F = OpMorphism({a: a for a in X.objects}, {f: f for f in X.cells1}, {c: c for c in X.cells2})
+    B_gen, verdicts = to_bicategory(X, generated), []
+    for b in _universal_biasings(X):
+        B = to_bicategory(X, b)
+        for (b1, B1), (b2, B2) in (((generated, B_gen), (b, B)), ((b, B), (generated, B_gen))):
+            verdict = classify_morphism(F, X, X, b1, b2).verdict
+            assert verdict == ("strict" if b == generated else "weak")
+            G = lax_functor_from_morphism(F, X, X, b1, b2)
+            assert validate_lax_functor(G, B1, B2).ok
+            assert all(map(is_invertible_2cell, itertools.repeat(B2),
+                           [*G.phi_pair.values(), *G.phi_obj.values()]))
+        verdicts.append(verdict)
+    assert (verdicts.count("strict"), verdicts.count("weak")) == (1, 31)

@@ -1,8 +1,9 @@
 """Differential tests of the indexed niche lookups and law checks.
 
 The oracles below are the earlier linear-scan implementations, kept as they
-were (``validate_op2`` with its one-line splice helper inlined, and counting
-the law instances it compares):
+were (``validate_op2`` with its one-line splice helper inlined, counting
+the law instances it compares and, instance by instance, those it leaves
+out because the unit laws settle them):
 ``occupants_of_niche`` and ``factorizations_through`` scan all of ``cells2``,
 ``validate_op2`` enumerates every law instance and skips the ones whose
 composites have no table entry (it pairs rows with no arity cut, so an
@@ -11,6 +12,12 @@ row), and the universality predicates and
 ``_solve_unique`` scan ``cells2`` per query.  The library must agree with
 them, report for report and in the same order, on the shipped fixture, the
 generated structures and seeded corruptions of their grafting tables.
+
+``python tests/test_op2_oracle.py`` runs the full differential sweep of
+``validate_op2``: seeded one- and two-entry corruptions of the fixture, of
+``sign`` at bounds 3 to 5 and of Z3, some breaking a unit row and some
+leaving the units clean.  Each report must equal the oracle's, and its
+violations those of the oracle comparing every instance.
 """
 
 from __future__ import annotations
@@ -156,7 +163,7 @@ def oracle_solve_unique(X, base, composite, what):
     return matches[0]
 
 
-def oracle_validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
+def oracle_validate_op2(X: FiniteOpTwoCat, imply: bool = True) -> ValidationReport:
     out = _Collector()
     for f, (s, t) in X.cells1.items():
         if s not in X.objects or t not in X.objects:
@@ -234,8 +241,12 @@ def oracle_validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
         if X.graft.get(key) != cid:
             out.add("left unit", key, "grafting under an identity must not change the cell")
 
-    # the instances compared, per law
+    # the instances compared and those the unit laws settle, per law: once
+    # both hold, an instance grafting an identity as b or c is not compared
+    # (with ``imply`` off, every instance is)
     checked = dict.fromkeys(("sequential associativity", "parallel commutation"), 0)
+    implied = dict.fromkeys(checked, 0)
+    units = set(X.ident2.values()) if imply and not out.items else set()
 
     # sequential associativity: graft(graft(a,i,b), i+j, c) = graft(a, i, graft(b,j,c))
     entries_by_inner: dict[str, list[tuple[str, int, str]]] = {}
@@ -248,6 +259,9 @@ def oracle_validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
             rhs = X.graft.get((a, i, bc))
             if lhs is None or rhs is None:
                 # the composite leaves the bound; nothing to compare
+                continue
+            if b in units or c in units:
+                implied["sequential associativity"] += 1
                 continue
             checked["sequential associativity"] += 1
             if lhs != rhs:
@@ -268,10 +282,13 @@ def oracle_validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
             rhs = X.graft.get((r_jc, i, b))
             if lhs is None or rhs is None:
                 continue
+            if b in units or c in units:
+                implied["parallel commutation"] += 1
+                continue
             checked["parallel commutation"] += 1
             if lhs != rhs:
                 out.add("parallel commutation", (a, i, b, j, c), f"{lhs} != {rhs}")
-    return out.report(arity_bound=X.arity_bound, checked=checked)
+    return out.report(arity_bound=X.arity_bound, checked=checked, implied=implied)
 
 
 # ---------------------------------------------------------------------------
@@ -322,23 +339,10 @@ def _corrupt(seed: int):
     name = CORRUPTED_BASES[seed % len(CORRUPTED_BASES)]
     X, b = _structures()[name]
     table = dict(X.graft)
-    rows = list(table)
     how = ("drop", "swap", "unit swap", "both")[seed // len(CORRUPTED_BASES) % 4]
-    if how == "unit swap":  # a row grafting or grafted into an identity
-        identities = set(X.ident2.values())
-        rows = [key for key in rows if key[0] in identities or key[2] in identities]
+    rows = _unit_rows(X) if how == "unit swap" else list(table)
     if how != "drop":
-        # another occupant with the same target keeps every frame intact
-        parallel: dict[tuple, list[str]] = {}
-        for cid, cell in X.cells2.items():
-            parallel.setdefault((cell.source.key(), cell.target), []).append(cid)
-
-        def others(key):
-            cell = X.cells2[table[key]]
-            return [c for c in parallel[(cell.source.key(), cell.target)] if c != table[key]]
-
-        key = rng.choice([key for key in rows if others(key)])
-        table[key] = rng.choice(others(key))
+        _swap_row(X, table, rng, rows)
     if how in ("drop", "both"):
         del table[rng.choice(rows)]
     return dataclasses.replace(X, graft=table), b
@@ -350,17 +354,27 @@ def _zn(n: int) -> FiniteOpTwoCat:
     return eq.from_bicategory(groups.zn_bicategory(n, FiniteBicategory), 4)[0]
 
 
+def _swap_row(X: FiniteOpTwoCat, table: dict, rng: random.Random, rows) -> None:
+    """Swap, in ``table``, the result of one of ``rows`` for another occupant
+    of its niche with the same target, which keeps every frame intact."""
+
+    def others(key):
+        cell = X.cells2[X.graft[key]]
+        return [
+            cid
+            for cid in X.occupants[cell.source.key()]
+            if cid != X.graft[key] and X.cells2[cid].target == cell.target
+        ]
+
+    key = rng.choice([key for key in rows if others(key)])
+    table[key] = rng.choice(others(key))
+
+
 def _swap_result(X: FiniteOpTwoCat, seed: int) -> FiniteOpTwoCat:
     """One seeded graft row's result swapped for another occupant of its niche."""
-    rng = random.Random(seed)
-    key = rng.choice(list(X.graft))
-    cell = X.cells2[X.graft[key]]
-    others = [
-        cid
-        for cid in X.occupants[cell.source.key()]
-        if cid != X.graft[key] and X.cells2[cid].target == cell.target
-    ]
-    return dataclasses.replace(X, graft={**X.graft, key: rng.choice(others)})
+    table = dict(X.graft)
+    _swap_row(X, table, random.Random(seed), list(X.graft))
+    return dataclasses.replace(X, graft=table)
 
 
 def _outcome(fn, *args):
@@ -460,11 +474,37 @@ def test_z3_swaps_reach_both_laws():
 
 
 def test_law_instances_checked_on_z4():
-    # sequential associativity: perfbench's core.assoc_in_bound on Z4
+    # checked + implied: every instance in bound, for sequential
+    # associativity perfbench's core.assoc_in_bound on Z4; implied: those
+    # grafting an identity as b or c
     assert validate_op2(_zn(4)).notes == {
         "arity_bound": 4,
-        "checked": {"sequential associativity": 733_504, "parallel commutation": 364_864},
+        "checked": {"sequential associativity": 592_320, "parallel commutation": 267_264},
+        "implied": {"sequential associativity": 141_184, "parallel commutation": 97_600},
     }
+    assert 592_320 + 141_184 == 733_504 and 267_264 + 97_600 == 364_864
+
+
+def _unit_rows(X: FiniteOpTwoCat) -> list[tuple]:
+    """The graft rows the unit laws read: an identity as outer or inner cell."""
+    units = set(X.ident2.values())
+    return [key for key in X.graft if key[0] in units or key[2] in units]
+
+
+def test_a_broken_unit_row_makes_every_instance_compared():
+    # both sides of an implied instance are one cell only by the unit laws,
+    # so a unit violation sends every instance to the comparison
+    X, clean = _zn(3), validate_op2(_zn(3)).notes
+    units, table = set(X.ident2.values()), dict(X.graft)
+    right_unit_rows = [key for key in X.graft if key[2] in units and key[0] not in units]
+    _swap_row(X, table, random.Random(0), right_unit_rows)
+    Y = dataclasses.replace(X, graft=table)
+    report = validate_op2(Y)
+    assert "right unit" in report.rules()
+    assert report.notes["implied"] == {"sequential associativity": 0, "parallel commutation": 0}
+    for law, checked in report.notes["checked"].items():
+        assert checked == clean["checked"][law] + clean["implied"][law]
+    assert report == oracle_validate_op2(Y)
 
 
 def _walked(monkeypatch, X, walk="_compare"):
@@ -757,3 +797,81 @@ def test_binary_factorisation_reached_twice_or_never():
     for Y in (twice, never):
         assert not oracle_is_universal_factorization_1(Y, u)
         assert not uni.is_universal_factorization_1(Y, u)
+
+
+# ---------------------------------------------------------------------------
+# the differential sweep: seeded corruptions that break a unit row (every
+# instance compared) and corruptions that leave the units clean (the
+# instances grafting an identity implied)
+
+SWEEP_HOWS = (
+    "unit row", "other row", "drop",
+    "unit row + other row", "other row + other row", "other row + drop",
+)
+
+
+@functools.cache
+def _sweep_bases() -> dict[str, FiniteOpTwoCat]:
+    return {
+        "fixture": _structures()["fixture"][0],
+        "sign-3": eq.from_bicategory(sign_bicategory(), 3)[0],
+        "sign": _structures()["sign"][0],
+        "sign-5": _structures()["sign-5"][0],
+        "z3": _zn(3),
+    }
+
+
+def _sweep_case(name: str, how: str, seed: int) -> FiniteOpTwoCat:
+    """A seeded corruption of a sweep base: each step of ``how`` swaps a unit
+    row's or another row's result, or drops a row."""
+    X = _sweep_bases()[name]
+    rng = random.Random(f"{name}/{how}/{seed}")
+    unit_rows = _unit_rows(X)
+    rows = {"unit row": unit_rows, "other row": sorted(X.graft.keys() - set(unit_rows))}
+    table = dict(X.graft)
+    for step in how.split(" + "):
+        if step == "drop":
+            del table[rng.choice(sorted(table))]
+        else:
+            _swap_row(X, table, rng, rows[step])
+    return dataclasses.replace(X, graft=table)
+
+
+def _sweep(seeds: range, z3_seeds: range) -> dict[str, int]:
+    """Compare whole reports with the oracle over the sweep, and their
+    violations with those of the oracle comparing every instance; the number
+    of cases by the branch they reached."""
+    branches = dict.fromkeys(("stopped before the laws", "every instance compared",
+                              "identity instances implied"), 0)
+    for name in _sweep_bases():
+        for how, seed in itertools.product(SWEEP_HOWS, z3_seeds if name == "z3" else seeds):
+            Y = _sweep_case(name, how, seed)
+            report = validate_op2(Y)
+            assert report == oracle_validate_op2(Y), (name, how, seed)
+            # comparing every instance finds the same violations
+            full = oracle_validate_op2(Y, imply=False)
+            assert full.violations == report.violations, (name, how, seed)
+            for law, n in full.notes.get("checked", {}).items():
+                assert n == report.notes["checked"][law] + report.notes["implied"][law]
+            if "implied" not in report.notes:
+                branches["stopped before the laws"] += 1
+            elif any(report.notes["implied"].values()):
+                branches["identity instances implied"] += 1
+            else:
+                branches["every instance compared"] += 1
+    return branches
+
+
+def test_sweep_sample_reaches_both_law_branches():
+    # each kind of corruption reaches one branch, whatever the seed
+    branches = _sweep(range(1), range(0))
+    assert all(branches.values()), branches
+
+
+if __name__ == "__main__":  # the full sweep
+    import time
+
+    start = time.perf_counter()
+    tally = _sweep(range(40), range(8))
+    print(f"{sum(tally.values())} cases agree with the oracle in "
+          f"{time.perf_counter() - start:.1f} s: {tally}")
