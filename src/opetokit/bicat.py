@@ -268,28 +268,38 @@ def is_equivalence_1cell(B: FiniteBicategory, f: str) -> bool:
     )
 
 
-def _normalize(B: FiniteBicategory, t) -> tuple[tuple[str, ...], str, str]:
+def _normalize(
+    B: FiniteBicategory, t, memo: dict | None = None
+) -> tuple[tuple[str, ...], str, str]:
     """Rewrite a labeled tree to head-first unit-free form.
 
     Returns (leaves, value, iso) where ``iso`` is the invertible 2-cell from
     the tree's composite to the normal form's composite, assembled from
-    whiskered associator and unitor components.
+    whiskered associator and unitor components.  ``memo`` holds the results
+    of the node subtrees normalised so far over the same ``B``; a subtree
+    goes into it only once its normalisation has returned.
     """
     if t[0] == _LEAF:
         return (t[1],), t[1], B.id2[t[1]]
     if t[0] == _UNIT:
         unit = B.id1[t[1]]
         return (), unit, B.id2[unit]
+    if memo is None:
+        memo = {}
+    elif t in memo:
+        return memo[t]
 
-    l_leaves, lv, liso = _normalize(B, t[1])
-    r_leaves, rv, riso = _normalize(B, t[2])
+    l_leaves, lv, liso = _normalize(B, t[1], memo)
+    r_leaves, rv, riso = _normalize(B, t[2], memo)
     base = B.beside2(riso, liso)
     if not l_leaves:
         step = B.runit[rv]
-        return r_leaves, rv, B.then2(base, step)
+        memo[t] = r_leaves, rv, B.then2(base, step)
+        return memo[t]
     if not r_leaves:
         step = B.lunit[lv]
-        return l_leaves, lv, B.then2(base, step)
+        memo[t] = l_leaves, lv, B.then2(base, step)
+        return memo[t]
 
     def merge(xs: tuple[str, ...], rv: str) -> tuple[str, str]:
         """Iso rv.comb(xs) => comb(xs ++ tail of rv), with its value."""
@@ -305,7 +315,8 @@ def _normalize(B: FiniteBicategory, t) -> tuple[tuple[str, ...], str, str]:
         return B.beside1(rec_v, xs[0]), B.then2(a_inv, whisk)
 
     value, miso = merge(l_leaves, rv)
-    return l_leaves + r_leaves, value, B.then2(base, miso)
+    memo[t] = l_leaves + r_leaves, value, B.then2(base, miso)
+    return memo[t]
 
 
 def chain_value(B: FiniteBicategory, edges, anchor: str | None = None) -> str:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .errors import (
     ArityBoundExceeded,
@@ -330,15 +331,25 @@ def _generate(B: FiniteBicategory, bound: int) -> _Generated:
     ``X`` is made first, its tables filled in place.  Cells come path by
     path in the order of ``X.paths``, so each ``by_target`` bucket is sorted
     by arity and one ``bisect_right`` cuts off the cells too long to graft.
-    Per outer path and slot, ``cohs`` caches the coherence leg by inner path
-    key and ``legs`` caches ``then2(coh, whisk)`` and the spliced key by inner
-    cell id, both filled lazily in visiting order (outer, slot, inner).  So
-    on any input, a corrupt ``B`` too, the tables, their order and the first
-    exception are those of the row-by-row loop in the test oracles.
+
+    Graft rows come one outer path at a time, in visiting order (outer,
+    slot, inner).  The path's first occupant computes every row's leg: the
+    coherence cell followed by the whiskered inner label (``to_outer``),
+    and the spliced key.  A later occupant differs only in its own label, so all its
+    rows come from one map over the recorded legs; if that map meets a
+    missing entry, the occupant is replayed row by row.  Three memos live
+    for the one call: ``_normalize``'s results by subtree, the inverse of
+    each normalisation leg, and, within a path, the whiskering of each
+    (slot, inner label).  A memo only hands back what the same call already
+    computed from the same inputs without raising, and the replay raises
+    where the row-by-row loop does.  So on any input, a corrupt ``B`` too,
+    the tables, their order and the first exception are those of the
+    row-by-row loop in the test oracles.
     """
     X = FiniteOpTwoCat(tuple(sorted(B.objects)), dict(B.one_cells), {}, {}, {}, bound)
     value_of: dict[str, tuple[tuple, str]] = {}
     cell_of: dict[tuple, str] = {}
+    labels: dict[tuple, dict[str, str]] = defaultdict(dict)  # path key -> label -> cell id
     by_target: dict[str, list[tuple]] = defaultdict(list)  # (cell id, path key, edges, label)
     arities: dict[str, list[int]] = defaultdict(list)  # the source arities of a by_target bucket
     out_of = _by_source(B.two_cells)
@@ -353,35 +364,52 @@ def _generate(B: FiniteBicategory, bound: int) -> _Generated:
                 raise InvalidInput(f"generated cell id collision at {cid!r}")
             X.cells2[cid] = TwoCell(cid, source, t)
             value_of[cid] = (key, alpha)
-            cell_of[(key, alpha)] = cid
+            cell_of[(key, alpha)] = labels[key][alpha] = cid
             by_target[t].append((cid, key, edges, alpha))
             arities[t].append(len(edges))
 
     X.ident2.update({f: _cell_name((1, f), B.id2[f]) for f in B.one_cells})
 
-    shape = None
-    for outer_id, (p, alpha_o) in value_of.items():
-        if p != shape:  # a new outer path: cut its buckets, start its caches
-            shape, edges = p, (p[1:] if p[0] else ())
-            fits = bound - len(edges) + 1  # the largest inner arity within the bound
-            slots = [(n, by_target[e][: bisect_right(arities[e], fits)]) for n, e in enumerate(edges)]
-            cohs, legs = [{} for _ in edges], [{} for _ in edges]
-        for slot, bucket in slots:
-            for inner_id, q, inner, alpha_i in bucket:
-                leg = legs[slot].get(inner_id)
-                if leg is None:
-                    if q not in cohs[slot]:
-                        trees = [(_LEAF, e) for e in edges]
-                        trees[slot] = _comb_tree([(_LEAF, e) for e in inner]) if inner else (_UNIT, q[1])
-                        _, _, sigma = _normalize(B, _comb_tree(trees))
-                        cohs[slot][q] = invert_two_cell(B, sigma)
-                        if cohs[slot][q] is None:
-                            raise InvalidInput(f"normalisation leg {sigma!r} has no inverse")
-                    vals = [*edges[:slot], B.src2(alpha_i), *edges[slot + 1 :]]
-                    to_outer = B.then2(cohs[slot][q], _whisker_at(B, vals, slot, alpha_i))
+    graft, vcomp = X.graft, B.vcomp.__getitem__
+    memo, inverses = {}, {}  # normalised subtrees; the inverse of each normalisation leg
+    for p, occupants in labels.items():
+        edges = p[1:] if p[0] else ()
+        fits = bound - len(edges) + 1  # the largest inner arity within the bound
+        (alpha_o, outer_id), *later = occupants.items()
+        legs = []  # (slot, inner id, to_outer, spliced key) per row, in row order
+        whisks = {}  # (slot, inner label) -> the label whiskered into the path
+        for slot, e in enumerate(edges):
+            trees, last = [(_LEAF, f) for f in edges], None
+            for inner_id, q, inner, alpha_i in by_target[e][: bisect_right(arities[e], fits)]:
+                if q != last:  # a bucket holds the cells of one inner path together
+                    trees[slot] = _comb_tree([(_LEAF, f) for f in inner]) if inner else (_UNIT, q[1])
+                    _, _, sigma = _normalize(B, _comb_tree(trees), memo)
+                    if sigma not in inverses:
+                        inverses[sigma] = invert_two_cell(B, sigma)
+                    coh = inverses[sigma]
+                    if coh is None:
+                        raise InvalidInput(f"normalisation leg {sigma!r} has no inverse")
                     spliced = edges[:slot] + inner + edges[slot + 1 :]
-                    leg = legs[slot][inner_id] = to_outer, ((1, *spliced) if spliced else q)
-                X.graft[(outer_id, slot, inner_id)] = cell_of[(leg[1], B.then2(leg[0], alpha_o))]
+                    last, spliced = q, ((1, *spliced) if spliced else q)
+                whisk = whisks.get((slot, alpha_i))
+                if whisk is None:
+                    vals = [*edges[:slot], B.src2(alpha_i), *edges[slot + 1 :]]
+                    whisk = whisks[(slot, alpha_i)] = _whisker_at(B, vals, slot, alpha_i)
+                to_outer = B.then2(coh, whisk)
+                graft[(outer_id, slot, inner_id)] = cell_of[(spliced, B.then2(to_outer, alpha_o))]
+                legs.append((slot, inner_id, to_outer, spliced))
+        if not (legs and later):
+            continue
+        slots, inner_ids, to_outers, spliced_keys = zip(*legs)
+        names = [labels.get(k, {}) for k in spliced_keys]
+        for alpha_o, outer_id in later:
+            rows = zip(repeat(outer_id), slots, inner_ids)
+            values = map(vcomp, zip(repeat(alpha_o), to_outers))  # then2(to_outer, alpha_o)
+            try:
+                graft.update(zip(rows, map(dict.__getitem__, names, values)))
+            except KeyError:  # the row-by-row loop names the missing entry
+                for slot, inner_id, to_outer, spliced in legs:
+                    graft[(outer_id, slot, inner_id)] = cell_of[(spliced, B.then2(to_outer, alpha_o))]
 
     biasing = Biasing(
         iota={a: cell_of[((0, a), B.id2[B.id1[a]])] for a in B.objects},

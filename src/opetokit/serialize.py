@@ -15,8 +15,10 @@ string of a document.  ``from_doc`` keeps the strings it is given, so a
 document built by hand is not deduplicated.  ``dumps`` writes
 ``json.dumps(doc, indent=2, sort_keys=True)`` as one join of pieces: a
 top-level list of rows sharing one set of string keys goes a column at a
-time, each distinct value encoded once, and any other value is laid out by
-``json`` and indented (encoded JSON holds no raw newline inside a string).
+time, each distinct value encoded once.  A string, a list of strings or an
+object of strings and lists of strings is laid out directly at its depth;
+any other value is laid out by ``json`` and indented (encoded JSON holds no
+raw newline inside a string).
 """
 
 from __future__ import annotations
@@ -312,6 +314,31 @@ _COMPACT = json.JSONEncoder(sort_keys=True).encode
 _INDENTED = json.JSONEncoder(indent=2, sort_keys=True).encode
 
 
+def _strings(value, depth: str) -> str | None:
+    """A string, or a list of strings as ``json`` indents it after ``depth``
+    (a newline and spaces); None for any other value."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is not list or not set(map(type, value)) <= {str}:
+        return None
+    inner = depth + "  "
+    return f"[{inner}{(',' + inner).join(map(encode_basestring_ascii, value))}{depth}]" if value else "[]"
+
+
+def _laid_out(value, depth: str) -> str:
+    """``value`` as ``json`` indents it after ``depth``: a string, a list of
+    strings or an object of strings and lists of strings directly, any other
+    value through ``_INDENTED``."""
+    text = _strings(value, depth)
+    if text is None and type(value) is dict and set(map(type, value)) <= {str}:
+        keys = sorted(value)
+        texts = [_strings(value[k], depth + "  ") for k in keys]
+        if None not in texts:
+            fields = [f"{encode_basestring_ascii(k)}: {t}" for k, t in zip(keys, texts)]
+            text = f"{{{depth}  {(',' + depth + '  ').join(fields)}{depth}}}" if fields else "{}"
+    return _INDENTED(value).replace("\n", depth) if text is None else text
+
+
 def _column(values: list) -> list[str]:
     """Each value as JSON text at a row field's depth, each distinct one encoded once."""
     kinds = set(map(type, values))
@@ -320,7 +347,7 @@ def _column(values: list) -> list[str]:
         text = {v: encode(v) for v in set(values)}
         return list(map(text.__getitem__, values))
     keys = list(map(_COMPACT, values))  # not the values: 1 == 1.0 == True
-    text = {k: _INDENTED(v).replace("\n", "\n      ") for k, v in dict(zip(keys, values)).items()}
+    text = {k: _laid_out(v, "\n      ") for k, v in dict(zip(keys, values)).items()}
     return list(map(text.__getitem__, keys))
 
 
@@ -350,7 +377,7 @@ def dumps(doc: dict) -> str:
     pieces = ["{"]
     for key, value in sorted(doc.items()):
         pieces.append(f"\n  {encode_basestring_ascii(key)}: ")
-        pieces += _row_table(value) or [_INDENTED(value).replace("\n", "\n  ")]
+        pieces += _row_table(value) or [_laid_out(value, "\n  ")]
         pieces.append(",")
     pieces[-1] = "\n}\n" if doc else "{}\n"
     return "".join(pieces)

@@ -4,18 +4,19 @@
 ``hom_category_of_frame``, ``check_coherence`` and ``_generate`` (with its
 ``_cell_name``) fold or search every path from scratch, as they did before
 the library moved to path keys and prefix folds.  The bodies are kept as
-they were; only the imports are adjusted.
+they were; only the imports are adjusted.  ``_generate`` normalises through
+the verbatim ``_normalize`` of ``classical_oracles``, which keeps no memo.
 """
 
 from __future__ import annotations
 
+from classical_oracles import _normalize
 from opetokit.bicat import (
     FiniteBicategory,
     FiniteCategory,
     _LEAF,
     _UNIT,
     _comb_tree,
-    _normalize,
     _whisker_at,
     chain_value,
     invert_two_cell,
