@@ -597,14 +597,15 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
     source = {cid: key for key, ids in occupants.items() for cid in ids}
     edges = {key: key[1:] if key[0] else () for key in occupants}  # by path
     target = {cid: cell.target for cid, cell in X.cells2.items()}
-    # fitting[f][k]: the cells into f of arity at most k, in cells2 order
+    top = max(arity.values(), default=0)
+    # fitting[f][k]: the cells into f of arity at most k, in cells2 order; no
+    # cell is longer than top, so k past top is read at top
     fitting = {
-        f: [tuple(c for c in by_target.get(f, ()) if arity[c] <= k) for k in range(bound + 1)]
+        f: [tuple(c for c in by_target.get(f, ()) if arity[c] <= k) for k in range(top + 1)]
         for f in X.cells1
     }
     # col[i][b]: {a: graft(a, i, b)} with the outer cells a in arity order;
     # below[b]: the rows (j, c, graft(b, j, c)) as three lists, c in arity order
-    top = max(arity.values(), default=0)
     col: list[dict[str, dict[str, str]]] = [{} for _ in range(top)]
     below: dict[str, list[list]] = {}
     covered = 0
@@ -613,7 +614,7 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
         if not p[0]:
             continue
         # the slots i and inner cells b of the path's in-bound rows, b in arity order
-        fits = [(i, b) for i in range(m) for b in fitting[p[i + 1]][bound + 1 - m]]
+        fits = [(i, b) for i in range(m) for b in fitting[p[i + 1]][min(bound + 1 - m, top)]]
         fits.sort(key=lambda fit: arity[fit[1]])
         js, cs = [i for i, _ in fits], [b for _, b in fits]
         spliced = [canon.get(p[: i + 1] + edges[source[b]] + p[i + 2 :]) if m > 1 else source[b]
@@ -754,8 +755,9 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
 
 def _walk_table(X: FiniteOpTwoCat, out: _Collector, fitting: dict, source: dict, edges: dict):
     """``validate_op2``'s totality and frame rules, row by row, into ``out``."""
+    top = max((cell.source.arity for cell in X.cells2.values()), default=0)
     for cid, outer in sorted(X.cells2.items()):
-        room = X.arity_bound + 1 - outer.source.arity
+        room = min(X.arity_bound + 1 - outer.source.arity, top)
         for slot, edge in enumerate(outer.source.edges):
             for inner_id in fitting[edge][room]:
                 key = (cid, slot, inner_id)

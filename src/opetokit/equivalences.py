@@ -20,7 +20,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import repeat
 
 from .errors import (
     ArityBoundExceeded,
@@ -335,16 +334,14 @@ def _generate(B: FiniteBicategory, bound: int) -> _Generated:
     Graft rows come one outer path at a time, in visiting order (outer,
     slot, inner).  The path's first occupant computes every row's leg: the
     coherence cell followed by the whiskered inner label (``to_outer``),
-    and the spliced key.  A later occupant differs only in its own label, so all its
-    rows come from one map over the recorded legs; if that map meets a
-    missing entry, the occupant is replayed row by row.  Three memos live
-    for the one call: ``_normalize``'s results by subtree, the inverse of
-    each normalisation leg, and, within a path, the whiskering of each
-    (slot, inner label).  A memo only hands back what the same call already
-    computed from the same inputs without raising, and the replay raises
-    where the row-by-row loop does.  So on any input, a corrupt ``B`` too,
-    the tables, their order and the first exception are those of the
-    row-by-row loop in the test oracles.
+    and the spliced key.  A later occupant differs only in its own label, so
+    it writes its rows from the recorded legs, in the same order.  Three
+    memos live for the one call: ``_normalize``'s results by subtree, the
+    inverse of each normalisation leg, and, within a path, the whiskering of
+    each (slot, inner label).  A memo only hands back what the same call
+    already computed from the same inputs without raising.  So on any input,
+    a corrupt ``B`` too, the tables, their order and the first exception are
+    those of the row-by-row loop in the test oracles.
     """
     X = FiniteOpTwoCat(tuple(sorted(B.objects)), dict(B.one_cells), {}, {}, {}, bound)
     value_of: dict[str, tuple[tuple, str]] = {}
@@ -370,7 +367,7 @@ def _generate(B: FiniteBicategory, bound: int) -> _Generated:
 
     X.ident2.update({f: _cell_name((1, f), B.id2[f]) for f in B.one_cells})
 
-    graft, vcomp = X.graft, B.vcomp.__getitem__
+    graft = X.graft
     memo, inverses = {}, {}  # normalised subtrees; the inverse of each normalisation leg
     for p, occupants in labels.items():
         edges = p[1:] if p[0] else ()
@@ -398,18 +395,9 @@ def _generate(B: FiniteBicategory, bound: int) -> _Generated:
                 to_outer = B.then2(coh, whisk)
                 graft[(outer_id, slot, inner_id)] = cell_of[(spliced, B.then2(to_outer, alpha_o))]
                 legs.append((slot, inner_id, to_outer, spliced))
-        if not (legs and later):
-            continue
-        slots, inner_ids, to_outers, spliced_keys = zip(*legs)
-        names = [labels.get(k, {}) for k in spliced_keys]
         for alpha_o, outer_id in later:
-            rows = zip(repeat(outer_id), slots, inner_ids)
-            values = map(vcomp, zip(repeat(alpha_o), to_outers))  # then2(to_outer, alpha_o)
-            try:
-                graft.update(zip(rows, map(dict.__getitem__, names, values)))
-            except KeyError:  # the row-by-row loop names the missing entry
-                for slot, inner_id, to_outer, spliced in legs:
-                    graft[(outer_id, slot, inner_id)] = cell_of[(spliced, B.then2(to_outer, alpha_o))]
+            for slot, inner_id, to_outer, spliced in legs:
+                graft[(outer_id, slot, inner_id)] = cell_of[(spliced, B.then2(to_outer, alpha_o))]
 
     biasing = Biasing(
         iota={a: cell_of[((0, a), B.id2[B.id1[a]])] for a in B.objects},

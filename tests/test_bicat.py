@@ -12,6 +12,7 @@ from opetokit import (
     Bracketing,
     CatFunctor,
     FiniteCategory,
+    MissingComposite,
     PathMismatch,
     all_bracketings,
     coherence_cell,
@@ -29,6 +30,7 @@ from opetokit.fixtures import (
     absorbing_constraint_functor,
     arrow_bicategory,
     arrow_perturbed_functor,
+    idempotent_bicategory,
     identity_lax_functor,
     sign_bicategory,
     sign_bicategory_broken_pentagon,
@@ -517,3 +519,16 @@ def test_lax_functor_structural_rules_name_their_witness(arrow, field, change, e
     broken = dataclasses.replace(F, **{field: change(getattr(F, field))})
     report = validate_lax_functor(broken, arrow, arrow)
     assert report.violations[0] == Violation(*expected)
+
+
+def test_coherence_cell_without_an_inverse_normalisation_leg_is_refused():
+    # whiskering identities to t, not 1: every normalisation leg is t, which
+    # has no inverse in the monoid {1, t}
+    base = idempotent_bicategory()
+    B = dataclasses.replace(base, hcomp2={**base.hcomp2, ("1", "1"): "t"})
+    assert "hcomp identity" in validate_bicategory(B).rules()
+    edges = ("i", "i", "i")
+    for g1, g2 in itertools.product(all_bracketings(3), repeat=2):
+        with pytest.raises(MissingComposite) as raised:
+            coherence_cell(B, edges, g1, g2)
+        assert str(raised.value) == "normalisation leg 't' has no inverse"

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from opetokit import fixtures
+from opetokit import fixtures, serialize
 from opetokit.bicat import FiniteBicategory
 from opetokit.core import validate_op1, validate_op2
 from opetokit.equivalences import from_bicategory, from_category
@@ -100,3 +102,26 @@ def test_op1_read_below_its_bound_names_only_the_keys_past_it():
     assert [(v.rule, v.witness, v.message) for v in report.violations] == [
         ("dangling id", (key,), KEY_PAST) for key in past
     ]
+
+
+def _validated_at(X, bound):
+    tracemalloc.start()
+    try:
+        report = validate_op2(dataclasses.replace(X, arity_bound=bound))
+        return report, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_op2_validation_is_sized_by_its_cells_not_by_its_bound():
+    # the op2cat fixture (bound 4) relabelled to bound 10 or 100,000 lacks
+    # the same in-bound rows at both, and no index grows with the bound
+    fixture = Path(__file__).resolve().parent.parent / "docs" / "fixtures" / "op2cat.json"
+    X, _ = serialize.from_doc(serialize.load_path(str(fixture)))
+    assert len(X.cells2) == 62
+    at_ten, peak_at_ten = _validated_at(X, 10)
+    far, peak_far = _validated_at(X, 100_000)
+    assert len(at_ten.violations) == 4992
+    assert {v.rule for v in at_ten.violations} == {"totality"}
+    assert far.violations == at_ten.violations
+    assert peak_far <= 1.1 * peak_at_ten

@@ -46,7 +46,7 @@ from opetokit import (
     validate_op_morphism,
 )
 from opetokit import serialize
-from opetokit.core import FiniteOpOneCat, FiniteOpZeroCat
+from opetokit.core import FiniteOpOneCat, FiniteOpZeroCat, TwoCell
 import opetokit.equivalences as eq
 from opetokit.fixtures import (
     absorbing_constraint_functor,
@@ -421,6 +421,32 @@ def test_collapse_with_an_absorbing_pair_constraint_is_a_lax_morphism(sign, idem
     result = classify_morphism(F, X, XI, b, bI)
     assert (result.verdict, result.witness) == ("lax", ("e;s;s|1e", "i;i;i|t"))
     assert lax_functor_from_morphism(F, X, XI, b, bI) == G
+
+
+def test_a_1cell_that_stops_being_universal_makes_a_morphism_lax(sign):
+    # X2 adds a loop z, and for each pair through z one binary cell into s
+    # whose only row is its left unit; b2 moves (e, e) to its other occupant.
+    # No 2-cell loses universality, but no universal occupant through e
+    # reaches z, so e does.  X2 fails validate_op2: this pins what the
+    # shape-only check=True accepts.
+    X, b = from_bicategory(sign, 3)
+    cells2, graft, ident2, c = dict(X.cells2), dict(X.graft), dict(X.ident2), dict(b.c)
+    cells2["1z"], ident2["z"] = TwoCell("1z", path("z"), "z"), "1z"
+    graft[("1z", 0, "1z")] = "1z"
+    for f, g in (("e", "z"), ("z", "e"), ("s", "z"), ("z", "s"), ("z", "z")):
+        u = f"{f};{g}|u"
+        cells2[u] = TwoCell(u, path(f, g), "s")
+        graft[(X.ident2["s"], 0, u)] = u
+        c[(f, g)] = u
+    c[("e", "e")] = "e;e|ne"
+    X2 = dataclasses.replace(
+        X, cells1={**X.cells1, "z": ("pt", "pt")}, cells2=cells2, graft=graft, ident2=ident2
+    )
+    b2 = dataclasses.replace(b, c=c)
+    F = OpMorphism({a: a for a in X.objects}, {f: f for f in X.cells1}, {a: a for a in X.cells2})
+    result = classify_morphism(F, X, X2, b, b2)
+    assert (result.verdict, result.witness) == ("lax", ("e", "e"))
+    assert not validate_op2(X2).ok
 
 
 def test_classification_stable_across_runs(sign, sign_op, terminal, terminal_op, idem, idem_op):
