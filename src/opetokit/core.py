@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -281,16 +281,19 @@ def iter_paths(X):
 def fold_paths(X: FiniteOpOneCat, units: dict[str, str], step) -> dict[tuple, str]:
     """Fill the empty ``X.comp`` over ``X.paths``, each row from its prefix's.
 
-    The empty path at ``a`` gets ``units[a]``, a one-edge path its edge, and
-    a longer path ``step(row of the path without its last edge, last edge)``,
-    mapped a layer at a time in key order, as a row-by-row fold calls it.
+    The empty path at ``a`` gets ``units[a]`` and a one-edge path its edge.
+    Each longer layer is one call ``step(prefix rows, last edges)``: two
+    iterators over the layer in key order, giving the rows of its keys
+    without their last edge and those last edges.  ``step`` returns the
+    layer's rows as a list in the same order, and raises what a row-by-row
+    fold would raise first.
     """
     table, layers, prefixes = X.comp, X.paths, prefix_rows(X.cells1)
     rows = list(map(units.__getitem__, map(itemgetter(1), layers[0])))
     table.update(zip(layers[0], rows))
     for m, layer in enumerate(layers[1:], 1):
         ends = map(itemgetter(-1), layer)
-        rows = list(ends) if m == 1 else list(map(step, prefixes(layers[m - 1], rows), ends))
+        rows = list(ends) if m == 1 else step(prefixes(layers[m - 1], rows), ends)
         table.update(zip(layer, rows))
     return table
 
@@ -519,11 +522,12 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
       ``col[j+kb-1][c]`` after ``col[i][b]`` against ``col[i][b]`` after
       ``col[j][c]``, over the outer cells with those edges at those slots.
 
-    Each batch is accepted by one ``itemgetter`` call per side when the two
-    tuples are equal; otherwise it is walked pair by pair, so witnesses,
-    messages and their order are those of a walk over every instance.  A
-    getter is rebuilt only when the cut length ``n`` changes, and ``n`` only
-    falls along the loop that reuses it.
+    Each batch is accepted when its two sides are equal tuples, each read by
+    one ``itemgetter`` call, except the sequential right-hand side, a prefix
+    of the column it names (below); otherwise it is walked pair by pair, so
+    witnesses, messages and their order are those of a walk over every
+    instance.  A getter is rebuilt only when the cut length ``n`` changes,
+    and ``n`` only falls along the loop that reuses it.
 
     The unit laws are checked first.  Once both hold, a batch that grafts an
     identity ``1`` as ``b`` or ``c`` is implied and not compared.  Given the
@@ -543,6 +547,16 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
     - parallel, ``c = 1``: both sides are graft(a, i, b), the left by ru on
       graft(a, i, b), whose slot ``j+kb-1`` holds ``ej``, the right by ru
       on ``a``.
+
+    The right-hand side of a sequential batch is read off the column it
+    names, not looked up: after the table phase the keys of ``col[i][x]``
+    are the cells ``a`` holding ``target(x)`` at slot ``i`` with
+    ``arity(a) + arity(x) - 1 <= top``, in block order (by totality, the
+    frames and the cut at the longest cell).  The frame rule gives
+    ``target(bc) = target(b)``, and ``arity(bc) = arity(b) + arity(c) - 1``,
+    so the first ``n`` keys of ``col[i][bc]`` are ``outers[:n]``: all of
+    them when ``arity(c) >= 1``, and a prefix of a longer column when ``c``
+    is nullary.
 
     The case ``a = 1`` is compared all the same: it would remove no batch,
     only one outer cell from each batch of a column ``(0, b)``.  When a unit
@@ -661,8 +675,10 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
     found: list[tuple[tuple, str]] = []
     sequential = sequential_implied = 0
     for i, col_i in enumerate(col):
+        # results[x]: col[i][x]'s values; the right-hand side of a batch is a prefix
+        results = {x: tuple(column.values()) for x, column in col_i.items()}
         for b, column in col_i.items():
-            outers, values = list(column), list(column.values())
+            outers, values = list(column), results[b]
             arities = list(map(arity.__getitem__, outers))
             room = top + 2 - arity[b]
             if b in units:  # the rows (0, c, c), c into f: one cut per arity k of c
@@ -677,14 +693,15 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
                 if c in units:
                     sequential_implied += n
                     continue
-                after, before = col[i + j][c], col_i[bc]
+                after, rhs = col[i + j][c], results[bc]
                 if n != cut:  # n only falls along the rows
-                    cut, get_values, get_outers = n, _getter(values[:n]), _getter(outers[:n])
-                if get_values(after) == get_outers(before):
+                    cut, get_values = n, _getter(values[:n])
+                if len(rhs) != n:  # a nullary c: col[i][bc] outgrows col[i][b]
+                    rhs = rhs[:n]
+                if get_values(after) == rhs:
                     sequential += n
                     continue
                 lhs = list(map(after.__getitem__, values[:n]))
-                rhs = list(map(before.__getitem__, outers[:n]))
                 witnesses = ((a, i, b, j, c) for a in outers)
                 sequential += _compare(witnesses, lhs, rhs, found)
     del below
@@ -789,7 +806,7 @@ def _getter(keys) -> Callable:
     return itemgetter(*keys)
 
 
-def _compare(witnesses, lhs: list, rhs: list, found: list) -> int:
+def _compare(witnesses, lhs: Sequence, rhs: Sequence, found: list) -> int:
     """Walk one batch of law instances pair by pair.
 
     A pair whose sides differ is appended to ``found`` with its witness.
@@ -875,5 +892,5 @@ def hom_category_of_frame(X: FiniteOpTwoCat, a: str, b: str) -> FiniteOpOneCat:
         cid: (f, X.cells2[cid].target) for f in objects for cid in X.occupants.get((1, f), ())
     }
     H = FiniteOpOneCat(objects, cells1, {}, X.arity_bound)
-    fold_paths(H, X.ident2, lambda acc, nxt: graft(X, nxt, 0, acc))
+    fold_paths(H, X.ident2, lambda rows, ends: list(map(graft, repeat(X), ends, repeat(0), rows)))
     return H

@@ -141,14 +141,28 @@ def to_category(X: FiniteOpOneCat, check: bool = True) -> FiniteCategory:
 def from_category(
     C: FiniteCategory, arity_bound: int | None = None, check: bool = True
 ) -> FiniteOpOneCat:
-    """Materialise the composition table over all paths up to the bound."""
+    """Materialise the composition table over all paths up to the bound.
+
+    A path's row is its prefix's row composed with its last edge.  Each path
+    length is read off ``C.compose`` in one ``map``; on a pair with no entry,
+    ``C.then`` raises its ``MissingComposite`` for the first such pair in key
+    order, the one a row-by-row fold would have met first.
+    """
     bound = DEFAULT_ARITY_BOUND if arity_bound is None else arity_bound
     if bound < 0:
         raise ArityBoundExceeded(f"the arity bound must not be negative, got {bound}")
     if check:
         _require(validate_category(C))
     X = FiniteOpOneCat(tuple(sorted(C.objects)), dict(C.arrows), {}, bound)
-    fold_paths(X, C.identities, C.then)
+
+    def layer(rows, ends):
+        try:
+            return list(map(C.compose.__getitem__, zip(ends, rows)))
+        except KeyError as miss:  # only ``C.compose`` can miss here
+            g, f = miss.args[0]
+            C.then(f, g)  # raises its MissingComposite for the same pair
+
+    fold_paths(X, C.identities, layer)
     return X
 
 

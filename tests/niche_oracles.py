@@ -64,7 +64,9 @@ def hom_category_of_frame(X: FiniteOpTwoCat, a: str, b: str) -> FiniteOpOneCat:
         if cell.source.arity == 1 and cell.source.edges[0] in obj_set
     }
     H = FiniteOpOneCat(objects, cells1, {}, X.arity_bound)
-    comp = fold_paths(H, X.ident2, lambda acc, nxt: graft(X, nxt, 0, acc))
+    comp = fold_paths(
+        H, X.ident2, lambda rows, ends: [graft(X, nxt, 0, acc) for acc, nxt in zip(rows, ends)]
+    )
     return FiniteOpOneCat(objects, cells1, comp, X.arity_bound)
 
 

@@ -16,6 +16,8 @@
   morphism between the generated biasing of ``sign`` at bound 4 and each of
   its other 31 universal biasings, in both directions, classifies ``weak``
   and translates to a valid lax functor whose constraints are invertible.
+  So does the identity morphism between two of the other biasings, on a
+  seeded sample of pairs, and it is ``strict`` when the two are one.
 - The morphism validators report a map entry keyed by no cell of the source
   as ``dangling id``, and the ``check=True`` translations reject it with
   that report; a constraint for a non-composable pair is ``frame``;
@@ -28,6 +30,7 @@ import dataclasses
 import itertools
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -65,6 +68,7 @@ from opetokit.fixtures import (
 )
 
 STRUCTURAL = {"totality", "frame", "hom functor"}
+SAMPLED_PAIRS, SAMPLED_DIAGONAL = 400, 16  # changes of biasing between two other biasings
 
 
 def _collapse(sign) -> LaxFunctor:
@@ -349,20 +353,65 @@ def _universal_biasings(X):
         yield b
 
 
+def _changes_of_biasing(X, biasings, pairs) -> Counter:
+    """The verdicts of the identity morphism of ``X`` from ``biasings[i]`` to
+    ``biasings[j]``, for each pair (i, j) of ``pairs``.
+
+    Each is ``strict`` exactly when the two biasings are equal and ``weak``
+    otherwise, and translates to a lax functor between the two
+    ``to_bicategory`` images that validates and whose constraints are
+    invertible.
+    """
+    F = OpMorphism({a: a for a in X.objects}, {f: f for f in X.cells1}, {c: c for c in X.cells2})
+    images, verdicts = {}, Counter()
+    for i, j in pairs:
+        for k in (i, j):
+            if k not in images:
+                images[k] = to_bicategory(X, biasings[k])
+        (b1, B1), (b2, B2) = (biasings[i], images[i]), (biasings[j], images[j])
+        verdict = classify_morphism(F, X, X, b1, b2).verdict
+        assert verdict == ("strict" if b1 == b2 else "weak"), (i, j)
+        G = lax_functor_from_morphism(F, X, X, b1, b2)
+        assert validate_lax_functor(G, B1, B2).ok, (i, j)
+        assert all(map(is_invertible_2cell, itertools.repeat(B2),
+                       [*G.phi_pair.values(), *G.phi_obj.values()])), (i, j)
+        verdicts[verdict] += 1
+    return verdicts
+
+
+def _sign_biasings():
+    """``from_bicategory(sign_bicategory(), 4)``, its 32 universal biasings
+    and the position of the generated one among them."""
+    X, generated = from_bicategory(sign_bicategory(), 4)
+    biasings = list(_universal_biasings(X))
+    return X, biasings, biasings.index(generated)
+
+
 def test_a_change_of_biasing_is_weak_and_not_strict():
     # the identity morphism from the generated biasing to another one, and
     # back, preserves universality but not the choices
-    X, generated = from_bicategory(sign_bicategory(), 4)
-    F = OpMorphism({a: a for a in X.objects}, {f: f for f in X.cells1}, {c: c for c in X.cells2})
-    B_gen, verdicts = to_bicategory(X, generated), []
-    for b in _universal_biasings(X):
-        B = to_bicategory(X, b)
-        for (b1, B1), (b2, B2) in (((generated, B_gen), (b, B)), ((b, B), (generated, B_gen))):
-            verdict = classify_morphism(F, X, X, b1, b2).verdict
-            assert verdict == ("strict" if b == generated else "weak")
-            G = lax_functor_from_morphism(F, X, X, b1, b2)
-            assert validate_lax_functor(G, B1, B2).ok
-            assert all(map(is_invertible_2cell, itertools.repeat(B2),
-                           [*G.phi_pair.values(), *G.phi_obj.values()]))
-        verdicts.append(verdict)
-    assert (verdicts.count("strict"), verdicts.count("weak")) == (1, 31)
+    X, biasings, g = _sign_biasings()
+    pairs = [pair for k in range(len(biasings)) for pair in ((g, k), (k, g))]
+    assert _changes_of_biasing(X, biasings, pairs) == Counter(strict=2, weak=62)
+
+
+def test_a_change_between_two_other_biasings_is_weak_and_not_strict():
+    # a seeded sample of pairs of biasings, neither of them the generated
+    # one; ``python tests/test_morphism_checks.py`` runs all 1,024 pairs
+    X, biasings, g = _sign_biasings()
+    others = [k for k in range(len(biasings)) if k != g]
+    rng = random.Random(5)
+    pairs = [tuple(rng.sample(others, 2)) for _ in range(SAMPLED_PAIRS)]
+    pairs += [(k, k) for k in rng.sample(others, SAMPLED_DIAGONAL)]
+    assert _changes_of_biasing(X, biasings, pairs) == Counter(
+        strict=SAMPLED_DIAGONAL, weak=SAMPLED_PAIRS)
+
+
+if __name__ == "__main__":  # every pair of the 32 universal biasings of sign at bound 4
+    import time
+
+    start = time.perf_counter()
+    X, biasings, _ = _sign_biasings()
+    everything = list(itertools.product(range(len(biasings)), repeat=2))
+    verdicts = _changes_of_biasing(X, biasings, everything)
+    print(f"{len(everything)} pairs in {time.perf_counter() - start:.1f} s: {dict(verdicts)}")

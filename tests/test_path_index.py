@@ -16,7 +16,10 @@ once, read by position.
   keys without their last edge, on the category family at bounds 0 to 5.
 - ``validate_op1`` reports the same on a structure whose index is built and
   on a fresh copy, on the seeded and the aimed corruptions.
-- The layered fold raises a missing composite as the row-by-row fold did.
+- The layered fold raises a missing composite as the row-by-row fold did:
+  a dropped one, and a composite named as an unknown arrow, which misses
+  one path length later.  A missing identity raises the bare ``KeyError``
+  it raised before.
 """
 
 from __future__ import annotations
@@ -191,14 +194,40 @@ def _without(C, pair):
     return dataclasses.replace(C, compose={k: v for k, v in C.compose.items() if k != pair})
 
 
+def _unknown(C, pair):
+    """``C`` with the composite of ``pair`` named as an arrow it does not have."""
+    return dataclasses.replace(C, compose={**C.compose, pair: "zz"})
+
+
+def _without_identity(C, a):
+    return dataclasses.replace(C, identities={k: v for k, v in C.identities.items() if k != a})
+
+
+def _outcome(make, C):
+    """The type and message of what ``make(C, 3, check=False)`` raises, or its rows in order."""
+    try:
+        return list(make(C, 3, check=False).comp.items())
+    except (MissingComposite, KeyError) as error:
+        return type(error), str(error)
+
+
 def test_a_missing_composite_raises_as_the_row_by_row_fold_did():
     with pytest.raises(MissingComposite, match=r"^no composite for \('e', 'e'\)$"):
         from_category(_without(z2_category(), ("e", "e")), 3, check=False)
+    # an unknown arrow misses one path length later, on the key that holds it
+    with pytest.raises(MissingComposite, match=r"^no composite for \('e', 'zz'\)$"):
+        from_category(_unknown(z2_category(), ("s", "s")), 3, check=False)
+    # a missing identity is not a missing composite: the bare KeyError of today
+    assert _outcome(from_category, _without_identity(z2_category(), "o")) == (KeyError, "'o'")
+    kinds = {"dropped": 0, "unknown": 0, "identity": 0}  # the cases that raised
     for C in FAMILY[::40]:
-        for pair in C.compose:
-            broken = _without(C, pair)
-            with pytest.raises(MissingComposite) as new:
-                from_category(broken, 3, check=False)
-            with pytest.raises(MissingComposite) as oracle:
-                old.from_category(broken, 3, check=False)
-            assert str(new.value) == str(oracle.value), pair
+        cases = [("dropped", _without(C, pair)) for pair in C.compose]
+        cases += [("unknown", _unknown(C, pair)) for pair in C.compose]
+        cases += [("identity", _without_identity(C, a)) for a in C.identities]
+        for kind, broken in cases:
+            new = _outcome(from_category, broken)
+            assert new == _outcome(old.from_category, broken), kind
+            if kind == "dropped":
+                assert new[0] is MissingComposite
+            kinds[kind] += isinstance(new, tuple)
+    assert kinds["unknown"] and kinds["identity"]
