@@ -500,72 +500,23 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
 
     A 2-cell whose source is longer than the bound is a ``dangling id``, as
     a ``comp`` key is in ``validate_op1``, so once the cells pass no cell,
-    and no framed row's result, is longer than the bound.  The table is read
-    in blocks, one per occupied source path ``p`` of arity ``m``: the rows
-    ``(a, i, b)`` for its occupants ``a``, its slots ``i`` and the cells
-    ``b`` into its ``i``-th edge of arity at most ``bound + 1 - m``.  One
-    ``map`` per outer cell looks its rows up, and two list comparisons check
-    their results' sources and targets.  The table passes when every block
-    does and the blocks cover all ``len(graft)`` (distinct) rows; otherwise
-    ``_walk_table`` reports totality and frames row by row.  Once it passes,
-    totality makes every entry a law reads present, and the batches below
-    are cut at ``top``, the longest cell's arity.
-
-    Both laws are checked in batches over the columns
-    ``col[i][b] = {a: graft(a, i, b)}``, outer cells in arity order:
-
-    - sequential associativity, one batch per column ``(i, b)`` and row
-      ``(b, j, c) -> bc``: ``col[i+j][c]`` over the column's values against
-      ``col[i][bc]`` over its outer cells, cut at the composite's arity;
-    - parallel commutation, one batch per slot pair ``i < j`` with edges
-      ``(ei, ej)`` and cells ``b`` into ``ei`` and ``c`` into ``ej``:
-      ``col[j+kb-1][c]`` after ``col[i][b]`` against ``col[i][b]`` after
-      ``col[j][c]``, over the outer cells with those edges at those slots.
-
-    Each batch is accepted when its two sides are equal tuples, each read by
-    one ``itemgetter`` call, except the sequential right-hand side, a prefix
-    of the column it names (below); otherwise it is walked pair by pair, so
-    witnesses, messages and their order are those of a walk over every
-    instance.  A getter is rebuilt only when the cut length ``n`` changes,
-    and ``n`` only falls along the loop that reuses it.
+    and no framed row's result, is longer than the bound.  Once
+    ``_table_phase`` passes, every entry a law reads is present, and the
+    laws' batches (``_sequential``, ``_parallel``) are cut at ``top``, the
+    longest cell's arity.  A batch is accepted when its two sides are equal
+    tuples, read by cached ``itemgetter`` calls or off a column; otherwise
+    ``_compare`` walks it, so witnesses, messages and their order are those
+    of a walk over every instance.
 
     The unit laws are checked first.  Once both hold, a batch that grafts an
-    identity ``1`` as ``b`` or ``c`` is implied and not compared.  Given the
-    totality and frames checked above, both sides of each such instance are
-    one cell, by right unit (ru: graft(x, k, 1) = x) and left unit (lu:
-    graft(1, 0, x) = x):
-
-    - sequential, ``b = 1``: ``j = 0``, and both sides are graft(a, i, c),
-      the left by ru on ``a``, the right by lu on ``c``;
-    - sequential, ``c = 1``: both sides are graft(a, i, b), the left by ru
-      on graft(a, i, b), the right by ru on ``b``;
-    - sequential, ``a = 1``: ``i = 0``, and both sides are graft(b, j, c),
-      by lu on ``b`` and on graft(b, j, c);
-    - parallel, ``b = 1``: ``kb = 1``, and both sides are graft(a, j, c),
-      the left by ru on ``a``, the right by ru on graft(a, j, c), whose
-      slot ``i < j`` still holds ``ei``;
-    - parallel, ``c = 1``: both sides are graft(a, i, b), the left by ru on
-      graft(a, i, b), whose slot ``j+kb-1`` holds ``ej``, the right by ru
-      on ``a``.
-
-    The right-hand side of a sequential batch is read off the column it
-    names, not looked up: after the table phase the keys of ``col[i][x]``
-    are the cells ``a`` holding ``target(x)`` at slot ``i`` with
-    ``arity(a) + arity(x) - 1 <= top``, in block order (by totality, the
-    frames and the cut at the longest cell).  The frame rule gives
-    ``target(bc) = target(b)``, and ``arity(bc) = arity(b) + arity(c) - 1``,
-    so the first ``n`` keys of ``col[i][bc]`` are ``outers[:n]``: all of
-    them when ``arity(c) >= 1``, and a prefix of a longer column when ``c``
-    is nullary.
-
-    The case ``a = 1`` is compared all the same: it would remove no batch,
-    only one outer cell from each batch of a column ``(0, b)``.  When a unit
-    law fails every instance is compared, so the violations never depend on
-    the skip.  ``notes`` holds ``arity_bound`` and, once the laws run, per
-    law ``checked``, the instances compared, and ``implied``, those skipped
-    (0 when a unit law fails), both summed from batch cuts.  A cut depends
-    on ``c`` only through its arity, so the batches of an identity ``b``
-    are counted one arity of ``c`` at a time, not walked.
+    identity ``1`` as ``b`` or ``c`` is implied and not compared: given the
+    totality and frames, both sides of each such instance are one cell, by
+    right unit (ru: graft(x, k, 1) = x) and left unit (lu: graft(1, 0, x) =
+    x), case by case in each law's function.  When a unit law fails every
+    instance is compared, so the violations never depend on the skip.
+    ``notes`` holds ``arity_bound`` and, once the laws run, per law
+    ``checked``, the instances compared, and ``implied``, those skipped (0
+    when a unit law fails), both summed from batch cuts.
     """
     rejected = _bound_report(X)
     if rejected is not None:
@@ -600,6 +551,54 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
             out.add("identity", (f, ident), "identity 2-cell has the wrong frame")
     _unknown_keys(out, X.ident2, X.cells1, "identity recorded for an unknown 1-cell")
 
+    col, below, arity, source, into, top = _table_phase(X, out)
+    if out.items:
+        return out.report(arity_bound=X.arity_bound)
+
+    # unit laws
+    for cid, outer in X.cells2.items():
+        for slot, edge in enumerate(outer.source.edges):
+            key = (cid, slot, X.ident2[edge])
+            if X.graft.get(key) != cid:
+                out.add("right unit", key, "grafting an identity must not change the cell")
+    for cid, cell in X.cells2.items():
+        ident = X.ident2[cell.target]
+        key = (ident, 0, cid)
+        if X.graft.get(key) != cid:
+            out.add("left unit", key, "grafting under an identity must not change the cell")
+
+    # units[1_f] = f once both unit laws hold: batches grafting 1_f are counted, not compared
+    units = {} if out.items else {ident: f for f, ident in X.ident2.items()}
+    count = {f: Counter(map(arity.__getitem__, cids)) for f, cids in into.items()}
+
+    def unit_cuts(arities, f):  # a cut depends on c only through its arity k: one per k
+        return sum(bisect_right(arities, top + 1 - k) * n for k, n in count[f].items())
+
+    laws = {"sequential associativity": _sequential(X.graft, col, below, arity, top, units, unit_cuts)}
+    del below  # not read by parallel commutation
+    laws["parallel commutation"] = _parallel(X.graft, col, arity, source, into, top, units, unit_cuts)
+    checked, implied = {}, {}
+    for law, (found, checked[law], implied[law]) in laws.items():
+        for witness, message in found:
+            out.add(law, witness, message)
+    return out.report(arity_bound=X.arity_bound, checked=checked, implied=implied)
+
+
+def _table_phase(X: FiniteOpTwoCat, out: _Collector) -> tuple:
+    """``validate_op2``'s totality and frames, and the indexes its laws read.
+
+    The table is read in blocks, one per occupied source path ``p`` of
+    arity ``m``: the rows ``(a, i, b)`` for its occupants ``a``, its slots
+    ``i`` and the cells ``b`` into its ``i``-th edge of arity at most
+    ``bound + 1 - m``.  One ``map`` per outer cell looks its rows up, and two
+    list comparisons check their results' sources and targets.  The table
+    passes when every block does and the blocks cover all ``len(graft)``
+    (distinct) rows; otherwise ``_walk_table`` reports into ``out`` row by row.
+
+    Returns ``(col, below, arity, source, into, top)``, complete once the
+    table passes: ``below[b]`` holds the rows ``(j, c, graft(b, j, c))`` as
+    three lists, ``into[f]`` the cells into ``f``, all in arity order.
+    """
     bound, graft_table = X.arity_bound, X.graft
     arity = {cid: cell.source.arity for cid, cell in X.cells2.items()}
     by_target: dict[str, list[str]] = {}
@@ -618,8 +617,6 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
         f: [tuple(c for c in by_target.get(f, ()) if arity[c] <= k) for k in range(top + 1)]
         for f in X.cells1
     }
-    # col[i][b]: {a: graft(a, i, b)} with the outer cells a in arity order;
-    # below[b]: the rows (j, c, graft(b, j, c)) as three lists, c in arity order
     col: list[dict[str, dict[str, str]]] = [{} for _ in range(top)]
     below: dict[str, list[list]] = {}
     covered = 0
@@ -648,80 +645,100 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
         for a, row in zip(outs, rows):
             below[a] = [js, cs, row]
     if covered != len(graft_table):  # a row is absent, misframed or past the bound
-        _walk_table(X, out, fitting, source, edges)
-    del canon, occupants, target  # not read by the laws
-    if out.items:
-        return out.report(arity_bound=bound)
+        _walk_table(X, out, fitting, source, edges, top)
+    into = {f: sorted(cids, key=arity.__getitem__) for f, cids in by_target.items()}
+    return col, below, arity, source, into, top
 
-    # unit laws
-    for cid, outer in X.cells2.items():
-        for slot, edge in enumerate(outer.source.edges):
-            key = (cid, slot, X.ident2[edge])
-            if X.graft.get(key) != cid:
-                out.add("right unit", key, "grafting an identity must not change the cell")
-    for cid, cell in X.cells2.items():
-        ident = X.ident2[cell.target]
-        key = (ident, 0, cid)
-        if X.graft.get(key) != cid:
-            out.add("left unit", key, "grafting under an identity must not change the cell")
 
-    # once both unit laws hold, the batches grafting an identity as b or c are
-    # implied: their cuts are counted, not compared; units[1_f] = f
-    units = {} if out.items else {ident: f for f, ident in X.ident2.items()}
-    # count[f][k]: the number of cells into f of arity k
-    count = {f: Counter(map(arity.__getitem__, cids)) for f, cids in by_target.items()}
+def _sequential(graft_table, col, below, arity, top, units, unit_cuts) -> tuple:
+    """Sequential associativity, graft(graft(a,i,b), i+j, c) =
+    graft(a, i, graft(b,j,c)), as ``(found, checked, implied)``.
 
-    # sequential associativity: graft(graft(a,i,b), i+j, c) = graft(a, i, graft(b,j,c))
+    One batch per column ``(i, b)`` and row ``(b, j, c) -> bc``:
+    ``col[i+j][c]`` over the column's values against ``col[i][bc]`` over its
+    outer cells, cut at the composite's arity.  ``found`` holds ``(witness,
+    message)`` pairs in table order of the row ``(b, j, c)``, then ``(a, i, b)``.
+
+    The right-hand side is read off the column it names, not looked up:
+    after the table phase the keys of ``col[i][x]`` are the cells ``a``
+    holding ``target(x)`` at slot ``i`` with ``arity(a) + arity(x) - 1 <=
+    top``, in block order (by totality, the frames and the cut at the
+    longest cell).  The frame rule gives ``target(bc) = target(b)``, and
+    ``arity(bc) = arity(b) + arity(c) - 1``, so the first ``n`` keys of
+    ``col[i][bc]`` are ``outers[:n]``: all of them when ``arity(c) >= 1``,
+    and a prefix of a longer column when ``c`` is nullary.
+
+    With ``units`` set, the identity batches are implied (see ``validate_op2``):
+
+    - ``b = 1``: ``j = 0``, and both sides are graft(a, i, c), the left by
+      ru on ``a``, the right by lu on ``c``;
+    - ``c = 1``: both sides are graft(a, i, b), the left by ru on
+      graft(a, i, b), the right by ru on ``b``;
+    - ``a = 1``: ``i = 0``, and both sides are graft(b, j, c), by lu on
+      ``b`` and on graft(b, j, c).  It is compared all the same: it would
+      remove no batch, only one outer cell from each batch of a column
+      ``(0, b)``.
+    """
     found: list[tuple[tuple, str]] = []
-    sequential = sequential_implied = 0
+    checked = implied = 0
     for i, col_i in enumerate(col):
         # results[x]: col[i][x]'s values; the right-hand side of a batch is a prefix
         results = {x: tuple(column.values()) for x, column in col_i.items()}
         for b, column in col_i.items():
             outers, values = list(column), results[b]
             arities = list(map(arity.__getitem__, outers))
-            room = top + 2 - arity[b]
-            if b in units:  # the rows (0, c, c), c into f: one cut per arity k of c
-                cuts = (bisect_right(arities, room - k) * n for k, n in count[units[b]].items())
-                sequential_implied += sum(cuts)
+            if b in units:  # the rows (0, c, c), c into f
+                implied += unit_cuts(arities, units[b])
                 continue
-            cut = 0
+            room, cut = top + 2 - arity[b], 0
             for j, c, bc in zip(*below.get(b, ((), (), ()))):
                 n = bisect_right(arities, room - arity[c])
                 if not n:
                     break
                 if c in units:
-                    sequential_implied += n
+                    implied += n
                     continue
                 after, rhs = col[i + j][c], results[bc]
                 if n != cut:  # n only falls along the rows
                     cut, get_values = n, _getter(values[:n])
                 if len(rhs) != n:  # a nullary c: col[i][bc] outgrows col[i][b]
                     rhs = rhs[:n]
-                if get_values(after) == rhs:
-                    sequential += n
-                    continue
-                lhs = list(map(after.__getitem__, values[:n]))
-                witnesses = ((a, i, b, j, c) for a in outers)
-                sequential += _compare(witnesses, lhs, rhs, found)
-    del below
+                lhs = get_values(after)
+                if lhs != rhs:
+                    _compare(((a, i, b, j, c) for a in outers), lhs, rhs, found)
+                checked += n
     if found:
-        # table order: by the row (b, j, c), then by the row (a, i, b)
         position = {key: n for n, key in enumerate(graft_table)}
         found.sort(key=lambda v: (position[v[0][2:]], position[v[0][:3]]))
-        for witness, message in found:
-            out.add("sequential associativity", witness, message)
+    return found, checked, implied
 
-    # parallel commutation for disjoint slots i < j of one outer cell a:
-    # graft(graft(a,i,b), j+kb-1, c) = graft(graft(a,j,c), i, b), kb = arity(b)
+
+def _parallel(graft_table, col, arity, source, into, top, units, unit_cuts) -> tuple:
+    """Parallel commutation, graft(graft(a,i,b), j+kb-1, c) =
+    graft(graft(a,j,c), i, b), as ``(found, checked, implied)``.
+
+    One batch per slot pair ``i < j`` with edges ``(ei, ej)``, cells ``b``
+    into ``ei`` (``kb = arity(b)``) and ``c`` into ``ej``: ``col[j+kb-1][c]``
+    after ``col[i][b]`` against ``col[i][b]`` after ``col[j][c]``, over the
+    outer cells with those edges at those slots.  ``found`` holds
+    ``(witness, message)`` pairs by ``a`` in table order, then by (slot,
+    inner cell) pairs.
+
+    With ``units`` set, the identity batches are implied (see ``validate_op2``):
+
+    - ``b = 1``: ``kb = 1``, and both sides are graft(a, j, c), the left by
+      ru on ``a``, the right by ru on graft(a, j, c), whose slot ``i < j``
+      still holds ``ei``;
+    - ``c = 1``: both sides are graft(a, i, b), the right by ru on ``a``,
+      the left by ru on graft(a, i, b), whose slot ``j+kb-1`` holds ``ej``.
+    """
     pairs: dict[tuple[int, str, int, str], list[str]] = {}
-    for a in sorted(X.cells2, key=arity.__getitem__):
-        for j, ej in enumerate(edges[source[a]]):
+    for a in sorted(arity, key=arity.__getitem__):
+        for j in range(1, arity[a]):
             for i in range(j):
-                pairs.setdefault((i, source[a][i + 1], j, ej), []).append(a)
-    into = {f: sorted(cids, key=arity.__getitem__) for f, cids in by_target.items()}
-    found = []
-    parallel = parallel_implied = 0
+                pairs.setdefault((i, source[a][i + 1], j, source[a][j + 1]), []).append(a)
+    found: list[tuple[tuple, str]] = []
+    checked = implied = 0
     for (i, ei, j, ej), outers in pairs.items():
         arities = list(map(arity.__getitem__, outers))
         jc_getters: dict[str, tuple[int, Callable]] = {}  # c: (n, over graft(a, j, c))
@@ -729,12 +746,10 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
             kb = arity[b]
             if not bisect_right(arities, top + 1 - kb):  # no graft(a, i, b) left
                 break
-            if b in units:  # kb = 1: one cut per arity k of c
-                cuts = (bisect_right(arities, min(top, top + 1 - k)) * n for k, n in count[ej].items())
-                parallel_implied += sum(cuts)
+            if b in units:  # kb = 1
+                implied += unit_cuts(arities, ej)
                 continue
-            col_ib = col[i][b]
-            cut = 0
+            col_ib, cut = col[i][b], 0
             for c in into.get(ej, ()):
                 kc = arity[c]
                 # graft(a,i,b), graft(a,j,c) and the composite are at most top long
@@ -742,7 +757,7 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
                 if not n:
                     break
                 if c in units:
-                    parallel_implied += n
+                    implied += n
                     continue
                 col_jc, after = col[j][c], col[j + kb - 1][c]
                 if n != cut:  # n only falls along the cells c
@@ -751,28 +766,18 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
                 if n != cut_c:  # n only falls along the cells b
                     get_jc = _getter(_getter(outers[:n])(col_jc))
                     jc_getters[c] = n, get_jc
-                if get_ib(after) == get_jc(col_ib):
-                    parallel += n
-                    continue
-                xs = outers[:n]
-                lhs = list(map(after.__getitem__, map(col_ib.__getitem__, xs)))
-                rhs = list(map(col_ib.__getitem__, map(col_jc.__getitem__, xs)))
-                witnesses = ((a, i, b, j, c) for a in xs)
-                parallel += _compare(witnesses, lhs, rhs, found)
+                lhs, rhs = get_ib(after), get_jc(col_ib)
+                if lhs != rhs:
+                    _compare(((a, i, b, j, c) for a in outers), lhs, rhs, found)
+                checked += n
     if found:
-        # by a in table order, then by (slot, inner cell) pairs
         first = {a: n for n, a in enumerate(dict.fromkeys(key[0] for key in graft_table))}
         found.sort(key=lambda v: (first[v[0][0]], v[0]))
-        for witness, message in found:
-            out.add("parallel commutation", witness, message)
-    checked = {"sequential associativity": sequential, "parallel commutation": parallel}
-    implied = {"sequential associativity": sequential_implied, "parallel commutation": parallel_implied}
-    return out.report(arity_bound=X.arity_bound, checked=checked, implied=implied)
+    return found, checked, implied
 
 
-def _walk_table(X: FiniteOpTwoCat, out: _Collector, fitting: dict, source: dict, edges: dict):
+def _walk_table(X: FiniteOpTwoCat, out: _Collector, fitting: dict, source: dict, edges: dict, top: int):
     """``validate_op2``'s totality and frame rules, row by row, into ``out``."""
-    top = max((cell.source.arity for cell in X.cells2.values()), default=0)
     for cid, outer in sorted(X.cells2.items()):
         room = min(X.arity_bound + 1 - outer.source.arity, top)
         for slot, edge in enumerate(outer.source.edges):
@@ -806,14 +811,9 @@ def _getter(keys) -> Callable:
     return itemgetter(*keys)
 
 
-def _compare(witnesses, lhs: Sequence, rhs: Sequence, found: list) -> int:
-    """Walk one batch of law instances pair by pair.
-
-    A pair whose sides differ is appended to ``found`` with its witness.
-    Returns the number of pairs compared.
-    """
+def _compare(witnesses, lhs: Sequence, rhs: Sequence, found: list) -> None:
+    """Walk a failing batch: each pair whose sides differ goes into ``found`` with its witness."""
     found.extend((w, f"{l} != {r}") for w, l, r in zip(witnesses, lhs, rhs) if l != r)
-    return len(lhs)
 
 
 # ---------------------------------------------------------------------------
