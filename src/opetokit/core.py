@@ -22,7 +22,6 @@ empty path.  Keys index ``comp``, the niche index and violation witnesses;
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -503,10 +502,12 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
     and no framed row's result, is longer than the bound.  Once
     ``_table_phase`` passes, every entry a law reads is present, and the
     laws' batches (``_sequential``, ``_parallel``) are cut at ``top``, the
-    longest cell's arity.  A batch is accepted when its two sides are equal
-    tuples, read by cached ``itemgetter`` calls or off a column; otherwise
-    ``_compare`` walks it, so witnesses, messages and their order are those
-    of a walk over every instance.
+    longest cell's arity.  A sequential batch is accepted when its two sides
+    are equal tuples, read by cached ``itemgetter`` calls or off a column; a
+    parallel block, the batches of one slot pair and arity pair, when its two
+    matrices of such tuples are equal.  Otherwise ``_compare`` walks each
+    batch that differs, so witnesses, messages and their order are those of
+    a walk over every instance.
 
     The unit laws are checked first.  Once both hold, a batch that grafts an
     identity ``1`` as ``b`` or ``c`` is implied and not compared: given the
@@ -551,7 +552,7 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
             out.add("identity", (f, ident), "identity 2-cell has the wrong frame")
     _unknown_keys(out, X.ident2, X.cells1, "identity recorded for an unknown 1-cell")
 
-    col, below, arity, source, into, top = _table_phase(X, out)
+    col, below, arity, source, runs, top = _table_phase(X, out)
     if out.items:
         return out.report(arity_bound=X.arity_bound)
 
@@ -569,14 +570,9 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
 
     # units[1_f] = f once both unit laws hold: batches grafting 1_f are counted, not compared
     units = {} if out.items else {ident: f for f, ident in X.ident2.items()}
-    count = {f: Counter(map(arity.__getitem__, cids)) for f, cids in into.items()}
-
-    def unit_cuts(arities, f):  # a cut depends on c only through its arity k: one per k
-        return sum(bisect_right(arities, top + 1 - k) * n for k, n in count[f].items())
-
-    laws = {"sequential associativity": _sequential(X.graft, col, below, arity, top, units, unit_cuts)}
+    laws = {"sequential associativity": _sequential(X.graft, col, below, arity, runs, top, units)}
     del below  # not read by parallel commutation
-    laws["parallel commutation"] = _parallel(X.graft, col, arity, source, into, top, units, unit_cuts)
+    laws["parallel commutation"] = _parallel(X.graft, col, arity, source, runs, top, units)
     checked, implied = {}, {}
     for law, (found, checked[law], implied[law]) in laws.items():
         for witness, message in found:
@@ -595,28 +591,25 @@ def _table_phase(X: FiniteOpTwoCat, out: _Collector) -> tuple:
     passes when every block does and the blocks cover all ``len(graft)``
     (distinct) rows; otherwise ``_walk_table`` reports into ``out`` row by row.
 
-    Returns ``(col, below, arity, source, into, top)``, complete once the
+    Returns ``(col, below, arity, source, runs, top)``, complete once the
     table passes: ``below[b]`` holds the rows ``(j, c, graft(b, j, c))`` as
-    three lists, ``into[f]`` the cells into ``f``, all in arity order.
+    three lists in arity order of ``c``, and ``runs[f]`` maps each arity
+    ``k``, ascending, to the cells into ``f`` of arity ``k`` in ``cells2``
+    order.
     """
     bound, graft_table = X.arity_bound, X.graft
     arity = {cid: cell.source.arity for cid, cell in X.cells2.items()}
-    by_target: dict[str, list[str]] = {}
     occupants: dict[tuple, list[str]] = {}  # as X.occupants, which validation leaves unbuilt
     for cid, cell in X.cells2.items():
-        by_target.setdefault(cell.target, []).append(cid)
         occupants.setdefault(cell.source.key(), []).append(cid)
     canon = {key: key for key in occupants}  # one key object per path: compared by identity
     source = {cid: key for key, ids in occupants.items() for cid in ids}
     edges = {key: key[1:] if key[0] else () for key in occupants}  # by path
     target = {cid: cell.target for cid, cell in X.cells2.items()}
     top = max(arity.values(), default=0)
-    # fitting[f][k]: the cells into f of arity at most k, in cells2 order; no
-    # cell is longer than top, so k past top is read at top
-    fitting = {
-        f: [tuple(c for c in by_target.get(f, ()) if arity[c] <= k) for k in range(top + 1)]
-        for f in X.cells1
-    }
+    runs: dict[str, dict[int, list[str]]] = {f: {} for f in X.cells1}
+    for cid in sorted(arity, key=arity.__getitem__):
+        runs[target[cid]].setdefault(arity[cid], []).append(cid)
     col: list[dict[str, dict[str, str]]] = [{} for _ in range(top)]
     below: dict[str, list[list]] = {}
     covered = 0
@@ -625,8 +618,8 @@ def _table_phase(X: FiniteOpTwoCat, out: _Collector) -> tuple:
         if not p[0]:
             continue
         # the slots i and inner cells b of the path's in-bound rows, b in arity order
-        fits = [(i, b) for i in range(m) for b in fitting[p[i + 1]][min(bound + 1 - m, top)]]
-        fits.sort(key=lambda fit: arity[fit[1]])
+        fits = [(i, b) for k in range(min(bound + 1 - m, top) + 1)
+                for i in range(m) for b in runs[p[i + 1]].get(k, ())]
         js, cs = [i for i, _ in fits], [b for _, b in fits]
         spliced = [canon.get(p[: i + 1] + edges[source[b]] + p[i + 2 :]) if m > 1 else source[b]
                    for i, b in fits]
@@ -645,12 +638,11 @@ def _table_phase(X: FiniteOpTwoCat, out: _Collector) -> tuple:
         for a, row in zip(outs, rows):
             below[a] = [js, cs, row]
     if covered != len(graft_table):  # a row is absent, misframed or past the bound
-        _walk_table(X, out, fitting, source, edges, top)
-    into = {f: sorted(cids, key=arity.__getitem__) for f, cids in by_target.items()}
-    return col, below, arity, source, into, top
+        _walk_table(X, out, arity, source, edges, top)
+    return col, below, arity, source, runs, top
 
 
-def _sequential(graft_table, col, below, arity, top, units, unit_cuts) -> tuple:
+def _sequential(graft_table, col, below, arity, runs, top, units) -> tuple:
     """Sequential associativity, graft(graft(a,i,b), i+j, c) =
     graft(a, i, graft(b,j,c)), as ``(found, checked, implied)``.
 
@@ -683,12 +675,14 @@ def _sequential(graft_table, col, below, arity, top, units, unit_cuts) -> tuple:
     checked = implied = 0
     for i, col_i in enumerate(col):
         # results[x]: col[i][x]'s values; the right-hand side of a batch is a prefix
+        results = None  # the last slot's go first: holding both was the call's peak
         results = {x: tuple(column.values()) for x, column in col_i.items()}
         for b, column in col_i.items():
             outers, values = list(column), results[b]
             arities = list(map(arity.__getitem__, outers))
-            if b in units:  # the rows (0, c, c), c into f
-                implied += unit_cuts(arities, units[b])
+            if b in units:  # the rows (0, c, c), c into f: a cut depends on c only by its arity
+                implied += sum(bisect_right(arities, top + 1 - k) * len(cs)
+                               for k, cs in runs[units[b]].items())
                 continue
             room, cut = top + 2 - arity[b], 0
             for j, c, bc in zip(*below.get(b, ((), (), ()))):
@@ -713,16 +707,21 @@ def _sequential(graft_table, col, below, arity, top, units, unit_cuts) -> tuple:
     return found, checked, implied
 
 
-def _parallel(graft_table, col, arity, source, into, top, units, unit_cuts) -> tuple:
+def _parallel(graft_table, col, arity, source, runs, top, units) -> tuple:
     """Parallel commutation, graft(graft(a,i,b), j+kb-1, c) =
     graft(graft(a,j,c), i, b), as ``(found, checked, implied)``.
 
-    One batch per slot pair ``i < j`` with edges ``(ei, ej)``, cells ``b``
-    into ``ei`` (``kb = arity(b)``) and ``c`` into ``ej``: ``col[j+kb-1][c]``
-    after ``col[i][b]`` against ``col[i][b]`` after ``col[j][c]``, over the
-    outer cells with those edges at those slots.  ``found`` holds
-    ``(witness, message)`` pairs by ``a`` in table order, then by (slot,
-    inner cell) pairs.
+    One block per slot pair and arity pair: a slot pair ``i < j`` with edges
+    ``(ei, ej)``, over the outer cells with those edges at those slots, and
+    an arity pair ``(kb, kc)``, for the cells ``b`` into ``ei`` of arity
+    ``kb`` and ``c`` into ``ej`` of arity ``kc``.  The block's batch ``(b,
+    c)`` is ``col[j+kb-1][c]`` after ``col[i][b]`` against ``col[i][b]``
+    after ``col[j][c]``, all cut at one ``n`` over the outer cells.  The
+    left-hand sides are read as a ``b``-by-``c`` matrix and the right-hand
+    sides as a ``c``-by-``b`` one, compared transposed once; only a block
+    that differs is split into its batches, and only a batch that differs is
+    walked.  ``found`` holds ``(witness, message)`` pairs by ``a`` in table
+    order, then by (slot, inner cell) pairs.
 
     With ``units`` set, the identity batches are implied (see ``validate_op2``):
 
@@ -741,43 +740,41 @@ def _parallel(graft_table, col, arity, source, into, top, units, unit_cuts) -> t
     checked = implied = 0
     for (i, ei, j, ej), outers in pairs.items():
         arities = list(map(arity.__getitem__, outers))
-        jc_getters: dict[str, tuple[int, Callable]] = {}  # c: (n, over graft(a, j, c))
-        for b in into.get(ei, ()):
-            kb = arity[b]
-            if not bisect_right(arities, top + 1 - kb):  # no graft(a, i, b) left
-                break
-            if b in units:  # kb = 1
-                implied += unit_cuts(arities, ej)
-                continue
-            col_ib, cut = col[i][b], 0
-            for c in into.get(ej, ()):
-                kc = arity[c]
+        for kb, bs in runs[ei].items():
+            for kc, cs in runs[ej].items():
                 # graft(a,i,b), graft(a,j,c) and the composite are at most top long
                 n = bisect_right(arities, min(top + 2 - kb - kc, top + 1 - kb, top + 1 - kc))
-                if not n:
+                if not n:  # n only falls along kc
                     break
-                if c in units:
-                    implied += n
+                kept_b = [b for b in bs if b not in units]  # units' batches are implied
+                kept_c = [c for c in cs if c not in units]
+                implied += n * (len(bs) * len(cs) - len(kept_b) * len(kept_c))
+                checked += n * len(kept_b) * len(kept_c)
+                if not (kept_b and kept_c):
                     continue
-                col_jc, after = col[j][c], col[j + kb - 1][c]
-                if n != cut:  # n only falls along the cells c
-                    get_ib, cut = _getter(_getter(outers[:n])(col_ib)), n
-                cut_c, get_jc = jc_getters.get(c, (0, None))
-                if n != cut_c:  # n only falls along the cells b
-                    get_jc = _getter(_getter(outers[:n])(col_jc))
-                    jc_getters[c] = n, get_jc
-                lhs, rhs = get_ib(after), get_jc(col_ib)
+                cut = _getter(outers[:n])
+                col_ib, after = [col[i][b] for b in kept_b], [col[j + kb - 1][c] for c in kept_c]
+                lhs = [tuple(map(_getter(cut(ab)), after)) for ab in col_ib]
+                rhs = list(zip(*[map(_getter(cut(col[j][c])), col_ib) for c in kept_c]))
                 if lhs != rhs:
-                    _compare(((a, i, b, j, c) for a in outers), lhs, rhs, found)
-                checked += n
+                    for b, lhs_b, rhs_b in zip(kept_b, lhs, rhs):
+                        for c, l, r in zip(kept_c, lhs_b, rhs_b):
+                            if l != r:
+                                _compare(((a, i, b, j, c) for a in outers), l, r, found)
     if found:
         first = {a: n for n, a in enumerate(dict.fromkeys(key[0] for key in graft_table))}
         found.sort(key=lambda v: (first[v[0][0]], v[0]))
     return found, checked, implied
 
 
-def _walk_table(X: FiniteOpTwoCat, out: _Collector, fitting: dict, source: dict, edges: dict, top: int):
+def _walk_table(X: FiniteOpTwoCat, out: _Collector, arity: dict, source: dict, edges: dict, top: int):
     """``validate_op2``'s totality and frame rules, row by row, into ``out``."""
+    # fitting[f][k]: the cells into f of arity at most k, in cells2 order; no
+    # cell is longer than top, so k past top is read at top
+    fitting: dict[str, list[list[str]]] = {f: [[] for _ in range(top + 1)] for f in X.cells1}
+    for cid, cell in X.cells2.items():
+        for k in range(arity[cid], top + 1):
+            fitting[cell.target][k].append(cid)
     for cid, outer in sorted(X.cells2.items()):
         room = min(X.arity_bound + 1 - outer.source.arity, top)
         for slot, edge in enumerate(outer.source.edges):

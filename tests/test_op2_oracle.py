@@ -540,6 +540,33 @@ def test_clean_tables_pass_without_a_walk(monkeypatch, name):
     assert report.ok and walked == 0
 
 
+@pytest.mark.parametrize("unit_row", (False, True), ids=("units hold", "unit row broken"))
+def test_a_block_with_several_failing_batches_walks_only_those(monkeypatch, unit_row):
+    # one swapped Z3 row breaks several batches (b, c) of one parallel block
+    # (slot pair and arity pair), a block holding a unit c; only the batches
+    # that differ are walked, not every batch of the block
+    X = _zn(3)
+    units, table = set(X.ident2.values()), dict(X.graft)
+    _swap_row(X, table, random.Random(35), sorted(X.graft.keys() - set(_unit_rows(X))))
+    if unit_row:
+        right_unit_rows = [key for key in X.graft if key[2] in units and key[0] not in units]
+        _swap_row(X, table, random.Random(0), right_unit_rows)
+    Y = dataclasses.replace(X, graft=table)
+    report, walked = _walked(monkeypatch, Y)
+    assert report == oracle_validate_op2(Y)
+    blocks: dict[tuple, set] = {}
+    for v in report.filter("parallel commutation"):
+        a, i, b, j, c = v.witness
+        edges = X.cells2[a].source.edges
+        blocks.setdefault((i, edges[i], j, edges[j], X.arity(b), X.arity(c)), set()).add((b, c))
+    # a block with kc = 1 holds the unit c = 1_ej
+    assert any(len(batches) > 1 for (*_, kc), batches in blocks.items() if kc == 1)
+    laws = ("sequential associativity", "parallel commutation")
+    assert walked == len({(v.rule, v.witness[1:]) for v in report.violations if v.rule in laws})
+    clean = validate_op2(X).notes["implied"]
+    assert report.notes["implied"] == (dict.fromkeys(laws, 0) if unit_row else clean)
+
+
 @functools.cache
 def _sign_6_at_4() -> FiniteOpTwoCat:
     """``sign`` generated at bound 6 and kept under bound 4: cells past the
