@@ -25,7 +25,7 @@ from bisect import bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
 
 from .errors import (
@@ -129,10 +129,10 @@ class FiniteOpOneCat:
 
     ``comp`` assigns to every composable path of length at most
     ``arity_bound`` (including the empty path at each object) the 1-cell that
-    uniquely fills that niche.  The path index ``paths`` is derived from the
-    other fields once per structure, on first use, and kept for its lifetime.
-    The tables must therefore not be mutated in place after a query; derive a
-    changed structure with ``dataclasses.replace``, which starts a fresh index.
+    uniquely fills that niche.  The indexes ``paths`` and ``out_edges`` are
+    derived from the other fields once per structure, on first use, and kept
+    for its lifetime.  So do not mutate the tables in place after a query;
+    ``dataclasses.replace`` derives a changed structure with fresh indexes.
     """
 
     objects: tuple[str, ...]
@@ -144,6 +144,11 @@ class FiniteOpOneCat:
     def paths(self) -> tuple[tuple[tuple, ...], ...]:
         """``_path_layers(self)``."""
         return _path_layers(self)
+
+    @cached_property
+    def out_edges(self) -> dict[str, tuple[str, ...]]:
+        """1-cell ids by source, each tuple sorted: ``_out_edges(self.cells1)``."""
+        return _out_edges(self.cells1)
 
     def src(self, f: str) -> str:
         return self.cells1[f][0]
@@ -168,11 +173,11 @@ class FiniteOpTwoCat:
     names the 1-ary identity 2-cell on each 1-cell.  No 2-cell's source is
     longer than ``arity_bound``, so no row's result is either.
 
-    The niche index ``occupants`` is derived from ``cells2``, and the path
-    index ``paths`` from ``objects``, ``cells1`` and ``arity_bound``, once
-    per structure on first use.  So do not mutate the tables in place after
-    a query (``dataclasses.replace`` starts fresh indexes), except that
-    ``paths`` may be read while the other three tables are filled, as
+    The niche index ``occupants`` is derived from ``cells2``, and the indexes
+    ``paths`` and ``out_edges`` from the other fields, once per structure on
+    first use.  So do not mutate the tables in place after a query
+    (``dataclasses.replace`` starts fresh indexes), except that ``paths``
+    may be read while the other three tables are filled, as
     ``equivalences._generate`` does; ``occupants`` may not.
     """
 
@@ -202,6 +207,11 @@ class FiniteOpTwoCat:
     def paths(self) -> tuple[tuple[tuple, ...], ...]:
         """``_path_layers(self)``."""
         return _path_layers(self)
+
+    @cached_property
+    def out_edges(self) -> dict[str, tuple[str, ...]]:
+        """1-cell ids by source, each tuple sorted: ``_out_edges(self.cells1)``."""
+        return _out_edges(self.cells1)
 
     @cached_property
     def occupants(self) -> dict[tuple, tuple[str, ...]]:
@@ -244,6 +254,10 @@ def _by_source(cells: dict[str, tuple[str, str]]) -> dict[str, list[str]]:
     return after
 
 
+def _out_edges(cells: dict[str, tuple[str, str]]) -> dict[str, tuple[str, ...]]:
+    return {s: tuple(sorted(bucket)) for s, bucket in _by_source(cells).items()}
+
+
 def _path_layers(X) -> tuple[tuple[tuple, ...], ...]:
     """The keys of all composable paths over ``X.cells1`` up to the bound,
     one tuple per length.
@@ -252,9 +266,7 @@ def _path_layers(X) -> tuple[tuple[tuple, ...], ...]:
     layer m the paths of length m, in lexicographic order of their edges.
     The layers stop at the bound or before the first empty one.
     """
-    by_src = _by_source(X.cells1)
-    for bucket in by_src.values():
-        bucket.sort()
+    by_src = X.out_edges
     layers, layer = [tuple((0, a) for a in X.objects)], tuple((1, f) for f in sorted(X.cells1))
     while layer and len(layers) <= X.arity_bound:
         layers.append(layer)
@@ -393,14 +405,25 @@ def validate_op1(X: FiniteOpOneCat) -> ValidationReport:
     Every phase runs a layer of ``X.paths`` at a time: one ``map`` over
     ``comp`` gives its rows and totality (a missing key or a longer ``comp``
     is walked key by key), frames are compared as lists against the end
-    edges' endpoints and each generator's collapsed rows against the whole
-    paths' rows, ``peel`` and ``bracket left`` reading the prefixes' rows by
-    position (``prefix_rows``).  Only a layer whose two sides differ is
-    walked key by key, so the witnesses come in key order, the generators of
-    one key in the order above.  ``notes`` holds ``arity_bound`` and, once
+    edges' endpoints and each generator's side (the rows of its collapsed
+    keys) against the whole paths' rows.  Only a layer whose two sides differ
+    is walked key by key, so the witnesses come in key order, the generators
+    of one key in the order above.  ``notes`` holds ``arity_bound`` and, once
     substitution runs, ``checked``: the instances compared per generator
     (``left unit``, ``right unit``, ``bracket left``, ``bracket right``,
     ``peel``), summed from layer lengths.
+
+    A layer m >= 3 reads its ``peel`` side (at m = 3 also ``bracket left``)
+    off the binary rows by position, and its frames by induction on m.  Once
+    layer 2 is framed, ``ext[f]`` is f's slice of its rows, f composed with
+    each sorted edge out of ``tgt f``; layer m's side is ``ext[r]`` for each
+    row r of layer m - 1 in turn.  If layer m - 1 is framed, each of its keys
+    x has ``tgt comp[x] == tgt x``, so ``ext[comp[x]]`` lists the rows of the
+    collapsed keys ``(1, comp[x], g)`` over the edges g extending x, in order,
+    each framed ``(src x, tgt g)`` by layer 2 as the path x + g is: a layer
+    equal to its side is framed.  After an ``endpoints`` violation ``ext`` is
+    dropped and later frames are read; the report then stops, so substitution
+    reads only the sides of framed layers.
     """
     rejected = _bound_report(X)
     if rejected is not None:
@@ -431,7 +454,11 @@ def validate_op1(X: FiniteOpOneCat) -> ValidationReport:
     src = {f: s for f, (s, _) in cells1.items()}
     tgt = {f: t for f, (_, t) in cells1.items()}
     first, last = itemgetter(1), itemgetter(-1)
+    ext, peels, framed = None, {}, True
     for m, (layer, results) in enumerate(zip(layers, rows)):
+        peels[m] = list(chain.from_iterable(map(ext.__getitem__, rows[m - 1]))) if ext else None
+        if peels[m] == results:  # m >= 3: framed by induction
+            continue
         if m:
             starts = map(src.__getitem__, map(first, layer))
             frames = list(zip(starts, map(tgt.__getitem__, map(last, layer))))
@@ -439,51 +466,49 @@ def validate_op1(X: FiniteOpOneCat) -> ValidationReport:
             anchors = list(map(first, layer))
             frames = list(zip(anchors, anchors))
         singletons = m != 1 or results == list(map(first, layer))
-        if singletons and list(map(cells1.__getitem__, results)) == frames:
-            continue
-        for key, result, frame in zip(layer, results, frames):
-            if cells1[result] != frame:
-                out.add("endpoints", (key, result))
-            if m == 1 and result != key[1]:
-                out.add("singleton", (key[1], result), "comp of a one-edge path must be that edge")
-    if any(v.rule == "endpoints" for v in out.items):
+        if not singletons or list(map(cells1.__getitem__, results)) != frames:
+            for key, result, frame in zip(layer, results, frames):
+                if cells1[result] != frame:
+                    out.add("endpoints", (key, result))
+                    ext, framed = None, False
+                if m == 1 and result != key[1]:
+                    out.add("singleton", (key[1], result), "comp of a one-edge path must be that edge")
+        if m == 2 and framed:  # each f's rows, cut by the fan-out of tgt f
+            cuts = list(accumulate((len(X.out_edges.get(tgt[f], ())) for _, f in layers[1]), initial=0))
+            ext = {f: results[i:j] for (_, f), i, j in zip(layers[1], cuts, cuts[1:])}
+    if not framed:
         return out.report(arity_bound=bound)
 
-    prefixes = prefix_rows(cells1)
-
-    def peeled(m):  # the keys (1, comp[key[:-1]], key[-1])
-        return zip(repeat(1), prefixes(layers[m - 1], rows[m - 1]), map(last, layers[m]))
-
+    get = comp.__getitem__
     checked = dict.fromkeys(("left unit", "right unit", "bracket left", "bracket right", "peel"), 0)
     for m, (layer, results) in enumerate(zip(layers, rows)):
         # every collapsed key has length 2; none is checked below bound 2
         if bound < 2 or m in (0, 2):
             continue
-        # each generator's collapsed keys, by (generator, i, j)
+        # each generator's side, by (generator, i, j)
         if m == 1:
             edges = list(map(first, layer))
             unit = dict(zip(map(first, layers[0]), rows[0]))
             before = map(unit.__getitem__, map(src.__getitem__, edges))
             after = map(unit.__getitem__, map(tgt.__getitem__, edges))
-            collapsed = {
-                ("left unit", 0, 0): zip(repeat(1), before, edges),
-                ("right unit", 1, 1): zip(repeat(1), edges, after),
+            sides = {
+                ("left unit", 0, 0): list(map(get, zip(repeat(1), before, edges))),
+                ("right unit", 1, 1): list(map(get, zip(repeat(1), edges, after))),
             }
         elif m == 3:
-            tails = map(comp.__getitem__, zip(repeat(1), map(itemgetter(2), layer), map(last, layer)))
-            collapsed = {
-                ("bracket left", 0, 2): peeled(m),
-                ("bracket right", 1, 3): zip(repeat(1), map(first, layer), tails),
+            tails = map(get, zip(repeat(1), map(itemgetter(2), layer), map(last, layer)))
+            sides = {
+                ("bracket left", 0, 2): peels[m],
+                ("bracket right", 1, 3): list(map(get, zip(repeat(1), map(first, layer), tails))),
             }
         else:
-            collapsed = {("peel", 0, m - 1): peeled(m)}
-        sides = [list(map(comp.__getitem__, keys)) for keys in collapsed.values()]
-        for name, _, _ in collapsed:
+            sides = {("peel", 0, m - 1): peels[m]}
+        for name, _, _ in sides:
             checked[name] += len(layer)
-        if all(side == results for side in sides):
+        if all(side == results for side in sides.values()):
             continue
-        for key, result, *values in zip(layer, results, *sides):
-            for (_, i, j), value in zip(collapsed, values):
+        for key, result, *values in zip(layer, results, *sides.values()):
+            for (_, i, j), value in zip(sides, values):
                 if value != result:
                     message = f"comp disagrees after collapsing segment [{i}:{j}]"
                     out.add("substitution", (key, i, j), message)
@@ -884,7 +909,7 @@ def hom_category_of_frame(X: FiniteOpTwoCat, a: str, b: str) -> FiniteOpOneCat:
         raise DanglingId(f"unknown object {a!r}")
     if b not in X.objects:
         raise DanglingId(f"unknown object {b!r}")
-    objects = tuple(sorted(f for f in _by_source(X.cells1).get(a, ()) if X.tgt1(f) == b))
+    objects = tuple(f for f in X.out_edges.get(a, ()) if X.tgt1(f) == b)
     cells1 = {
         cid: (f, X.cells2[cid].target) for f in objects for cid in X.occupants.get((1, f), ())
     }

@@ -11,8 +11,8 @@ of the same object admit a factorisation through f by a universal binary
 factorisation: each comparison 2-cell into the same target is reached by
 grafting exactly one 1-ary 2-cell into the free slot.
 
-The predicates read cells off the niche index ``X.occupants`` and the source
-buckets of ``_by_source``, not off whole-table scans.  Like
+The predicates read cells off the niche index ``X.occupants`` and the
+out-edge index ``X.out_edges``, not off whole-table scans.  Like
 ``check_coherence``, they assume well-framed 2-cell sources.
 """
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .errors import ArityError, DanglingId, NicheMismatch, Violation
-from .core import FiniteOpOneCat, FiniteOpTwoCat, _by_source, prefix_rows
+from .core import FiniteOpOneCat, FiniteOpTwoCat, prefix_rows
 
 
 def _factorizations(X: FiniteOpTwoCat, a: str, c: str) -> list[str]:
@@ -65,7 +65,7 @@ def is_universal_factorization_1(X: FiniteOpTwoCat, u: str) -> bool:
         raise ArityError(f"{u!r} has arity {cell.source.arity}, expected 2")
     f, gbar = cell.source.edges
     a, b = X.cells1[gbar]
-    for h in _by_source(X.cells1).get(a, ()):
+    for h in X.out_edges.get(a, ()):
         if X.tgt1(h) != b:
             continue
         reached = Counter(
@@ -89,7 +89,7 @@ def is_universal_1cell(X: FiniteOpTwoCat, f: str) -> bool:
     if f not in X.cells1:
         raise DanglingId(f"unknown 1-cell {f!r}")
     src_f, tgt_f = X.cells1[f]
-    after = _by_source(X.cells1)
+    after = X.out_edges
     # the universal binary occupants with first edge f, by target
     universal_through: dict[str, list[str]] = {}
     for h in after.get(tgt_f, ()):
@@ -114,7 +114,7 @@ def is_universal_1cell_op1(X: FiniteOpOneCat, f: str) -> bool:
     if f not in X.cells1:
         raise DanglingId(f"unknown 1-cell {f!r}")
     src_f, tgt_f = X.cells1[f]
-    after = _by_source(X.cells1)
+    after = X.out_edges
     reached = [X.comp.get((1, f, gbar)) for gbar in after.get(tgt_f, ())]
     for g in after.get(src_f, ()):
         if reached.count(g) != 1:

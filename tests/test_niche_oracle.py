@@ -2,9 +2,9 @@
 
 The oracles in ``niche_oracles`` find neighbouring cells by scanning whole
 tables and walk the biased niches in loops of their own; the library takes
-the cells from ``X.occupants`` and ``_by_source`` and walks the biased niches
-once.  The two must give the same value, or the same exception type and
-message, with every table and report in the same order:
+the cells from ``X.occupants`` and ``X.out_edges`` and walks the biased
+niches once.  The two must give the same value, or the same exception type
+and message, with every table and report in the same order:
 
 - ``choose_biasing``, ``validate_biasing`` and ``classify_morphism`` (with
   and without ``check``) on the structures of ``test_op2_oracle``, the Z2

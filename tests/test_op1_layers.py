@@ -151,6 +151,17 @@ def _others(X: FiniteOpOneCat, key: tuple) -> list[str]:
     return sorted(f for f, fr in X.cells1.items() if fr == frame and f != X.comp[key])
 
 
+def _next_layer_read_off(X: FiniteOpOneCat, key: tuple) -> FiniteOpOneCat:
+    """``X`` with row ``key``, framed (a, b) with a != b, named as the unit at
+    b, and the next layer's rows rewritten to the peel side: each row the
+    binary row of its prefix's row and last edge.  Only a direct frame check
+    finds the rewritten rows misframed."""
+    comp = {**X.comp, key: X.comp[(0, X.cells1[key[-1]][1])]}
+    for longer in X.paths[len(key)]:
+        comp[longer] = comp[(1, comp[longer[:-1]], longer[-1])]
+    return dataclasses.replace(X, comp=comp)
+
+
 def _aimed_corruptions() -> dict[str, FiniteOpOneCat]:
     X = _two_objects()
     layers = X.paths
@@ -159,6 +170,13 @@ def _aimed_corruptions() -> dict[str, FiniteOpOneCat]:
     arrow = next(f for f, (s, t) in sorted(X.cells1.items()) if s != t)
     longest = next(key for key in layers[5] if len(set(key[1:])) > 1 and _others(X, key))
     too_long = longest + (next(g for g, (s, _) in X.cells1.items() if s == X.cells1[longest[-1]][1]),)
+    binary = next(key for key in layers[2] if _others(X, key))
+    off_arrow = [key for key in layers[2] + layers[5] if X.cells1[X.comp[key]] != X.cells1[arrow]]
+    crossing = [next(key for key in layers[m] if len(set(X.cells1[X.comp[key]])) == 2) for m in (2, 3)]
+    # two loops, so every layer is as long as the one before
+    discrete = from_category(next(C for C in FAMILY if len(C.objects) == len(C.arrows) == 2
+                                  and all(s == t for s, t in C.arrows.values())), 4)
+    d0, d1 = sorted(discrete.cells1)
     return {
         "result not a 1-cell": _with(X, {layers[2][3]: "zz"}),
         "missing row": _with(X, {}, drop=(layers[4][7],)),
@@ -166,6 +184,12 @@ def _aimed_corruptions() -> dict[str, FiniteOpOneCat]:
         "misframed empty-path row": _with(X, {(0, X.cells1[arrow][0]): arrow}),
         "one-edge row names another endomorphism": _with(X, {(1, loop): _others(X, (1, loop))[0]}),
         "last-layer row only the peel rejects": _with(X, {longest: _others(X, longest)[0]}),
+        "misframed binary row": _with(X, {off_arrow[0]: arrow}),
+        "misframed last-layer row": _with(X, {off_arrow[-1]: arrow}),
+        "binary row names another parallel 1-cell": _with(X, {binary: _others(X, binary)[0]}),
+        "misframed binary row, next layer read off it": _next_layer_read_off(X, crossing[0]),
+        "misframed 3-edge row, next layer read off it": _next_layer_read_off(X, crossing[1]),
+        "misframed row in a layer as long as the one before": _with(discrete, {(1, d0, d0, d0): d1}),
     }
 
 
@@ -177,6 +201,12 @@ EXPECTED_RULES = {
     "misframed empty-path row": {"endpoints"},
     "one-edge row names another endomorphism": {"singleton", "substitution"},
     "last-layer row only the peel rejects": {"substitution"},
+    "misframed binary row": {"endpoints"},
+    "misframed last-layer row": {"endpoints"},
+    "binary row names another parallel 1-cell": {"substitution"},
+    "misframed binary row, next layer read off it": {"endpoints"},
+    "misframed 3-edge row, next layer read off it": {"endpoints"},
+    "misframed row in a layer as long as the one before": {"endpoints"},
 }
 
 
@@ -190,6 +220,17 @@ def test_the_last_layer_is_walked_alone():
     X = AIMED["last-layer row only the peel rejects"]
     report = validate_op1(X)
     assert [(len(v.witness[0]) - 1, v.witness[1:]) for v in report.violations] == [(5, (0, 4))]
+
+
+def test_a_misframed_row_is_found_in_its_own_layer():
+    for name, m in (("misframed binary row", 2), ("misframed last-layer row", 5)):
+        report = validate_op1(AIMED[name])
+        assert [len(v.witness[0]) - 1 for v in report.violations] == [m], name
+
+
+def test_a_wrong_binary_row_is_walked_in_every_longer_layer():
+    report = validate_op1(AIMED["binary row names another parallel 1-cell"])
+    assert {3, 4, 5} <= {len(v.witness[0]) - 1 for v in report.violations}
 
 
 # ---------------------------------------------------------------------------
