@@ -263,16 +263,28 @@ def _path_layers(X) -> tuple[tuple[tuple, ...], ...]:
     one tuple per length.
 
     Layer 0 holds the empty paths, one per object in ``X.objects`` order;
-    layer m the paths of length m, in lexicographic order of their edges.
+    layer m the paths of length m, in lexicographic order of their edges:
+    each key of layer m - 1 in turn, extended by each of ``tails[f]``, the
+    one-edge tuples out of the target of its last edge f, in sorted order.
     The layers stop at the bound or before the first empty one.
     """
-    by_src = X.out_edges
+    ones = {s: tuple((g,) for g in edges) for s, edges in X.out_edges.items()}
+    tails = {f: ones.get(t, ()) for f, (_, t) in X.cells1.items()}
     layers, layer = [tuple((0, a) for a in X.objects)], tuple((1, f) for f in sorted(X.cells1))
     while layer and len(layers) <= X.arity_bound:
         layers.append(layer)
         if len(layers) <= X.arity_bound:  # the next layer is within the bound
-            layer = tuple(key + (g,) for key in layer for g in by_src.get(X.cells1[key[-1]][1], ()))
+            layer = tuple([key + tail for key in layer for tail in tails[key[-1]]])
     return tuple(layers)
+
+
+def _extensions(X, rows: list) -> dict[str, list]:
+    """``ext[f]``: f's slice of ``rows``, the rows of layer 2 of ``X.paths``,
+    cut by the fan-out of ``tgt f``.  It lists the rows of the keys
+    ``(1, f, g)`` over the sorted edges g out of ``tgt f``."""
+    ones, out, cells1 = X.paths[1], X.out_edges, X.cells1
+    cuts = list(accumulate((len(out.get(cells1[f][1], ())) for _, f in ones), initial=0))
+    return {f: rows[i:j] for (_, f), i, j in zip(ones, cuts, cuts[1:])}
 
 
 def prefix_rows(cells1: dict[str, tuple[str, str]]):
@@ -293,18 +305,40 @@ def fold_paths(X: FiniteOpOneCat, units: dict[str, str], step) -> dict[tuple, st
     """Fill the empty ``X.comp`` over ``X.paths``, each row from its prefix's.
 
     The empty path at ``a`` gets ``units[a]`` and a one-edge path its edge.
-    Each longer layer is one call ``step(prefix rows, last edges)``: two
-    iterators over the layer in key order, giving the rows of its keys
-    without their last edge and those last edges.  ``step`` returns the
-    layer's rows as a list in the same order, and raises what a row-by-row
-    fold would raise first.
+    Layer 2 is one call ``step(prefix rows, last edges)``: two iterators over
+    the layer in key order, giving the rows of its keys without their last
+    edge and those last edges.  ``step`` returns the layer's rows as a list
+    in the same order, each computed from its prefix row and last edge
+    alone, and raises what a row-by-row fold would raise first.
+
+    If every row of layer 2 is a 1-cell of ``X`` with the target of its key's
+    last edge, each later layer is read off layer 2 by position and ``step``
+    is not called again: layer m's rows are ``ext[r]`` for each row r of
+    layer m - 1 in turn, ``ext = _extensions(X, layer 2's rows)``.  By
+    induction on m, each key x of layer m - 1 has a row r with
+    ``tgt r == tgt x`` (at m - 1 = 2 by the test).  So the edges g extending
+    x are the sorted edges out of ``tgt r``, and ``ext[r]`` lists the rows of
+    the keys ``(1, r, g)``, which are ``step`` at (r, g): the rows the
+    row-by-row fold computes for the keys x + g, in order, each again a
+    1-cell with the target of g.  Every such pair was stepped in layer 2, so
+    nothing is raised.  Otherwise every later layer calls ``step`` as layer
+    2 does.
     """
-    table, layers, prefixes = X.comp, X.paths, prefix_rows(X.cells1)
+    table, layers, prefixes, cells1 = X.comp, X.paths, prefix_rows(X.cells1), X.cells1
     rows = list(map(units.__getitem__, map(itemgetter(1), layers[0])))
     table.update(zip(layers[0], rows))
+    ext = None
     for m, layer in enumerate(layers[1:], 1):
-        ends = map(itemgetter(-1), layer)
-        rows = list(ends) if m == 1 else step(prefixes(layers[m - 1], rows), ends)
+        if ext is not None:  # m >= 3, read off layer 2 by position
+            rows = list(chain.from_iterable(map(ext.__getitem__, rows)))
+        elif m == 1:
+            rows = list(map(itemgetter(-1), layer))
+        else:
+            ends = list(map(itemgetter(-1), layer))
+            rows = step(prefixes(layers[m - 1], rows), iter(ends))
+            if m == 2 and all(map(cells1.__contains__, rows)):
+                if [cells1[r][1] for r in rows] == [cells1[g][1] for g in ends]:
+                    ext = _extensions(X, rows)
         table.update(zip(layer, rows))
     return table
 
@@ -415,9 +449,9 @@ def validate_op1(X: FiniteOpOneCat) -> ValidationReport:
 
     A layer m >= 3 reads its ``peel`` side (at m = 3 also ``bracket left``)
     off the binary rows by position, and its frames by induction on m.  Once
-    layer 2 is framed, ``ext[f]`` is f's slice of its rows, f composed with
-    each sorted edge out of ``tgt f``; layer m's side is ``ext[r]`` for each
-    row r of layer m - 1 in turn.  If layer m - 1 is framed, each of its keys
+    layer 2 is framed, ``ext = _extensions(X, layer 2's rows)``, as in
+    ``fold_paths``; layer m's side is ``ext[r]`` for each row r of layer
+    m - 1 in turn.  If layer m - 1 is framed, each of its keys
     x has ``tgt comp[x] == tgt x``, so ``ext[comp[x]]`` lists the rows of the
     collapsed keys ``(1, comp[x], g)`` over the edges g extending x, in order,
     each framed ``(src x, tgt g)`` by layer 2 as the path x + g is: a layer
@@ -473,9 +507,8 @@ def validate_op1(X: FiniteOpOneCat) -> ValidationReport:
                     ext, framed = None, False
                 if m == 1 and result != key[1]:
                     out.add("singleton", (key[1], result), "comp of a one-edge path must be that edge")
-        if m == 2 and framed:  # each f's rows, cut by the fan-out of tgt f
-            cuts = list(accumulate((len(X.out_edges.get(tgt[f], ())) for _, f in layers[1]), initial=0))
-            ext = {f: results[i:j] for (_, f), i, j in zip(layers[1], cuts, cuts[1:])}
+        if m == 2 and framed:
+            ext = _extensions(X, results)
     if not framed:
         return out.report(arity_bound=bound)
 
@@ -904,6 +937,9 @@ def hom_category_of_frame(X: FiniteOpTwoCat, a: str, b: str) -> FiniteOpOneCat:
     Its objects are the 1-cells a -> b, its 1-cells the 1-ary 2-cells between
     them, and its composition table iterates grafting along vertical chains.
     The 1-cells come off the niche index, edge by edge in sorted order.
+    ``fold_paths`` grafts the binary chains; once each binary composite is a
+    1-cell of the hom with the right target, it reads the longer chains off
+    them by position, and otherwise grafts every chain length.
     """
     if a not in X.objects:
         raise DanglingId(f"unknown object {a!r}")

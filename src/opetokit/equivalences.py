@@ -143,10 +143,14 @@ def from_category(
 ) -> FiniteOpOneCat:
     """Materialise the composition table over all paths up to the bound.
 
-    A path's row is its prefix's row composed with its last edge.  Each path
-    length is read off ``C.compose`` in one ``map``; on a pair with no entry,
-    ``C.then`` raises its ``MissingComposite`` for the first such pair in key
-    order, the one a row-by-row fold would have met first.
+    A path's row is its prefix's row composed with its last edge.  The
+    two-edge paths are read off ``C.compose`` in one ``map``; on a pair with
+    no entry, ``C.then`` raises its ``MissingComposite`` for the first such
+    pair in key order, the one a row-by-row fold would have met first.  If
+    each of their rows is an arrow with the target of the path, every longer
+    path's row is read off theirs by position (``fold_paths``); otherwise
+    (only with ``check=False``) each longer length is read off ``C.compose``
+    as the two-edge paths are.
     """
     bound = DEFAULT_ARITY_BOUND if arity_bound is None else arity_bound
     if bound < 0:

@@ -19,7 +19,15 @@ once, read by position.
 - The layered fold raises a missing composite as the row-by-row fold did:
   a dropped one, and a composite named as an unknown arrow, which misses
   one path length later.  A missing identity raises the bare ``KeyError``
-  it raised before.
+  it raised before.  A composite reassigned to another arrow gives the
+  row-by-row fold's rows or exception at bounds 3 to 5: one with the same
+  ends (framed but not associative) or the same target is read off the
+  binary rows by position; one with another target is stepped at every
+  length, and builds a table when the arrow is also given the composites
+  the stepped fold then asks for.
+- ``fold_paths`` calls its step once, for the two-edge paths, on every
+  category of the family, and once per path length from 2 to the bound on
+  a table whose binary rows have other targets.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import dataclasses
 
 import pytest
 
+import opetokit.equivalences as eq
 import path_oracles as old
 from opetokit import MissingComposite, core, serialize
 from opetokit.core import FiniteOpOneCat, iter_paths, prefix_rows, validate_op1
@@ -203,10 +212,33 @@ def _without_identity(C, a):
     return dataclasses.replace(C, identities={k: v for k, v in C.identities.items() if k != a})
 
 
-def _outcome(make, C):
-    """The type and message of what ``make(C, 3, check=False)`` raises, or its rows in order."""
+def _reassignments(C) -> list:
+    """``(kind, C')`` for each composite of ``C`` replaced by each other
+    arrow: one with its ends (``"framed"``: the table is not associative),
+    its target only (``"other source"``) or another target
+    (``"other target"``).  Only the last fails the fold's target test, and
+    its next path length misses a composite; ``"other target, patched"``
+    also composes the arrow with every g out of the old target as the old
+    composite, so that the stepped fold builds a table."""
+    cases = []
+    for pair, h in C.compose.items():
+        (s, t) = C.arrows[h]
+        for f, (s2, t2) in sorted(C.arrows.items()):
+            if f == h:
+                continue
+            kind = "other target" if t2 != t else "other source" if s2 != s else "framed"
+            cases.append((kind, dataclasses.replace(C, compose={**C.compose, pair: f})))
+            if kind == "other target":
+                patch = {(g, f): c for (g, e), c in C.compose.items() if e == h}
+                broken = dataclasses.replace(C, compose={**C.compose, pair: f, **patch})
+                cases.append(("other target, patched", broken))
+    return cases
+
+
+def _outcome(make, C, bound=3):
+    """The type and message of what ``make(C, bound, check=False)`` raises, or its rows in order."""
     try:
-        return list(make(C, 3, check=False).comp.items())
+        return list(make(C, bound, check=False).comp.items())
     except (MissingComposite, KeyError) as error:
         return type(error), str(error)
 
@@ -231,3 +263,50 @@ def test_a_missing_composite_raises_as_the_row_by_row_fold_did():
                 assert new[0] is MissingComposite
             kinds[kind] += isinstance(new, tuple)
     assert kinds["unknown"] and kinds["identity"]
+
+
+@pytest.mark.parametrize("bound", (3, 4, 5))
+def test_a_reassigned_composite_folds_as_the_row_by_row_fold_did(bound):
+    built = dict.fromkeys(("framed", "other source", "other target", "other target, patched"), 0)
+    for C in FAMILY[::40]:
+        for kind, broken in _reassignments(C):
+            new = _outcome(from_category, broken, bound)
+            assert new == _outcome(old.from_category, broken, bound), kind
+            built[kind] += isinstance(new, list)
+    # rows are compared on each kind but the unpatched one, which always raises
+    assert built.pop("other target") == 0
+    assert all(built.values()), built
+
+
+@pytest.fixture
+def steps(monkeypatch):
+    """The structures ``from_category`` calls its fold's step on, one entry a call."""
+    calls: list = []
+    real = core.fold_paths
+
+    def fold(X, units, step):
+        def counted(rows, ends):
+            calls.append(X)
+            return step(rows, ends)
+
+        return real(X, units, counted)
+
+    monkeypatch.setattr(eq, "fold_paths", fold)
+    return calls
+
+
+def test_the_step_runs_once_on_a_framed_table(steps):
+    for n, C in enumerate(FAMILY):
+        steps.clear()
+        X = from_category(C, 5)
+        assert steps == [X], n
+
+
+def test_the_step_runs_for_every_length_on_a_misframed_table(steps):
+    cases = [broken for C in FAMILY[::40] for kind, broken in _reassignments(C) if kind == "other target, patched"]
+    assert cases
+    for broken in cases:
+        for bound in (3, 4, 5):
+            steps.clear()
+            X = from_category(broken, bound, check=False)
+            assert steps == [X] * (bound - 1)

@@ -8,7 +8,9 @@ two must give the same key sequence, the same tables in the same insertion
 order, and equal coherence reports in both modes (or the same exception), on
 the generated sign, idempotent and arrow presentations at bounds 2 to 5, the
 Z3 2-group at bound 4, the category family and the seeded op2 corruptions of
-``test_op2_oracle``.
+``test_op2_oracle``.  The hom categories are also compared, rows in order, on
+the shipped op2cat fixture, the generated presentations and Z3 read at bounds
+3 to 5.
 
 Generation, which caches its per-shape graft legs and cuts each inner bucket
 at the bound, is also compared on the Z2 and Z3 2-groups at bounds 2 to 5, on
@@ -34,6 +36,7 @@ import pytest
 
 import opetokit.equivalences as eq
 import path_oracles as old
+from opetokit import serialize
 from opetokit.bicat import FiniteBicategory
 from opetokit.core import PastingPath, hom_category_of_frame, iter_paths
 from opetokit.fixtures import (
@@ -44,7 +47,7 @@ from opetokit.fixtures import (
     z2_category,
 )
 from opetokit.universality import check_coherence
-from test_op2_oracle import _corrupt, _outcome
+from test_op2_oracle import FIXTURE, _corrupt, _outcome
 
 ROOT = Path(__file__).resolve().parent.parent
 FAMILY = [z2_category()] + small_category_family()
@@ -223,6 +226,16 @@ def test_paths_homs_and_coherence_agree_on_generated_structures(name, bound):
     _assert_same_keys(X)
     _assert_same_homs(X)
     _assert_same_coherence(X)
+
+
+@pytest.mark.parametrize("bound", (3, 4, 5))
+def test_homs_agree_on_the_fixtures_and_z3(bound):
+    # the shipped op2cat fixture, the generated fixtures and Z3 at bound 4,
+    # each read at another bound: hom tables long enough to be read by position
+    fixture = serialize.from_doc(serialize.load_path(str(FIXTURE)))[0]
+    named = {name: _generated(name, 4)[0].structure for name in (*BICATEGORIES, "z3")}
+    for name, X in {"op2cat.json": fixture, **named}.items():
+        _assert_same_homs(dataclasses.replace(X, arity_bound=bound))
 
 
 @pytest.mark.parametrize("seed", range(60))
