@@ -479,11 +479,14 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
     _missing_composites(out, B.vcomp, B.two_cells, "vertical composite missing")
     if out.items:
         return out.report()
-    for a in B.two_cells:
-        if B.then2(a, B.id2[B.tgt2(a)]) != a or B.then2(B.id2[B.src2(a)], a) != a:
+    # from here on every read is of a composable pair, of typed cells, in a
+    # table just checked total on such pairs, so the tables are read directly
+    vcomp, hcomp1, hcomp2, two_cells = B.vcomp, B.hcomp1, B.hcomp2, B.two_cells
+    for a, (x, y) in two_cells.items():
+        if vcomp[(B.id2[y], a)] != a or vcomp[(a, B.id2[x])] != a:
             out.add("hom category", (a,), "identity 2-cell is not neutral")
-    for a, b, c in composable_triples(B.two_cells):
-        if B.then2(B.then2(a, b), c) != B.then2(a, B.then2(b, c)):
+    for a, b, c in composable_triples(two_cells):
+        if vcomp[(c, vcomp[(b, a)])] != vcomp[(vcomp[(c, b)], a)]:
             out.add("hom category", (c, b, a), "vertical associativity fails")
 
     # horizontal composition tables
@@ -514,14 +517,14 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
     # functoriality of horizontal composition
     comp1 = [(g, f) for f, g in composable_pairs(B.one_cells)]
     for g, f in comp1:
-        if B.beside2(B.id2[g], B.id2[f]) != B.id2[B.beside1(g, f)]:
+        if hcomp2[(B.id2[g], B.id2[f])] != B.id2[hcomp1[(g, f)]]:
             out.add("hcomp identity", (g, f))
-    by_target = _by_source({x: (t, s) for x, (s, t) in B.two_cells.items()})
-    for b2, a2 in _hom_pairs(B.one_cells, B.two_cells):
-        for b1 in by_target.get(B.src2(b2), ()):
-            for a1 in by_target.get(B.src2(a2), ()):
-                lhs = B.beside2(B.then2(b1, b2), B.then2(a1, a2))
-                rhs = B.then2(B.beside2(b1, a1), B.beside2(b2, a2))
+    by_target = _by_source({x: (t, s) for x, (s, t) in two_cells.items()})
+    for b2, a2 in _hom_pairs(B.one_cells, two_cells):
+        for b1 in by_target.get(two_cells[b2][0], ()):
+            for a1 in by_target.get(two_cells[a2][0], ()):
+                lhs = hcomp2[(vcomp[(b2, b1)], vcomp[(a2, a1)])]
+                rhs = vcomp[(hcomp2[(b2, a2)], hcomp2[(b1, a1)])]
                 if lhs != rhs:
                     out.add("interchange", (b2, b1, a2, a1))
 
@@ -546,10 +549,11 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
         return out.report()
     backwards = {x: B.one_cells[f][::-1] for x, (f, _) in B.two_cells.items()}
     for c, b, a in composable_triples(backwards):
-        src_comp = B.assoc[(B.src2(c), B.src2(b), B.src2(a))]
-        tgt_comp = B.assoc[(B.tgt2(c), B.tgt2(b), B.tgt2(a))]
-        lhs = B.then2(B.beside2(B.beside2(c, b), a), tgt_comp)
-        rhs = B.then2(src_comp, B.beside2(c, B.beside2(b, a)))
+        (c1, c2), (b1, b2), (a1, a2) = two_cells[c], two_cells[b], two_cells[a]
+        src_comp = B.assoc[(c1, b1, a1)]
+        tgt_comp = B.assoc[(c2, b2, a2)]
+        lhs = vcomp[(tgt_comp, hcomp2[(hcomp2[(c, b)], a)])]
+        rhs = vcomp[(hcomp2[(c, hcomp2[(b, a)])], src_comp)]
         if lhs != rhs:
             out.add("associator naturality", (c, b, a))
 
@@ -570,37 +574,37 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
     _unknown_keys(out, B.lunit, B.one_cells, "lunit entry for an unknown 1-cell")
     if out.items:
         return out.report()
-    for a, (f1, f2) in B.two_cells.items():
+    for a, (f1, f2) in two_cells.items():
         s, t = B.one_cells[f1]
-        lhs = B.then2(B.beside2(a, B.id2[B.id1[s]]), B.runit[f2])
-        rhs = B.then2(B.runit[f1], a)
+        lhs = vcomp[(B.runit[f2], hcomp2[(a, B.id2[B.id1[s]])])]
+        rhs = vcomp[(a, B.runit[f1])]
         if lhs != rhs:
             out.add("right unitor naturality", (a,))
-        lhs = B.then2(B.beside2(B.id2[B.id1[t]], a), B.lunit[f2])
-        rhs = B.then2(B.lunit[f1], a)
+        lhs = vcomp[(B.lunit[f2], hcomp2[(B.id2[B.id1[t]], a)])]
+        rhs = vcomp[(a, B.lunit[f1])]
         if lhs != rhs:
             out.add("left unitor naturality", (a,))
 
     # pentagon
     after = _by_source(B.one_cells)
     for (h, g, f) in comp3:
-        for k in after.get(B.tgt1(h), ()):
-            gf = B.beside1(g, f)
-            hg = B.beside1(h, g)
-            kh = B.beside1(k, h)
-            one_leg = B.then2(B.assoc[(kh, g, f)], B.assoc[(k, h, gf)])
-            other = B.then2(
-                B.beside2(B.assoc[(k, h, g)], B.id2[f]),
-                B.then2(B.assoc[(k, hg, f)], B.beside2(B.id2[k], B.assoc[(h, g, f)])),
-            )
+        for k in after.get(B.one_cells[h][1], ()):
+            gf = hcomp1[(g, f)]
+            hg = hcomp1[(h, g)]
+            kh = hcomp1[(k, h)]
+            one_leg = vcomp[(B.assoc[(k, h, gf)], B.assoc[(kh, g, f)])]
+            other = vcomp[(
+                vcomp[(hcomp2[(B.id2[k], B.assoc[(h, g, f)])], B.assoc[(k, hg, f)])],
+                hcomp2[(B.assoc[(k, h, g)], B.id2[f])],
+            )]
             if one_leg != other:
                 out.add("pentagon", (k, h, g, f))
 
     # triangle
     for g, f in comp1:
-        mid = B.tgt1(f)
-        lhs = B.beside2(B.runit[g], B.id2[f])
-        rhs = B.then2(B.assoc[(g, B.id1[mid], f)], B.beside2(B.id2[g], B.lunit[f]))
+        mid = B.one_cells[f][1]
+        lhs = hcomp2[(B.runit[g], B.id2[f])]
+        rhs = vcomp[(hcomp2[(B.id2[g], B.lunit[f])], B.assoc[(g, B.id1[mid], f)])]
         if lhs != rhs:
             out.add("triangle", (g, f))
     return out.report()

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -246,10 +247,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on first use: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     """Run one command and write its result, the only output on stdout: the
     payload as JSON under ``--format json``, its text lines otherwise."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         payload, lines, code = args.run(args)
     except (ParseError, UnknownKind, UsageError) as exc:

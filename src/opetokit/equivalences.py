@@ -20,6 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .errors import (
     ArityBoundExceeded,
@@ -350,16 +351,28 @@ def _generate(B: FiniteBicategory, bound: int) -> _Generated:
     by arity and one ``bisect_right`` cuts off the cells too long to graft.
 
     Graft rows come one outer path at a time, in visiting order (outer,
-    slot, inner).  The path's first occupant computes every row's leg: the
-    coherence cell followed by the whiskered inner label (``to_outer``),
-    and the spliced key.  A later occupant differs only in its own label, so
-    it writes its rows from the recorded legs, in the same order.  Three
-    memos live for the one call: ``_normalize``'s results by subtree, the
-    inverse of each normalisation leg, and, within a path, the whiskering of
-    each (slot, inner label).  A memo only hands back what the same call
-    already computed from the same inputs without raising.  So on any input,
-    a corrupt ``B`` too, the tables, their order and the first exception are
-    those of the row-by-row loop in the test oracles.
+    slot, inner).  The path's legs are computed once, one per row in (slot,
+    inner) order: the row's slot and inner id, its ``to_outer`` cell (the
+    coherence cell followed by the whiskered inner label), and the spliced
+    path's key and label -> cell id dict (``names``).  An occupant with label
+    ``alpha`` differs from the path's other occupants only in ``alpha``, so
+    each occupant, the first one included, writes all its rows in one
+    ``graft.update``: a row's cell is ``names[post[alpha][to_outer]]``, where
+    ``post[alpha][x]`` is ``B.vcomp[(alpha, x)]``, built once per call.
+
+    Three memos live for the one call: ``_normalize``'s results by subtree,
+    the inverse of each normalisation leg, and, within a path, the
+    whiskering of each (slot, inner label).  A memo only hands back what the
+    same call already computed from the same inputs without raising.  The
+    row-by-row loop in the test oracles computes, per occupant and row, the
+    row's leg, then ``B.then2(to_outer, alpha)``, then the cell; a read of
+    ``post`` misses exactly where that ``then2`` raises, and a read of
+    ``names`` exactly where that cell is missing.  So if anything raises
+    while a path is processed, a replay walks the path's rows in that order,
+    recomputing each leg through the memos and writing nothing, and raises
+    the first exception the loop meets there; the paths before it raised
+    none.  On any input, a corrupt ``B`` too, the tables, their order and
+    the first exception are those of the oracles.
     """
     X = FiniteOpTwoCat(tuple(sorted(B.objects)), dict(B.one_cells), {}, {}, {}, bound)
     value_of: dict[str, tuple[tuple, str]] = {}
@@ -385,16 +398,18 @@ def _generate(B: FiniteBicategory, bound: int) -> _Generated:
 
     X.ident2.update({f: _cell_name((1, f), B.id2[f]) for f in B.one_cells})
 
-    graft = X.graft
     memo, inverses = {}, {}  # normalised subtrees; the inverse of each normalisation leg
-    for p, occupants in labels.items():
-        edges = p[1:] if p[0] else ()
+    post: dict[str, dict[str, str]] = {}  # post[b][a] = B.vcomp[(b, a)], b after a
+    for (b, a), c in B.vcomp.items():
+        post.setdefault(b, {})[a] = c
+
+    def legs(edges, whisks):
+        """(slot, inner id, to_outer, spliced key, its labels) per row of a path, in row order."""
         fits = bound - len(edges) + 1  # the largest inner arity within the bound
-        (alpha_o, outer_id), *later = occupants.items()
-        legs = []  # (slot, inner id, to_outer, spliced key) per row, in row order
-        whisks = {}  # (slot, inner label) -> the label whiskered into the path
+        then2 = B.then2
         for slot, e in enumerate(edges):
             trees, last = [(_LEAF, f) for f in edges], None
+            at_slot = whisks.setdefault(slot, {})
             for inner_id, q, inner, alpha_i in by_target[e][: bisect_right(arities[e], fits)]:
                 if q != last:  # a bucket holds the cells of one inner path together
                     trees[slot] = _comb_tree([(_LEAF, f) for f in inner]) if inner else (_UNIT, q[1])
@@ -406,16 +421,32 @@ def _generate(B: FiniteBicategory, bound: int) -> _Generated:
                         raise InvalidInput(f"normalisation leg {sigma!r} has no inverse")
                     spliced = edges[:slot] + inner + edges[slot + 1 :]
                     last, spliced = q, ((1, *spliced) if spliced else q)
-                whisk = whisks.get((slot, alpha_i))
+                    names = labels.get(spliced, {})  # ``get``: ``labels`` is being iterated
+                whisk = at_slot.get(alpha_i)
                 if whisk is None:
                     vals = [*edges[:slot], B.src2(alpha_i), *edges[slot + 1 :]]
-                    whisk = whisks[(slot, alpha_i)] = _whisker_at(B, vals, slot, alpha_i)
-                to_outer = B.then2(coh, whisk)
-                graft[(outer_id, slot, inner_id)] = cell_of[(spliced, B.then2(to_outer, alpha_o))]
-                legs.append((slot, inner_id, to_outer, spliced))
-        for alpha_o, outer_id in later:
-            for slot, inner_id, to_outer, spliced in legs:
-                graft[(outer_id, slot, inner_id)] = cell_of[(spliced, B.then2(to_outer, alpha_o))]
+                    whisk = at_slot[alpha_i] = _whisker_at(B, vals, slot, alpha_i)
+                yield slot, inner_id, then2(coh, whisk), spliced, names
+
+    graft = X.graft
+    for p, occupants in labels.items():
+        edges = p[1:] if p[0] else ()
+        whisks = {}  # slot -> inner label -> the label whiskered into the path
+        try:
+            rows = list(legs(edges, whisks))
+            if rows:
+                slots, inner_ids, to_outers, _, names = zip(*rows)
+                for alpha_o, outer_id in occupants.items():
+                    cells = map(dict.__getitem__, names, map(post[alpha_o].__getitem__, to_outers))
+                    graft.update(zip(zip(repeat(outer_id), slots, inner_ids), cells))
+        except Exception as exc:  # whatever it is, the replay finds the one met first
+            failure = exc
+        else:
+            continue
+        for alpha_o in occupants:  # the raise-only replay, in the row-by-row loop's order
+            for _, _, to_outer, spliced, _ in legs(edges, whisks):
+                cell_of[(spliced, B.then2(to_outer, alpha_o))]
+        raise failure
 
     biasing = Biasing(
         iota={a: cell_of[((0, a), B.id2[B.id1[a]])] for a in B.objects},

@@ -1,8 +1,9 @@
 """The hand-filtered scans and copied niche loops of the opetopic side, kept
 as oracles.
 
-``hom_category_of_frame`` scans every 1-cell for the objects of a hom and
-every 2-cell for its 1-ary cells; ``is_universal_factorization_1`` and
+``hom_category_of_frame``, taken from ``path_oracles``, scans every 1-cell
+for the objects of a hom and every 2-cell for its 1-ary cells and grafts
+every chain edge by edge; ``is_universal_factorization_1`` and
 ``is_universal_1cell`` scan every 1-cell for the ones parallel to an edge or
 next to it; ``is_equivalence_1cell`` scans every 1-cell for a reverse one and
 every 2-cell for an isomorphism; ``choose_biasing`` and ``validate_biasing``
@@ -19,12 +20,9 @@ from collections import Counter
 
 from opetokit.bicat import FiniteBicategory, is_invertible_2cell
 from opetokit.core import (
-    FiniteOpOneCat,
     FiniteOpTwoCat,
     composable_pairs,
     empty_path,
-    fold_paths,
-    graft,
     occupants_of_niche,
     path,
 )
@@ -44,30 +42,7 @@ from opetokit.errors import (
     _Collector,
 )
 from opetokit.universality import is_universal_2cell
-
-
-def hom_category_of_frame(X: FiniteOpTwoCat, a: str, b: str) -> FiniteOpOneCat:
-    """The 1-dimensional structure living between two objects.
-
-    Its objects are the 1-cells a -> b, its 1-cells the 1-ary 2-cells between
-    them, and its composition table iterates grafting along vertical chains.
-    """
-    if a not in X.objects:
-        raise DanglingId(f"unknown object {a!r}")
-    if b not in X.objects:
-        raise DanglingId(f"unknown object {b!r}")
-    objects = tuple(sorted(f for f, (s, t) in X.cells1.items() if (s, t) == (a, b)))
-    obj_set = set(objects)
-    cells1 = {
-        cid: (cell.source.edges[0], cell.target)
-        for cid, cell in X.cells2.items()
-        if cell.source.arity == 1 and cell.source.edges[0] in obj_set
-    }
-    H = FiniteOpOneCat(objects, cells1, {}, X.arity_bound)
-    comp = fold_paths(
-        H, X.ident2, lambda rows, ends: [graft(X, nxt, 0, acc) for acc, nxt in zip(rows, ends)]
-    )
-    return FiniteOpOneCat(objects, cells1, comp, X.arity_bound)
+from path_oracles import hom_category_of_frame  # noqa: F401
 
 
 def is_universal_factorization_1(X: FiniteOpTwoCat, u: str) -> bool:

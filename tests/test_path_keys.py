@@ -16,7 +16,12 @@ Generation, which caches its per-shape graft legs and cuts each inner bucket
 at the bound, is also compared on the Z2 and Z3 2-groups at bounds 2 to 5, on
 Z4 at bound 4, on seeded single-entry corruptions of the bicategories' tables
 and on every dropped or moved 2-cell of sign and arrow; there the same first
-exception counts as agreement.
+exception counts as agreement.  Three kinds of corruption are aimed at the
+row writer, which computes a path's legs before any occupant writes: a
+vertical composite missing for a later occupant only, a cell missing for a
+later occupant's composite only, and a first occupant's row failing before
+a later row's leg of the same path.  The oracle's traceback says where its
+loop raised, so each kind is picked out of every single-entry corruption.
 
 The one intended difference: the oracle emits its ``composite 1-cell not
 universal`` violations, its last group, in frozenset order; the library in
@@ -29,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import importlib.util
+import inspect
 import random
 from pathlib import Path
 
@@ -218,6 +224,144 @@ def test_corrupt_bicategories_reach_the_error_path():
         if type(_outcome(eq._generate, *_corrupt_bicategory(seed))) is tuple
     ]
     assert len(raised) >= 50
+
+
+_ORACLE_LINES, _ORACLE_START = inspect.getsourcelines(old._generate)
+_VALUE_LINE, _CELL_LINE = (
+    _ORACLE_START + next(n for n, line in enumerate(_ORACLE_LINES) if text in line)
+    for text in ("value = B.then2(", "graft_table[(outer_id")
+)
+
+
+def _oracle_failure(B: FiniteBicategory, bound: int, rows: dict):
+    """Where the oracle's row-by-row loop first raises on ``B``: ``(read,
+    outer id, row index)`` with ``read`` one of ``"leg"``, ``"composite"``
+    (the occupant's vertical composite) and ``"cell"`` (the cell of that
+    composite), and the row's index among the outer cell's ``rows``;
+    ``None`` if the oracle raises outside its graft loop or not at all."""
+    try:
+        old._generate(B, bound)
+    except Exception as exc:
+        tb, frame = exc.__traceback__, None
+        while tb is not None:
+            if tb.tb_frame.f_code is old._generate.__code__:
+                frame, line = tb.tb_frame.f_locals, tb.tb_lineno
+            tb = tb.tb_next
+        if frame is None or "inner_id" not in frame:
+            return None
+        if line == _CELL_LINE:
+            read = "cell"
+        elif line == _VALUE_LINE and (frame["whisk"], frame["coh"]) in B.vcomp:
+            read = "composite"
+        else:
+            read = "leg"
+        outer_id, row = frame["outer_id"], (frame["slot"], frame["inner_id"])
+        return read, outer_id, rows[outer_id].index(row)
+    return None
+
+
+@functools.cache
+def _shape(name: str, bound: int):
+    """The first occupant of each path and each outer cell's rows (slot,
+    inner id) in order, as generated from the sound bicategory."""
+    gen = eq._generate(_bicategory(name), bound)
+    first = {}
+    for cid, (key, _) in gen.value_of.items():
+        first.setdefault(key, cid)
+    rows: dict[str, list] = {}
+    for outer_id, slot, inner_id in gen.structure.graft:
+        rows.setdefault(outer_id, []).append((slot, inner_id))
+    return set(first.values()), rows
+
+
+WRITER_CASES = [("z3", 3), ("sign", 3), ("arrow", 3)]
+
+
+@functools.cache
+def _single_failures(name: str, bound: int):
+    """Each single corruption of the vertical and horizontal 2-cell tables
+    with the oracle's failure on it: every ``vcomp`` entry dropped or set to
+    the first 2-cell of another frame, every ``hcomp2`` entry dropped."""
+    B = _bicategory(name)
+    corruptions = []
+    for key, value in B.vcomp.items():
+        other = next(c for c in sorted(B.two_cells) if B.two_cells[c] != B.two_cells[value])
+        for entry in (None, other):
+            table = dict(B.vcomp)
+            if entry is None:
+                del table[key]
+            else:
+                table[key] = entry
+            corruptions.append(("vcomp", table))
+    for key in B.hcomp2:
+        table = dict(B.hcomp2)
+        del table[key]
+        corruptions.append(("hcomp2", table))
+    rows = _shape(name, bound)[1]
+    return [
+        (field, table, _oracle_failure(dataclasses.replace(B, **{field: table}), bound, rows))
+        for field, table in corruptions
+    ]
+
+
+def _assert_writer_agrees(B: FiniteBicategory, bound: int):
+    new = _outcome(lambda: _tables(eq._generate(B, bound)))
+    assert isinstance(new[0], type), new  # an exception: (type, message)
+    assert new == _outcome(lambda: _tables(old._generate(B, bound)))
+
+
+def _later_occupant_failures(name: str, bound: int, field: str, read: str):
+    first, _ = _shape(name, bound)
+    return [
+        table
+        for f, table, failure in _single_failures(name, bound)
+        if f == field and failure and failure[0] == read and failure[1] not in first
+    ]
+
+
+@pytest.mark.parametrize("name, bound", WRITER_CASES)
+def test_a_vertical_composite_missing_for_a_later_occupant_only(name, bound):
+    # the path's first occupant writes every row; a later occupant's
+    # composite with one of the path's legs is missing
+    B = _bicategory(name)
+    cases = _later_occupant_failures(name, bound, "vcomp", "composite")
+    assert len(cases) >= 2
+    for vcomp in cases:
+        _assert_writer_agrees(dataclasses.replace(B, vcomp=vcomp), bound)
+
+
+@pytest.mark.parametrize("name, bound", WRITER_CASES)
+def test_a_missing_cell_reached_by_a_later_occupant_only(name, bound):
+    # a later occupant's composite is a 2-cell of another frame, so the
+    # spliced path has no cell with that label
+    B = _bicategory(name)
+    cases = _later_occupant_failures(name, bound, "vcomp", "cell")
+    assert len(cases) >= 2
+    for vcomp in cases:
+        _assert_writer_agrees(dataclasses.replace(B, vcomp=vcomp), bound)
+
+
+@pytest.mark.parametrize("name, bound", WRITER_CASES)
+def test_a_first_occupant_row_fails_before_a_later_leg(name, bound):
+    # the writer computes all of a path's legs before the first occupant
+    # writes a row, so it meets the leg failure of a later row first; the
+    # row-by-row loop meets the first occupant's failure at row r first,
+    # and so must the replay
+    B = _bicategory(name)
+    first, rows = _shape(name, bound)
+    singles = _single_failures(name, bound)
+    pairs = 0
+    for field, table, failure in singles:
+        if field != "vcomp" or not failure or failure[0] == "leg" or failure[1] not in first:
+            continue
+        _, outer_id, r = failure
+        for _, legs, (read, leg_outer, leg_row) in (s for s in singles if s[0] == "hcomp2" and s[2]):
+            if read == "leg" and leg_outer == outer_id and leg_row > r:
+                C = dataclasses.replace(B, vcomp=table, hcomp2=legs)
+                assert _oracle_failure(C, bound, rows) == failure
+                _assert_writer_agrees(C, bound)
+                pairs += 1
+    assert pairs >= 10
 
 
 @pytest.mark.parametrize("name, bound", GENERATED)
