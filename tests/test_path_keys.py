@@ -310,32 +310,20 @@ def _assert_writer_agrees(B: FiniteBicategory, bound: int):
     assert new == _outcome(lambda: _tables(old._generate(B, bound)))
 
 
-def _later_occupant_failures(name: str, bound: int, field: str, read: str):
-    first, _ = _shape(name, bound)
-    return [
-        table
-        for f, table, failure in _single_failures(name, bound)
-        if f == field and failure and failure[0] == read and failure[1] not in first
-    ]
-
-
+@pytest.mark.parametrize("read", ("composite", "cell"))
 @pytest.mark.parametrize("name, bound", WRITER_CASES)
-def test_a_vertical_composite_missing_for_a_later_occupant_only(name, bound):
+def test_a_later_occupant_fails_where_the_first_did_not(name, bound, read):
     # the path's first occupant writes every row; a later occupant's
-    # composite with one of the path's legs is missing
+    # composite with one of the path's legs is missing ("composite"), or is
+    # a 2-cell of another frame, so the spliced path has no cell with that
+    # label ("cell")
     B = _bicategory(name)
-    cases = _later_occupant_failures(name, bound, "vcomp", "composite")
-    assert len(cases) >= 2
-    for vcomp in cases:
-        _assert_writer_agrees(dataclasses.replace(B, vcomp=vcomp), bound)
-
-
-@pytest.mark.parametrize("name, bound", WRITER_CASES)
-def test_a_missing_cell_reached_by_a_later_occupant_only(name, bound):
-    # a later occupant's composite is a 2-cell of another frame, so the
-    # spliced path has no cell with that label
-    B = _bicategory(name)
-    cases = _later_occupant_failures(name, bound, "vcomp", "cell")
+    first, _ = _shape(name, bound)
+    cases = [
+        table
+        for field, table, failure in _single_failures(name, bound)
+        if field == "vcomp" and failure and failure[0] == read and failure[1] not in first
+    ]
     assert len(cases) >= 2
     for vcomp in cases:
         _assert_writer_agrees(dataclasses.replace(B, vcomp=vcomp), bound)
