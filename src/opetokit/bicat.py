@@ -14,6 +14,7 @@ associator components.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import _by_source, _unknown_ends, _unknown_keys, composable_pairs, composable_triples
 from .errors import (
@@ -61,6 +62,11 @@ class FiniteBicategory:
     later cell first, matching ``compose``.  ``assoc[(h, g, f)]`` is the
     component (h.g).f => h.(g.f); ``runit[f]``: f.I => f and ``lunit[f]``:
     I.f => f.
+
+    The indexes ``after`` and ``out_of`` are derived from ``one_cells`` and
+    ``two_cells`` once per structure, on first use, and kept for its
+    lifetime.  So do not mutate the tables in place after a query;
+    ``dataclasses.replace`` derives a changed structure with fresh indexes.
     """
 
     objects: tuple[str, ...]
@@ -74,6 +80,16 @@ class FiniteBicategory:
     assoc: dict[tuple[str, str, str], str]
     lunit: dict[str, str]
     runit: dict[str, str]
+
+    @cached_property
+    def after(self) -> dict[str, list[str]]:
+        """1-cell ids by source object, each list in ``one_cells`` order."""
+        return _by_source(self.one_cells)
+
+    @cached_property
+    def out_of(self) -> dict[str, list[str]]:
+        """2-cell ids by source 1-cell, each list in ``two_cells`` order."""
+        return _by_source(self.two_cells)
 
     def src1(self, f: str) -> str:
         return self.one_cells[f][0]
@@ -223,12 +239,6 @@ def _comb_tree(subtrees):
     return t
 
 
-def _tree_value(B: FiniteBicategory, t) -> str:
-    if t[0] == _LEAF:
-        return t[1]
-    return B.beside1(_tree_value(B, t[2]), _tree_value(B, t[1]))
-
-
 def invert_two_cell(B: FiniteBicategory, a: str) -> str | None:
     """The two-sided vertical inverse of ``a`` if one exists."""
     if a not in B.two_cells:
@@ -252,19 +262,18 @@ def is_equivalence_1cell(B: FiniteBicategory, f: str) -> bool:
     if f not in B.one_cells:
         raise DanglingId(f"unknown 1-cell {f!r}")
     a, b = B.one_cells[f]
-    out_of = _by_source(B.two_cells)
 
     def isomorphic(x: str, y: str) -> bool:
         # the inverse of an invertible y => x is an invertible x => y
         return x == y or any(
-            B.tgt2(c) == y and is_invertible_2cell(B, c) for c in out_of.get(x, ())
+            B.tgt2(c) == y and is_invertible_2cell(B, c) for c in B.out_of.get(x, ())
         )
 
     return any(
         B.tgt1(g) == a
         and isomorphic(B.beside1(g, f), B.id1[a])
         and isomorphic(B.beside1(f, g), B.id1[b])
-        for g in _by_source(B.one_cells).get(b, ())
+        for g in B.after.get(b, ())
     )
 
 
@@ -364,11 +373,6 @@ def coherence_cell(B: FiniteBicategory, edges, g1: Bracketing, g2: Bracketing) -
     if back is None:
         raise MissingComposite(f"normalisation leg {iso2!r} has no inverse")
     return B.then2(iso1, back)
-
-
-def bracketed_value(B: FiniteBicategory, edges, g: Bracketing) -> str:
-    """Evaluate one bracketed composite of a chain of 1-cells."""
-    return _tree_value(B, _tree_of(g, tuple(edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -586,9 +590,8 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
             out.add("left unitor naturality", (a,))
 
     # pentagon
-    after = _by_source(B.one_cells)
     for (h, g, f) in comp3:
-        for k in after.get(B.one_cells[h][1], ()):
+        for k in B.after.get(B.one_cells[h][1], ()):
             gf = hcomp1[(g, f)]
             hg = hcomp1[(h, g)]
             kh = hcomp1[(k, h)]

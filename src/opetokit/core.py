@@ -123,8 +123,23 @@ class FiniteOpZeroCat:
     cells1: dict[str, tuple[str, str]]
 
 
+class _PathIndexes:
+    """The path index ``paths`` and the out-edge index ``out_edges`` of a
+    structure with ``objects``, ``cells1`` and ``arity_bound``."""
+
+    @cached_property
+    def paths(self) -> tuple[tuple[tuple, ...], ...]:
+        """``_path_layers(self)``."""
+        return _path_layers(self)
+
+    @cached_property
+    def out_edges(self) -> dict[str, tuple[str, ...]]:
+        """1-cell ids by source, each tuple sorted: ``_out_edges(self.cells1)``."""
+        return _out_edges(self.cells1)
+
+
 @dataclass(frozen=True)
-class FiniteOpOneCat:
+class FiniteOpOneCat(_PathIndexes):
     """Objects, 1-cells, and a total composition table on paths.
 
     ``comp`` assigns to every composable path of length at most
@@ -140,16 +155,6 @@ class FiniteOpOneCat:
     comp: dict[tuple, str]
     arity_bound: int = DEFAULT_ARITY_BOUND
 
-    @cached_property
-    def paths(self) -> tuple[tuple[tuple, ...], ...]:
-        """``_path_layers(self)``."""
-        return _path_layers(self)
-
-    @cached_property
-    def out_edges(self) -> dict[str, tuple[str, ...]]:
-        """1-cell ids by source, each tuple sorted: ``_out_edges(self.cells1)``."""
-        return _out_edges(self.cells1)
-
     def src(self, f: str) -> str:
         return self.cells1[f][0]
 
@@ -164,7 +169,7 @@ class FiniteOpOneCat:
 
 
 @dataclass(frozen=True)
-class FiniteOpTwoCat:
+class FiniteOpTwoCat(_PathIndexes):
     """Objects, 1-cells, 2-cells with linear sources, and a grafting table.
 
     ``graft`` records, for every admissible (outer, slot, inner) triple whose
@@ -202,16 +207,6 @@ class FiniteOpTwoCat:
 
     def arity(self, alpha: str) -> int:
         return self.cell(alpha).source.arity
-
-    @cached_property
-    def paths(self) -> tuple[tuple[tuple, ...], ...]:
-        """``_path_layers(self)``."""
-        return _path_layers(self)
-
-    @cached_property
-    def out_edges(self) -> dict[str, tuple[str, ...]]:
-        """1-cell ids by source, each tuple sorted: ``_out_edges(self.cells1)``."""
-        return _out_edges(self.cells1)
 
     @cached_property
     def occupants(self) -> dict[tuple, tuple[str, ...]]:
@@ -287,12 +282,12 @@ def _extensions(X, rows: list) -> dict[str, list]:
     return {f: rows[i:j] for (_, f), i, j in zip(ones, cuts, cuts[1:])}
 
 
-def prefix_rows(cells1: dict[str, tuple[str, str]]):
+def prefix_rows(X):
     """``f(layer, rows)``: for a layer m >= 1 of ``X.paths`` and its rows, the
     rows of layer m + 1's keys without their last edge, in order.  Each key of
     layer m is extended by every 1-cell out of its end, so its row repeats that often."""
-    after, last = _by_source(cells1), itemgetter(-1)
-    fanout = {f: len(after.get(t, ())) for f, (_, t) in cells1.items()}.__getitem__
+    out, last = X.out_edges, itemgetter(-1)
+    fanout = {f: len(out.get(t, ())) for f, (_, t) in X.cells1.items()}.__getitem__
     return lambda layer, rows: chain.from_iterable(map(repeat, rows, map(fanout, map(last, layer))))
 
 
@@ -324,7 +319,7 @@ def fold_paths(X: FiniteOpOneCat, units: dict[str, str], step) -> dict[tuple, st
     nothing is raised.  Otherwise every later layer calls ``step`` as layer
     2 does.
     """
-    table, layers, prefixes, cells1 = X.comp, X.paths, prefix_rows(X.cells1), X.cells1
+    table, layers, prefixes, cells1 = X.comp, X.paths, prefix_rows(X), X.cells1
     rows = list(map(units.__getitem__, map(itemgetter(1), layers[0])))
     table.update(zip(layers[0], rows))
     ext = None

@@ -40,7 +40,6 @@ from .core import (
     FiniteOpZeroCat,
     PastingPath,
     TwoCell,
-    _by_source,
     _unknown_keys,
     composable_pairs,
     composable_triples,
@@ -380,12 +379,11 @@ def _generate(B: FiniteBicategory, bound: int) -> _Generated:
     labels: dict[tuple, dict[str, str]] = defaultdict(dict)  # path key -> label -> cell id
     by_target: dict[str, list[tuple]] = defaultdict(list)  # (cell id, path key, edges, label)
     arities: dict[str, list[int]] = defaultdict(list)  # the source arities of a by_target bucket
-    out_of = _by_source(B.two_cells)
     for key in iter_paths(X):
         edges = key[1:] if key[0] else ()
         base = chain_value(B, edges, None if key[0] else key[1])
         source = PastingPath(edges) if edges else empty_path(key[1])
-        for alpha in out_of.get(base, ()):
+        for alpha in B.out_of.get(base, ()):
             t = B.two_cells[alpha][1]
             cid = _cell_name(key, alpha)
             if cid in X.cells2:

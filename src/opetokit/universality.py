@@ -183,7 +183,7 @@ def check_coherence(X: FiniteOpTwoCat, direct_niche_search: bool = False) -> Coh
         occupant = X.graft.get((binary[0], 0, prefix[0])) if binary else None
         return () if occupant is None else (occupant,)
 
-    layers, prefixes = X.paths, prefix_rows(X.cells1)
+    layers, prefixes = X.paths, prefix_rows(X)
     for m, layer in enumerate(layers):
         if direct_niche_search or m <= 2:  # up to two edges are searched
             rows = [tuple(sorted(c for c in X.occupants.get(key, ()) if c in u2)) for key in layer]

@@ -8,7 +8,8 @@ arrows, skipping the non-composable ones, on every backtracking step;
 ``is_universal_1cell_op1`` scans all 1-cells for each 1-cell out of the
 source; ``to_bicategory`` solves ``hcomp2`` by a loop over all pairs of
 1-ary cells.  The library now takes the same cells from
-``composable_pairs``, ``composable_triples`` and ``_by_source``.
+``composable_pairs``, ``composable_triples`` and the bicategory's
+``after`` index.
 ``_category_tables`` is also the reference for the library's watch lists,
 which re-check after each assignment only the triples that the new entry
 can change.
@@ -23,15 +24,20 @@ and dangling constraint ids.
 The bodies are kept as they were; only the imports are adjusted, and
 ``validate_lax_functor`` calls this module's ``_hom_pairs``, which takes the
 whole bicategory and gives the same pairs.
+
+``bracketed_value`` evaluates one bracketed composite leaf by leaf.  Only
+tests call it, so it lives here rather than in ``opetokit.bicat``.
 """
 
 from __future__ import annotations
 
 from opetokit.bicat import (
+    Bracketing,
     FiniteBicategory,
     LaxFunctor,
     _LEAF,
     _UNIT,
+    _tree_of,
     invert_two_cell,
     is_invertible_2cell,
 )
@@ -96,6 +102,17 @@ def _normalize(B: FiniteBicategory, t) -> tuple[tuple[str, ...], str, str]:
 
     value, miso = merge(l_leaves, rv)
     return l_leaves + r_leaves, value, B.then2(base, miso)
+
+
+def _tree_value(B: FiniteBicategory, t) -> str:
+    if t[0] == _LEAF:
+        return t[1]
+    return B.beside1(_tree_value(B, t[2]), _tree_value(B, t[1]))
+
+
+def bracketed_value(B: FiniteBicategory, edges, g: Bracketing) -> str:
+    """Evaluate one bracketed composite of a chain of 1-cells."""
+    return _tree_value(B, _tree_of(g, tuple(edges)))
 
 
 def _hom_pairs(B: FiniteBicategory):

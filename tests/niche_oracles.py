@@ -10,8 +10,8 @@ every 2-cell for an isomorphism; ``choose_biasing`` and ``validate_biasing``
 each walk the nullary and then the binary niches in a loop of their own,
 through ``occupants_of_niche``; ``classify_morphism`` compares the chosen
 occupants in two copied loops.  The library now takes the same cells from
-``X.occupants`` and ``_by_source`` and walks the biased niches once.  The
-bodies are kept as they were; only the imports are adjusted.
+``X.occupants``, ``B.after`` and ``B.out_of`` and walks the biased niches
+once.  The bodies are kept as they were; only the imports are adjusted.
 """
 
 from __future__ import annotations

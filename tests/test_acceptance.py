@@ -10,6 +10,7 @@ import itertools
 import time
 from pathlib import Path
 
+from classical_oracles import bracketed_value
 from opetokit import (
     all_bracketings,
     check_coherence,
@@ -27,7 +28,6 @@ from opetokit import (
     validate_bicategory,
     validate_lax_functor,
 )
-from opetokit.bicat import bracketed_value
 from opetokit.cli import main
 from opetokit.fixtures import (
     absorbing_constraint_functor,

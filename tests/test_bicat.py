@@ -8,6 +8,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from classical_oracles import bracketed_value
 from opetokit import (
     Bracketing,
     CatFunctor,
@@ -25,7 +26,7 @@ from opetokit import (
     validate_lax_functor,
 )
 from opetokit.errors import Violation
-from opetokit.bicat import FiniteBicategory, bracketed_value
+from opetokit.bicat import FiniteBicategory
 from opetokit.fixtures import (
     absorbing_constraint_functor,
     arrow_bicategory,

@@ -3,12 +3,14 @@
 The oracles in ``classical_oracles`` find the cells that compose with a given
 one by scanning a whole table and skipping the rows that do not match; the
 library takes them from ``composable_pairs``, ``composable_triples`` and
-``_by_source``.  The two must give:
+the bicategory's ``after`` index.  The two must give:
 
 - equal ``validate_bicategory`` reports, rule, witness, message and order,
   on the fixture bicategories, the Z3 2-group, the labelled Z2 bicategory of
-  ``test_bicat``, 1,120 seeded single-entry corruptions of eight tables and
-  260 seeded two-defect corruptions of ``vcomp`` and ``hcomp1`` (one entry
+  ``test_bicat``, the broken-pentagon fixture with its cell tables in
+  reversed order (whose pentagon witnesses follow ``one_cells`` order, not
+  sorted order), 1,280 seeded single-entry corruptions of eight tables and
+  300 seeded two-defect corruptions of ``vcomp`` and ``hcomp1`` (one entry
   dropped, another replaced), which pin where a table's totality report
   falls among its entries' reports;
 - equal ``to_bicategory`` tables, in insertion order, on the presentations
@@ -59,17 +61,25 @@ _spec = importlib.util.spec_from_file_location("groups", ROOT / "perfbench" / "g
 groups = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(groups)
 
+
+def _reversed_cells(B: FiniteBicategory) -> FiniteBicategory:
+    """``B`` with ``one_cells`` and ``two_cells`` in reversed insertion order."""
+    return dataclasses.replace(B, one_cells=dict(reversed(B.one_cells.items())),
+                               two_cells=dict(reversed(B.two_cells.items())))
+
+
 BASES = {
     "sign": fixtures.sign_bicategory,
     "twisted": fixtures.sign_bicategory_twisted_units,
     "broken pentagon": fixtures.sign_bicategory_broken_pentagon,
+    "broken pentagon, reversed": lambda: _reversed_cells(fixtures.sign_bicategory_broken_pentagon()),
     "idempotent": fixtures.idempotent_bicategory,
     "arrow": fixtures.arrow_bicategory,
     "z3": lambda: groups.zn_bicategory(3, FiniteBicategory),
     "labelled z2": labelled_z2_bicategory,
 }
 TABLES = ("vcomp", "hcomp1", "hcomp2", "assoc", "lunit", "runit", "id1", "id2")
-SEEDS_PER_TABLE = 20  # 7 bases x 8 tables x 20 = 1,120 corruptions
+SEEDS_PER_TABLE = 20  # 8 bases x 8 tables x 20 = 1,280 corruptions
 
 
 @functools.cache
@@ -134,7 +144,7 @@ def _corrupt_twice(name: str, field: str, seed: int) -> FiniteBicategory:
 
 
 TWICE = [(name, field) for name, field in itertools.product(BASES, ("vcomp", "hcomp1"))
-         if len(getattr(_base(name), field)) > 1]  # 13 tables x 20 = 260 corruptions
+         if len(getattr(_base(name), field)) > 1]  # 15 tables x 20 = 300 corruptions
 
 
 @pytest.mark.parametrize("name, field", TWICE)

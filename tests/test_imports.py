@@ -1,8 +1,9 @@
 """Every library module other than the package ``__init__`` uses every name
 it imports, every library module imports from the package and the standard
 library only, every private module-level name the package defines is read
-somewhere in the package, and the command line writes stdout from ``main``
-only; the checks read the source with ``ast`` only."""
+somewhere in the package, the command line writes stdout from ``main``
+only, and no function rebuilds a structure's by-source index that the
+structure keeps; the checks read the source with ``ast`` only."""
 
 from __future__ import annotations
 
@@ -157,3 +158,51 @@ def test_the_check_finds_stdout_writes():
 def test_the_command_line_writes_stdout_from_main_only():
     source = (SRC / "cli.py").read_text(encoding="utf-8")
     assert stdout_writes_outside(source, "main") == []
+
+
+def by_source_rebuilds(source: str) -> list[int]:
+    """Line numbers of the calls ``_by_source(p.table)``, with ``p`` a
+    parameter of an enclosing function, outside the ``cached_property``
+    getters that build a structure's indexes."""
+    lines: list[int] = []
+
+    def visit(node: ast.AST, params: frozenset[str]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            decorators = getattr(node, "decorator_list", ())
+            if any(ast.unparse(d) == "cached_property" for d in decorators):
+                return
+            params = params | {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_by_source" and node.args
+                and isinstance(node.args[0], ast.Attribute)
+                and isinstance(node.args[0].value, ast.Name)
+                and node.args[0].value.id in params):
+            lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, params)
+
+    visit(ast.parse(source), frozenset())
+    return lines
+
+
+def test_the_check_finds_by_source_rebuilds():
+    source = (
+        "class B:\n"
+        "    @cached_property\n"
+        "    def after(self):\n        return _by_source(self.one_cells)\n"
+        "def f(B, cells):\n"
+        "    _by_source(cells)\n"
+        "    _by_source({x: (t, s) for x, (s, t) in B.two_cells.items()})\n"
+        "    return _by_source(B.one_cells)\n"
+        "def g(X):\n    def inner():\n        return _by_source(X.cells1)\n    return inner\n"
+        "h = lambda X: _by_source(X.cells1)\n"
+        "TABLE = _by_source(CELLS.cells1)\n"
+    )
+    assert by_source_rebuilds(source) == [8, 11, 13]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_function_rebuilds_a_structure_index(module):
+    # a structure keeps its by-source indexes (``out_edges``, ``after``,
+    # ``out_of``), built once; ``_by_source`` of a derived dict is allowed
+    assert by_source_rebuilds((SRC / module).read_text(encoding="utf-8")) == [], module

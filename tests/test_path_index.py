@@ -174,7 +174,7 @@ def test_op2_paths_are_the_oracle_paths_by_length(bound):
 def test_prefix_rows_by_position_are_the_prefixes_rows(bound):
     for C in FAMILY if bound < 5 else FAMILY[::34]:
         X = from_category(C, bound)
-        prefixes = prefix_rows(X.cells1)
+        prefixes = prefix_rows(X)
         for before, layer in zip(X.paths[1:], X.paths[2:]):
             rows = [X.comp[key] for key in before]
             assert list(prefixes(before, rows)) == [X.comp[key[:-1]] for key in layer]
