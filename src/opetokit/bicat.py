@@ -212,31 +212,17 @@ def all_bracketings(m: int):
                 yield Bracketing.node(l, r)
 
 
-# labeled trees: leaves carry a 1-cell id or a unit marker for an object.
-_LEAF, _UNIT, _NODE = "leaf", "unit", "node"
+# labeled trees: leaves carry a 1-cell id.
+_LEAF, _NODE = "leaf", "node"
 
 
 def _tree_of(b: Bracketing, edges: tuple[str, ...]):
     if b.size != len(edges):
         raise PathMismatch(f"bracketing has {b.size} leaves, path has {len(edges)}")
-
-    def build(br, lo):
-        if br.is_leaf:
-            return (_LEAF, edges[lo]), lo + 1
-        l, mid = build(br.left, lo)
-        r, hi = build(br.right, mid)
-        return (_NODE, l, r), hi
-
-    t, _ = build(b, 0)
-    return t
-
-
-def _comb_tree(subtrees):
-    """Chain subtrees into head-first shape: node(t1, node(t2, ...))."""
-    t = subtrees[-1]
-    for s in reversed(subtrees[:-1]):
-        t = (_NODE, s, t)
-    return t
+    if b.is_leaf:
+        return (_LEAF, edges[0])
+    k = b.left.size
+    return (_NODE, _tree_of(b.left, edges[:k]), _tree_of(b.right, edges[k:]))
 
 
 def invert_two_cell(B: FiniteBicategory, a: str) -> str | None:
@@ -277,55 +263,62 @@ def is_equivalence_1cell(B: FiniteBicategory, f: str) -> bool:
     )
 
 
-def _normalize(
-    B: FiniteBicategory, t, memo: dict | None = None
-) -> tuple[tuple[str, ...], str, str]:
-    """Rewrite a labeled tree to head-first unit-free form.
+def _normalize(B: FiniteBicategory, t) -> tuple[tuple[str, ...], str, str]:
+    """Rewrite a labeled tree, as ``_tree_of`` builds it, to head-first form.
 
     Returns (leaves, value, iso) where ``iso`` is the invertible 2-cell from
     the tree's composite to the normal form's composite, assembled from
-    whiskered associator and unitor components.  ``memo`` holds the results
-    of the node subtrees normalised so far over the same ``B``; a subtree
-    goes into it only once its normalisation has returned.
+    whiskered associator components.  A node normalises its left subtree,
+    then its right one, and ``_join``s the two with fresh memos.
     """
     if t[0] == _LEAF:
         return (t[1],), t[1], B.id2[t[1]]
-    if t[0] == _UNIT:
-        unit = B.id1[t[1]]
-        return (), unit, B.id2[unit]
-    if memo is None:
-        memo = {}
-    elif t in memo:
-        return memo[t]
+    left = _normalize(B, t[1])
+    return _join(B, left, _normalize(B, t[2]), {}, {})
 
-    l_leaves, lv, liso = _normalize(B, t[1], memo)
-    r_leaves, rv, riso = _normalize(B, t[2], memo)
+
+def _join(
+    B: FiniteBicategory, left, right, merges: dict, inverses: dict
+) -> tuple[tuple[str, ...], str, str]:
+    """The normal form of a node from the normal forms of its two children.
+
+    A child with no leaves (a unit) is absorbed by a unitor; otherwise the
+    right child's value is merged under the left child's leaves.  ``B`` is
+    read in the order of the memo-free node rule, and a memo hit skips only
+    reads that raised nothing, so joining a tree's nodes bottom-up, left
+    child first, raises the first exception of the memo-free walk.
+    """
+    l_leaves, lv, liso = left
+    r_leaves, rv, riso = right
     base = B.beside2(riso, liso)
     if not l_leaves:
-        step = B.runit[rv]
-        memo[t] = r_leaves, rv, B.then2(base, step)
-        return memo[t]
+        return r_leaves, rv, B.then2(base, B.runit[rv])
     if not r_leaves:
-        step = B.lunit[lv]
-        memo[t] = l_leaves, lv, B.then2(base, step)
-        return memo[t]
+        return l_leaves, lv, B.then2(base, B.lunit[lv])
+    value, miso = _merge(B, l_leaves, rv, merges, inverses)
+    return l_leaves + r_leaves, value, B.then2(base, miso)
 
-    def merge(xs: tuple[str, ...], rv: str) -> tuple[str, str]:
-        """Iso rv.comb(xs) => comb(xs ++ tail of rv), with its value."""
-        if len(xs) == 1:
-            v = B.beside1(rv, xs[0])
-            return v, B.id2[v]
-        a = B.assoc[(rv, chain_value(B, xs[1:]), xs[0])]
-        a_inv = invert_two_cell(B, a)
-        if a_inv is None:
-            raise MissingComposite(f"associator component {a!r} has no inverse")
-        rec_v, rec = merge(xs[1:], rv)
-        whisk = B.beside2(rec, B.id2[xs[0]])
-        return B.beside1(rec_v, xs[0]), B.then2(a_inv, whisk)
 
-    value, miso = merge(l_leaves, rv)
-    memo[t] = l_leaves + r_leaves, value, B.then2(base, miso)
-    return memo[t]
+def _merge(
+    B: FiniteBicategory, xs: tuple[str, ...], rv: str, merges: dict, inverses: dict
+) -> tuple[str, str]:
+    """Iso rv.comb(xs) => comb(xs ++ tail of rv), with its value, kept in
+    ``merges`` by ``(xs, rv)``; ``inverses`` keeps ``invert_two_cell``."""
+    if (xs, rv) in merges:
+        return merges[xs, rv]
+    if len(xs) == 1:
+        v = B.beside1(rv, xs[0])
+        merges[xs, rv] = v, B.id2[v]
+        return merges[xs, rv]
+    a = B.assoc[(rv, chain_value(B, xs[1:]), xs[0])]
+    if a not in inverses:
+        inverses[a] = invert_two_cell(B, a)
+    if inverses[a] is None:
+        raise MissingComposite(f"associator component {a!r} has no inverse")
+    rec_v, rec = _merge(B, xs[1:], rv, merges, inverses)
+    whisk = B.beside2(rec, B.id2[xs[0]])
+    merges[xs, rv] = B.beside1(rec_v, xs[0]), B.then2(inverses[a], whisk)
+    return merges[xs, rv]
 
 
 def chain_value(B: FiniteBicategory, edges, anchor: str | None = None) -> str:
@@ -340,20 +333,6 @@ def chain_value(B: FiniteBicategory, edges, anchor: str | None = None) -> str:
     for e in reversed(edges[:-1]):
         v = B.beside1(v, e)
     return v
-
-
-def _whisker_at(B: FiniteBicategory, vals, slot: int, beta: str) -> str:
-    """Whisker ``beta`` into position ``slot`` of a head-first chain.
-
-    ``vals`` are the chain's 1-cell values with ``vals[slot]`` equal to the
-    source of ``beta``; the result runs from the chain composite at the source
-    of ``beta`` to the composite at its target.
-    """
-    if len(vals) == 1:
-        return beta
-    if slot == 0:
-        return B.beside2(B.id2[chain_value(B, vals[1:])], beta)
-    return B.beside2(_whisker_at(B, vals[1:], slot - 1, beta), B.id2[vals[0]])
 
 
 def coherence_cell(B: FiniteBicategory, edges, g1: Bracketing, g2: Bracketing) -> str:

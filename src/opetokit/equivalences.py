@@ -56,13 +56,9 @@ from .bicat import (
     FiniteBicategory,
     FiniteCategory,
     LaxFunctor,
-    _LEAF,
-    _UNIT,
-    _comb_tree,
     _hom_pairs,
+    _join,
     _lax_functor_structure,
-    _normalize,
-    _whisker_at,
     chain_value,
     invert_two_cell,
     validate_bicategory,
@@ -342,6 +338,62 @@ def _cell_name(key: tuple, alpha: str) -> str:
     return f"{';'.join(key[1:])}|{alpha}"
 
 
+def _comb(B: FiniteBicategory, edges: tuple, combs: dict, merges: dict, inverses: dict):
+    """The normal form of the comb of ``edges``, kept in ``combs`` (see ``_generate``)."""
+    if edges not in combs:
+        head = (edges[0],), edges[0], B.id2[edges[0]]
+        if len(edges) > 1:
+            head = _join(B, head, _comb(B, edges[1:], combs, merges, inverses), merges, inverses)
+        combs[edges] = head
+    return combs[edges]
+
+
+def _leg(
+    B: FiniteBicategory, edges: tuple, slot: int, q: tuple, legs: dict, combs: dict, merges: dict,
+    inverses: dict,
+):
+    """The normal form of the comb of ``edges`` with the comb of the inner
+    path ``q``, or its unit, in place of ``edges[slot]``; kept in ``legs``
+    (see ``_generate``)."""
+    key = edges, slot, q
+    if key not in legs:
+        if slot:
+            head = (edges[0],), edges[0], B.id2[edges[0]]
+            rest = _leg(B, edges[1:], slot - 1, q, legs, combs, merges, inverses)
+            leg = _join(B, head, rest, merges, inverses)
+        else:
+            if q[0]:
+                leg = _comb(B, q[1:], combs, merges, inverses)
+            else:
+                unit = B.id1[q[1]]
+                leg = (), unit, B.id2[unit]
+            if len(edges) > 1:
+                leg = _join(B, leg, _comb(B, edges[1:], combs, merges, inverses), merges, inverses)
+        legs[key] = leg
+    return legs[key]
+
+
+def _whisk(
+    B: FiniteBicategory, edges: tuple, slot: int, beta: str, whisks: dict, tails: dict
+) -> str:
+    """``beta`` whiskered into position ``slot`` of the head-first chain
+    ``edges``, kept in ``whisks`` (see ``_generate``); ``edges[slot]`` is
+    never read."""
+    key = edges, slot, beta
+    if key not in whisks:
+        if len(edges) == 1:
+            whisks[key] = beta
+        elif slot:
+            shorter = _whisk(B, edges[1:], slot - 1, beta, whisks, tails)
+            whisks[key] = B.beside2(shorter, B.id2[edges[0]])
+        else:
+            rest = edges[1:]
+            if rest not in tails:
+                tails[rest] = chain_value(B, rest)
+            whisks[key] = B.beside2(B.id2[tails[rest]], beta)
+    return whisks[key]
+
+
 def _generate(B: FiniteBicategory, bound: int) -> _Generated:
     """Cells as (source path key, label) pairs, then their grafting table.
 
@@ -359,11 +411,25 @@ def _generate(B: FiniteBicategory, bound: int) -> _Generated:
     ``graft.update``: a row's cell is ``names[post[alpha][to_outer]]``, where
     ``post[alpha][x]`` is ``B.vcomp[(alpha, x)]``, built once per call.
 
-    Three memos live for the one call: ``_normalize``'s results by subtree,
-    the inverse of each normalisation leg, and, within a path, the
-    whiskering of each (slot, inner label).  A memo only hands back what the
-    same call already computed from the same inputs without raising.  The
-    row-by-row loop in the test oracles computes, per occupant and row, the
+    No bracketing tree is built.  Flat memos live for the one call, and an
+    entry past slot 0 is one step over an entry of ``edges[1:]``, computed
+    first if missing.  ``combs[edges]`` is the normal form of the comb of
+    ``edges``, ``edges[0]``'s leaf ``_join``ed to ``combs[edges[1:]]``.
+    ``legs[(edges, slot, q)]`` has the row's normalisation leg as its iso:
+    at slot 0 the comb of ``q`` (or its unit) joined to ``combs[edges[1:]]``,
+    or alone on a one-edge path, and at a later slot ``edges[0]``'s leaf
+    joined to ``legs[(edges[1:], slot - 1, q)]``.  ``whisks[(edges, slot,
+    label)]`` is the label whiskered into the path: at slot 0 beside the
+    identity on ``tails[edges[1:]]``, the tail's composite, and at a later
+    slot ``whisks[(edges[1:], slot - 1, label)]`` beside the identity on
+    ``edges[0]``.  ``merges`` and ``inverses`` are ``_join``'s memos, and
+    ``inverses`` also holds the inverse of each leg.  Each step evaluates
+    its arguments in the order of the tree walk it replaces (a node's left
+    part, its right part, then the join; a shorter whiskering before
+    ``B.id2[edges[0]]``), and a memo only hands back what the same call
+    already computed without raising, so the first read of ``B`` that
+    raises is the one the oracles' tree walk meets first.  The row-by-row
+    loop in the test oracles computes, per occupant and row, the
     row's leg, then ``B.then2(to_outer, alpha)``, then the cell; a read of
     ``post`` misses exactly where that ``then2`` raises, and a read of
     ``names`` exactly where that cell is missing.  So if anything raises
@@ -396,22 +462,21 @@ def _generate(B: FiniteBicategory, bound: int) -> _Generated:
 
     X.ident2.update({f: _cell_name((1, f), B.id2[f]) for f in B.one_cells})
 
-    memo, inverses = {}, {}  # normalised subtrees; the inverse of each normalisation leg
+    merges, inverses = {}, {}  # _join's memos: merges by (leaves, value); inverses by 2-cell
+    combs, legs, whisks, tails = {}, {}, {}, {}  # the flat memos of the docstring
     post: dict[str, dict[str, str]] = {}  # post[b][a] = B.vcomp[(b, a)], b after a
     for (b, a), c in B.vcomp.items():
         post.setdefault(b, {})[a] = c
 
-    def legs(edges, whisks):
+    def rows(edges):
         """(slot, inner id, to_outer, spliced key, its labels) per row of a path, in row order."""
         fits = bound - len(edges) + 1  # the largest inner arity within the bound
         then2 = B.then2
         for slot, e in enumerate(edges):
-            trees, last = [(_LEAF, f) for f in edges], None
-            at_slot = whisks.setdefault(slot, {})
+            last = None
             for inner_id, q, inner, alpha_i in by_target[e][: bisect_right(arities[e], fits)]:
                 if q != last:  # a bucket holds the cells of one inner path together
-                    trees[slot] = _comb_tree([(_LEAF, f) for f in inner]) if inner else (_UNIT, q[1])
-                    _, _, sigma = _normalize(B, _comb_tree(trees), memo)
+                    sigma = _leg(B, edges, slot, q, legs, combs, merges, inverses)[2]
                     if sigma not in inverses:
                         inverses[sigma] = invert_two_cell(B, sigma)
                     coh = inverses[sigma]
@@ -420,20 +485,16 @@ def _generate(B: FiniteBicategory, bound: int) -> _Generated:
                     spliced = edges[:slot] + inner + edges[slot + 1 :]
                     last, spliced = q, ((1, *spliced) if spliced else q)
                     names = labels.get(spliced, {})  # ``get``: ``labels`` is being iterated
-                whisk = at_slot.get(alpha_i)
-                if whisk is None:
-                    vals = [*edges[:slot], B.src2(alpha_i), *edges[slot + 1 :]]
-                    whisk = at_slot[alpha_i] = _whisker_at(B, vals, slot, alpha_i)
+                whisk = _whisk(B, edges, slot, alpha_i, whisks, tails)
                 yield slot, inner_id, then2(coh, whisk), spliced, names
 
     graft = X.graft
     for p, occupants in labels.items():
         edges = p[1:] if p[0] else ()
-        whisks = {}  # slot -> inner label -> the label whiskered into the path
         try:
-            rows = list(legs(edges, whisks))
-            if rows:
-                slots, inner_ids, to_outers, _, names = zip(*rows)
+            path_rows = list(rows(edges))
+            if path_rows:
+                slots, inner_ids, to_outers, _, names = zip(*path_rows)
                 for alpha_o, outer_id in occupants.items():
                     cells = map(dict.__getitem__, names, map(post[alpha_o].__getitem__, to_outers))
                     graft.update(zip(zip(repeat(outer_id), slots, inner_ids), cells))
@@ -442,7 +503,7 @@ def _generate(B: FiniteBicategory, bound: int) -> _Generated:
         else:
             continue
         for alpha_o in occupants:  # the raise-only replay, in the row-by-row loop's order
-            for _, _, to_outer, spliced, _ in legs(edges, whisks):
+            for _, _, to_outer, spliced, _ in rows(edges):
                 cell_of[(spliced, B.then2(to_outer, alpha_o))]
         raise failure
 

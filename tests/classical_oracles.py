@@ -27,6 +27,12 @@ whole bicategory and gives the same pairs.
 
 ``bracketed_value`` evaluates one bracketed composite leaf by leaf.  Only
 tests call it, so it lives here rather than in ``opetokit.bicat``.
+
+``_comb_tree`` and ``_whisker_at`` are generation's helpers from before its
+legs came from flat memos: ``_comb_tree`` chains subtrees into a head-first
+tree (with ``_UNIT`` leaves for units) for ``_normalize`` to walk, and
+``_whisker_at`` recurses one slot at a time, recomputing the tail's
+composite.  ``path_oracles._generate`` uses them with this ``_normalize``.
 """
 
 from __future__ import annotations
@@ -36,8 +42,9 @@ from opetokit.bicat import (
     FiniteBicategory,
     LaxFunctor,
     _LEAF,
-    _UNIT,
+    _NODE,
     _tree_of,
+    chain_value,
     invert_two_cell,
     is_invertible_2cell,
 )
@@ -59,6 +66,30 @@ from opetokit.errors import (
     _Collector,
 )
 from opetokit.universality import check_coherence
+
+_UNIT = "unit"  # the leaf of a labeled tree that stands for an object's unit
+
+
+def _comb_tree(subtrees):
+    """Chain subtrees into head-first shape: node(t1, node(t2, ...))."""
+    t = subtrees[-1]
+    for s in reversed(subtrees[:-1]):
+        t = (_NODE, s, t)
+    return t
+
+
+def _whisker_at(B: FiniteBicategory, vals, slot: int, beta: str) -> str:
+    """Whisker ``beta`` into position ``slot`` of a head-first chain.
+
+    ``vals`` are the chain's 1-cell values with ``vals[slot]`` equal to the
+    source of ``beta``; the result runs from the chain composite at the source
+    of ``beta`` to the composite at its target.
+    """
+    if len(vals) == 1:
+        return beta
+    if slot == 0:
+        return B.beside2(B.id2[chain_value(B, vals[1:])], beta)
+    return B.beside2(_whisker_at(B, vals[1:], slot - 1, beta), B.id2[vals[0]])
 
 
 def _normalize(B: FiniteBicategory, t) -> tuple[tuple[str, ...], str, str]:

@@ -4,20 +4,18 @@
 ``hom_category_of_frame``, ``check_coherence`` and ``_generate`` (with its
 ``_cell_name``) fold or search every path from scratch, as they did before
 the library moved to path keys and prefix folds.  The bodies are kept as
-they were; only the imports are adjusted.  ``_generate`` normalises through
-the verbatim ``_normalize`` of ``classical_oracles``, which keeps no memo.
+they were; only the imports are adjusted.  ``_generate`` builds its trees,
+normalises and whiskers through the verbatim ``_comb_tree``, ``_normalize``
+and ``_whisker_at`` of ``classical_oracles``, which keep no memo.
 """
 
 from __future__ import annotations
 
-from classical_oracles import _normalize
+from classical_oracles import _UNIT, _comb_tree, _normalize, _whisker_at
 from opetokit.bicat import (
     FiniteBicategory,
     FiniteCategory,
     _LEAF,
-    _UNIT,
-    _comb_tree,
-    _whisker_at,
     chain_value,
     invert_two_cell,
     validate_category,

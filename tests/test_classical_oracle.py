@@ -46,7 +46,6 @@ from opetokit import fixtures
 from opetokit.bicat import (
     FiniteBicategory,
     _LEAF,
-    _comb_tree,
     _normalize,
     _tree_of,
     all_bracketings,
@@ -225,7 +224,7 @@ def test_normalize_agrees_on_bracketed_chains(name):
     ]
     for edges in chains:
         trees = [_tree_of(g, edges) for g in all_bracketings(len(edges))]
-        trees.append(_comb_tree([(_LEAF, e) for e in edges]))
+        trees.append(old._comb_tree([(_LEAF, e) for e in edges]))
         for t in trees:
             assert _outcome(_normalize, B, t) == _outcome(old._normalize, B, t), (edges, t)
 

@@ -2,8 +2,10 @@
 it imports, every library module imports from the package and the standard
 library only, every private module-level name the package defines is read
 somewhere in the package, the command line writes stdout from ``main``
-only, and no function rebuilds a structure's by-source index that the
-structure keeps; the checks read the source with ``ast`` only."""
+only, no function rebuilds a structure's by-source index that the
+structure keeps, and the oracles that generation is compared with take none
+of its normalisation from the library; the checks read the source with
+``ast`` only."""
 
 from __future__ import annotations
 
@@ -13,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "opetokit"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "opetokit"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -206,3 +209,53 @@ def test_no_function_rebuilds_a_structure_index(module):
     # a structure keeps its by-source indexes (``out_edges``, ``after``,
     # ``out_of``), built once; ``_by_source`` of a derived dict is allowed
     assert by_source_rebuilds((SRC / module).read_text(encoding="utf-8")) == [], module
+
+
+def library_names(source: str) -> list[str]:
+    """The names a module takes from the ``opetokit`` package, sorted: each
+    name of a ``from opetokit... import``, and each attribute read off a
+    module bound by ``import opetokit...`` or ``from opetokit import``."""
+    tree = ast.parse(source)
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "opetokit":
+            names.update(alias.name for alias in node.names)
+            if node.module == "opetokit":
+                modules.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(
+                alias.asname or alias.name.split(".")[0]
+                for alias in node.names
+                if alias.name.split(".")[0] == "opetokit"
+            )
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                names.add(node.attr)
+    return sorted(names)
+
+
+def test_the_check_finds_library_names():
+    source = (
+        "import opetokit.bicat as b\nimport opetokit.equivalences\n"
+        "from opetokit import equivalences as eq\n"
+        "from opetokit.bicat import _join, chain_value\nfrom classical_oracles import _normalize\n"
+        "x = b._merge, opetokit.equivalences._generate, eq._normalize, other._whisk\n"
+    )
+    assert library_names(source) == [
+        "_generate", "_join", "_merge", "_normalize", "chain_value", "equivalences",
+    ]
+
+
+GENERATION = {"_join", "_merge", "_normalize", "_generate"}
+
+
+@pytest.mark.parametrize("oracle", ("path_oracles.py", "classical_oracles.py"))
+def test_the_generation_oracles_take_no_normalisation_from_the_library(oracle):
+    # the oracles keep their own tree walk, merge, whiskering and comb trees,
+    # so a fault in the library's cannot reach both sides of a comparison
+    names = library_names((TESTS / oracle).read_text(encoding="utf-8"))
+    assert GENERATION.isdisjoint(names), oracle
