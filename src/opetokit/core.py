@@ -24,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain, repeat
 from operator import itemgetter
 
@@ -125,12 +125,18 @@ class FiniteOpZeroCat:
 
 class _PathIndexes:
     """The path index ``paths`` and the out-edge index ``out_edges`` of a
-    structure with ``objects``, ``cells1`` and ``arity_bound``."""
+    structure with ``objects``, ``cells1`` and ``arity_bound``.
+
+    ``paths`` depends on the 1-skeleton only: the objects in order, the
+    1-cells with their frames, and the bound.  It is derived once per
+    distinct skeleton and shared read-only by every structure on it;
+    ``out_edges`` is derived once per structure."""
 
     @cached_property
     def paths(self) -> tuple[tuple[tuple, ...], ...]:
-        """``_path_layers(self)``."""
-        return _path_layers(self)
+        """``_skeleton_paths`` of this structure's 1-skeleton."""
+        frames = frozenset(zip(self.cells1, map(tuple, self.cells1.values())))
+        return _skeleton_paths(tuple(self.objects), frames, self.arity_bound)
 
     @cached_property
     def out_edges(self) -> dict[str, tuple[str, ...]]:
@@ -144,10 +150,14 @@ class FiniteOpOneCat(_PathIndexes):
 
     ``comp`` assigns to every composable path of length at most
     ``arity_bound`` (including the empty path at each object) the 1-cell that
-    uniquely fills that niche.  The indexes ``paths`` and ``out_edges`` are
-    derived from the other fields once per structure, on first use, and kept
-    for its lifetime.  So do not mutate the tables in place after a query;
+    uniquely fills that niche.  The path index ``paths`` is derived once per
+    distinct 1-skeleton (``objects``, ``cells1``, ``arity_bound``) and
+    shared read-only by the structures on it; ``out_edges`` is derived once
+    per structure.  Each is read on first use and kept for the structure's
+    lifetime.  So do not mutate the tables in place after a query;
     ``dataclasses.replace`` derives a changed structure with fresh indexes.
+    An index is found by the skeleton's content, so such a mutation leaves
+    every other structure's index as it was.
     """
 
     objects: tuple[str, ...]
@@ -178,9 +188,11 @@ class FiniteOpTwoCat(_PathIndexes):
     names the 1-ary identity 2-cell on each 1-cell.  No 2-cell's source is
     longer than ``arity_bound``, so no row's result is either.
 
-    The niche index ``occupants`` is derived from ``cells2``, and the indexes
-    ``paths`` and ``out_edges`` from the other fields, once per structure on
-    first use.  So do not mutate the tables in place after a query
+    The niche index ``occupants`` is derived from ``cells2`` and
+    ``out_edges`` from ``cells1``, once per structure on first use; the path
+    index ``paths`` is derived once per distinct 1-skeleton (``objects``,
+    ``cells1``, ``arity_bound``) and shared read-only, as in
+    ``FiniteOpOneCat``.  So do not mutate the tables in place after a query
     (``dataclasses.replace`` starts fresh indexes), except that ``paths``
     may be read while the other three tables are filled, as
     ``equivalences._generate`` does; ``occupants`` may not.
@@ -253,22 +265,32 @@ def _out_edges(cells: dict[str, tuple[str, str]]) -> dict[str, tuple[str, ...]]:
     return {s: tuple(sorted(bucket)) for s, bucket in _by_source(cells).items()}
 
 
-def _path_layers(X) -> tuple[tuple[tuple, ...], ...]:
-    """The keys of all composable paths over ``X.cells1`` up to the bound,
-    one tuple per length.
+@lru_cache
+def _skeleton_paths(objects: tuple, frames: frozenset, bound: int) -> tuple[tuple[tuple, ...], ...]:
+    """``_path_layers`` of a 1-skeleton, built once per distinct one.  The
+    key is the content (the objects in order, the set of (1-cell id, frame)
+    pairs, the bound), so a changed skeleton gets its own index, and the
+    layers are immutable tuples, so no structure can change another's."""
+    return _path_layers(objects, frames, bound)
 
-    Layer 0 holds the empty paths, one per object in ``X.objects`` order;
+
+def _path_layers(objects: tuple, frames: frozenset, bound: int) -> tuple[tuple[tuple, ...], ...]:
+    """The keys of all composable paths over the 1-cells ``frames`` up to
+    ``bound``, one tuple per length.
+
+    Layer 0 holds the empty paths, one per object in ``objects`` order;
     layer m the paths of length m, in lexicographic order of their edges:
     each key of layer m - 1 in turn, extended by each of ``tails[f]``, the
     one-edge tuples out of the target of its last edge f, in sorted order.
     The layers stop at the bound or before the first empty one.
     """
-    ones = {s: tuple((g,) for g in edges) for s, edges in X.out_edges.items()}
-    tails = {f: ones.get(t, ()) for f, (_, t) in X.cells1.items()}
-    layers, layer = [tuple((0, a) for a in X.objects)], tuple((1, f) for f in sorted(X.cells1))
-    while layer and len(layers) <= X.arity_bound:
+    cells = dict(sorted(frames))
+    ones = {s: tuple((g,) for g in edges) for s, edges in _by_source(cells).items()}
+    tails = {f: ones.get(t, ()) for f, (_, t) in cells.items()}
+    layers, layer = [tuple((0, a) for a in objects)], tuple((1, f) for f in cells)
+    while layer and len(layers) <= bound:
         layers.append(layer)
-        if len(layers) <= X.arity_bound:  # the next layer is within the bound
+        if len(layers) <= bound:  # the next layer is within the bound
             layer = tuple([key + tail for key in layer for tail in tails[key[-1]]])
     return tuple(layers)
 

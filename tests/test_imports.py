@@ -3,7 +3,8 @@ it imports, every library module imports from the package and the standard
 library only, every private module-level name the package defines is read
 somewhere in the package, the command line writes stdout from ``main``
 only, no function rebuilds a structure's by-source index that the
-structure keeps, and the oracles that generation is compared with take none
+structure keeps, only the memoised getter calls the path-layer builder, and
+the oracles that generation is compared with take none
 of its normalisation from the library; the checks read the source with
 ``ast`` only."""
 
@@ -209,6 +210,46 @@ def test_no_function_rebuilds_a_structure_index(module):
     # a structure keeps its by-source indexes (``out_edges``, ``after``,
     # ``out_of``), built once; ``_by_source`` of a derived dict is allowed
     assert by_source_rebuilds((SRC / module).read_text(encoding="utf-8")) == [], module
+
+
+def reads_outside(source: str, name: str, function: str) -> list[int]:
+    """Line numbers of the reads of ``name``, bare or as an attribute,
+    outside the top-level function ``function``."""
+    tree = ast.parse(source)
+    inside = {
+        id(node)
+        for stmt in tree.body
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == function
+        for node in ast.walk(stmt)
+    }
+    return sorted({
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in inside
+        and (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == name
+             or isinstance(node, ast.Attribute) and node.attr == name)
+    })
+
+
+def test_the_check_finds_builder_calls():
+    source = (
+        "@lru_cache\n"
+        "def _skeleton_paths(objects, frames, bound):\n"
+        "    return _path_layers(objects, frames, bound)\n"
+        "def _path_layers(objects, frames, bound):\n    return ()\n"
+        "def f(X):\n    return _path_layers(X.objects, X.cells1, 4)\n"
+        "build = core._path_layers\n"
+        "layers = list(map(_path_layers, [()], [{}], [4]))\n"
+    )
+    assert reads_outside(source, "_path_layers", "_skeleton_paths") == [7, 8, 9]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_only_the_memo_calls_the_path_layer_builder(module):
+    # ``paths`` is built once per 1-skeleton through ``_skeleton_paths``; a
+    # direct call would be a second, unshared way to build it
+    source = (SRC / module).read_text(encoding="utf-8")
+    assert reads_outside(source, "_path_layers", "_skeleton_paths") == [], module
 
 
 def library_names(source: str) -> list[str]:

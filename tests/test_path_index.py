@@ -1,13 +1,22 @@
 """The path indexes of ``FiniteOpOneCat`` and ``FiniteOpTwoCat``: built
-once, read by position.
+once per 1-skeleton, read by position.
 
-- ``from_category`` enumerates the paths once, for the index of the
-  structure it returns; ``validate_op1`` and ``to_category`` read that index
-  and enumerate nothing more.  So does ``from_bicategory``, through
-  ``check_coherence``, ``choose_biasing`` and ``to_bicategory``.
+- The path index depends on the 1-skeleton only (the objects in order, the
+  1-cells with their frames, the bound), and ``core._skeleton_paths``
+  enumerates it once per distinct skeleton: from an empty memo,
+  ``from_category`` over the family misses once per skeleton and hits on
+  every other category.
+- ``from_category`` enumerates the paths of a skeleton it has not met, for
+  the index of the structure it returns; ``validate_op1`` and
+  ``to_category`` read that index and enumerate nothing more.  So does
+  ``from_bicategory``, through ``check_coherence``, ``choose_biasing`` and
+  ``to_bicategory``.
 - A structure of either dimension from a document, from
-  ``dataclasses.replace`` or from the constructor builds its own index on
-  first use, exactly once.
+  ``dataclasses.replace`` or from the constructor enumerates nothing: it
+  shares the index of the structure it copies.
+- A copy with another bound, another 1-cell, a changed frame or its objects
+  in another order gets the oracle's paths, not the old index; a structure
+  whose frames are lists gets the index of the one with tuple frames.
 - The dimension-2 index is the oracle enumerator's paths, layer by layer,
   on the fixtures and Z3 at bounds -1 to 6.
 - ``from_bicategory`` reads its structure's path index while it fills the
@@ -64,38 +73,59 @@ BICATEGORIES = (sign_bicategory, idempotent_bicategory, arrow_bicategory, termin
 
 @pytest.fixture
 def enumerations(monkeypatch):
-    """The structures ``core._path_layers`` is called on, in call order."""
+    """The 1-skeletons ``core._path_layers`` enumerates, in call order,
+    starting from an empty memo."""
     calls: list = []
     real = core._path_layers
 
-    def counted(X):
-        calls.append(X)
-        return real(X)
+    def counted(*skeleton):
+        calls.append(skeleton)
+        return real(*skeleton)
 
     monkeypatch.setattr(core, "_path_layers", counted)
-    return calls
+    core._skeleton_paths.cache_clear()
+    yield calls
+    core._skeleton_paths.cache_clear()
+
+
+def _skeleton(X) -> tuple:
+    """The memo key of ``X``'s path index."""
+    return X.objects, frozenset(X.cells1.items()), X.arity_bound
 
 
 def test_from_category_output_is_not_enumerated_again(enumerations):
+    seen: list = []
     for C in FAMILY[::50]:
-        enumerations.clear()
         X = from_category(C, 4)
-        assert enumerations == [X]
+        if _skeleton(X) not in seen:
+            seen.append(_skeleton(X))
+        assert enumerations == seen
         assert validate_op1(X).ok
         assert to_category(X, check=True) == C
-        assert enumerations == [X]
+        assert enumerations == seen
+    assert len(seen) < len(FAMILY[::50])  # some skeleton is met again
 
 
 def test_from_bicategory_output_is_not_enumerated_again(enumerations):
+    seen: list = []
     for make in BICATEGORIES:
         B = make()
-        enumerations.clear()
         X, b = from_bicategory(B, 4)
-        assert enumerations == [X]
+        if _skeleton(X) not in seen:
+            seen.append(_skeleton(X))
+        assert enumerations == seen
         assert check_coherence(X).ok
         assert choose_biasing(X) == b
         assert to_bicategory(X, b, check=True) == B
-        assert enumerations == [X]
+        assert enumerations == seen
+
+
+def test_the_family_misses_once_per_skeleton(enumerations):
+    skeletons = {_skeleton(from_category(C, 4)) for C in FAMILY}
+    info = core._skeleton_paths.cache_info()
+    assert (len(FAMILY), len(skeletons)) == (674, 63)
+    assert (info.misses, info.hits) == (63, 611)
+    assert len(enumerations) == 63
 
 
 def test_generation_reads_no_niche_index():
@@ -146,8 +176,48 @@ def test_a_new_structure_builds_its_own_index_once(enumerations, dimension, orig
     enumerations.clear()
     for _ in range(2):
         assert read(Y)
-    assert enumerations == [Y]
-    assert Y.paths == X.paths
+    assert enumerations == []  # the copy's skeleton is the one ``make`` enumerated
+    assert Y.paths is X.paths
+
+
+def _oracle_layers(Y) -> tuple:
+    """The oracle enumerator's path keys of ``Y``, one tuple per length."""
+    keys = [p.key() for p in old.iter_paths(Y)]
+    by_length = [tuple(key for key in keys if (len(key) - 1 if key[0] else 0) == m)
+                 for m in range(max(Y.arity_bound, 0) + 1)]
+    while len(by_length) > 1 and not by_length[-1]:
+        by_length.pop()
+    return tuple(by_length)
+
+
+def _changed_skeletons(X) -> dict:
+    """Copies of ``X`` that differ from it in one part of the 1-skeleton."""
+    f = sorted(X.cells1)[0]
+    a, b = X.objects[0], X.objects[-1]
+    return {
+        "bound": dataclasses.replace(X, arity_bound=X.arity_bound + 1),
+        "added": dataclasses.replace(X, cells1={**X.cells1, "zz": (b, a)}),
+        "reframed": dataclasses.replace(X, cells1={**X.cells1, f: (b, b)}),
+        "reordered": dataclasses.replace(X, objects=X.objects[::-1]),
+    }
+
+
+def test_a_changed_skeleton_gets_its_own_index(enumerations):
+    structures = [from_category(C, 3) for C in FAMILY[::60]] + list(_op2_structures().values())
+    differs = dict.fromkeys(("bound", "added", "reframed", "reordered"), 0)
+    for X in structures:
+        assert X.paths == _oracle_layers(X)
+        for change, Y in _changed_skeletons(X).items():
+            assert Y.paths == _oracle_layers(Y), change
+            assert list(iter_paths(Y)) == [p.key() for p in old.iter_paths(Y)], change
+            differs[change] += Y.paths != X.paths
+    assert all(differs.values()), differs  # each change reaches a skeleton whose paths it changes
+
+
+def test_frames_given_as_lists_get_the_index():
+    X = from_category(z2_category(), 4)
+    Y = dataclasses.replace(X, cells1={f: list(frame) for f, frame in X.cells1.items()})
+    assert Y.paths is X.paths
 
 
 def _op2_structures() -> dict:
@@ -159,13 +229,8 @@ def _op2_structures() -> dict:
 def test_op2_paths_are_the_oracle_paths_by_length(bound):
     for name, X in _op2_structures().items():
         Y = dataclasses.replace(X, arity_bound=bound)
-        keys = [p.key() for p in old.iter_paths(Y)]
-        by_length = [tuple(key for key in keys if (len(key) - 1 if key[0] else 0) == m)
-                     for m in range(max(bound, 0) + 1)]
-        while len(by_length) > 1 and not by_length[-1]:
-            by_length.pop()
-        assert Y.paths == tuple(by_length), name
-        assert list(iter_paths(Y)) == keys, name
+        assert Y.paths == _oracle_layers(Y), name
+        assert list(iter_paths(Y)) == [p.key() for p in old.iter_paths(Y)], name
         if bound <= 0:
             assert Y.paths == (tuple((0, a) for a in Y.objects),), name
 
