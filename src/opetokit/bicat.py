@@ -212,19 +212,6 @@ def all_bracketings(m: int):
                 yield Bracketing.node(l, r)
 
 
-# labeled trees: leaves carry a 1-cell id.
-_LEAF, _NODE = "leaf", "node"
-
-
-def _tree_of(b: Bracketing, edges: tuple[str, ...]):
-    if b.size != len(edges):
-        raise PathMismatch(f"bracketing has {b.size} leaves, path has {len(edges)}")
-    if b.is_leaf:
-        return (_LEAF, edges[0])
-    k = b.left.size
-    return (_NODE, _tree_of(b.left, edges[:k]), _tree_of(b.right, edges[k:]))
-
-
 def invert_two_cell(B: FiniteBicategory, a: str) -> str | None:
     """The two-sided vertical inverse of ``a`` if one exists."""
     if a not in B.two_cells:
@@ -263,18 +250,22 @@ def is_equivalence_1cell(B: FiniteBicategory, f: str) -> bool:
     )
 
 
-def _normalize(B: FiniteBicategory, t) -> tuple[tuple[str, ...], str, str]:
-    """Rewrite a labeled tree, as ``_tree_of`` builds it, to head-first form.
+def _normalize(
+    B: FiniteBicategory, g: Bracketing, edges: tuple[str, ...], merges: dict, inverses: dict
+) -> tuple[tuple[str, ...], str, str]:
+    """Rewrite the bracketed composite ``g`` of ``edges`` to head-first form.
 
     Returns (leaves, value, iso) where ``iso`` is the invertible 2-cell from
-    the tree's composite to the normal form's composite, assembled from
-    whiskered associator components.  A node normalises its left subtree,
-    then its right one, and ``_join``s the two with fresh memos.
+    the bracketed composite to the normal form's composite, assembled from
+    whiskered associator components.  A node normalises its left part, then
+    its right one, and ``_join``s the two through ``merges`` and ``inverses``.
     """
-    if t[0] == _LEAF:
-        return (t[1],), t[1], B.id2[t[1]]
-    left = _normalize(B, t[1])
-    return _join(B, left, _normalize(B, t[2]), {}, {})
+    if g.is_leaf:
+        e = edges[0]
+        return (e,), e, B.id2[e]
+    k = g.left.size
+    left = _normalize(B, g.left, edges[:k], merges, inverses)
+    return _join(B, left, _normalize(B, g.right, edges[k:], merges, inverses), merges, inverses)
 
 
 def _join(
@@ -344,10 +335,12 @@ def coherence_cell(B: FiniteBicategory, edges, g1: Bracketing, g2: Bracketing) -
     for e in edges:
         if e not in B.one_cells:
             raise DanglingId(f"unknown 1-cell {e!r}")
-    t1 = _tree_of(g1, edges)
-    t2 = _tree_of(g2, edges)
-    _, _, iso1 = _normalize(B, t1)
-    _, _, iso2 = _normalize(B, t2)
+    for g in (g1, g2):
+        if g.size != len(edges):
+            raise PathMismatch(f"bracketing has {g.size} leaves, path has {len(edges)}")
+    merges, inverses = {}, {}  # _join's memos, shared by both bracketings
+    _, _, iso1 = _normalize(B, g1, edges, merges, inverses)
+    _, _, iso2 = _normalize(B, g2, edges, merges, inverses)
     back = invert_two_cell(B, iso2)
     if back is None:
         raise MissingComposite(f"normalisation leg {iso2!r} has no inverse")

@@ -192,7 +192,8 @@ class FiniteOpTwoCat(_PathIndexes):
     ``out_edges`` from ``cells1``, once per structure on first use; the path
     index ``paths`` is derived once per distinct 1-skeleton (``objects``,
     ``cells1``, ``arity_bound``) and shared read-only, as in
-    ``FiniteOpOneCat``.  So do not mutate the tables in place after a query
+    ``FiniteOpOneCat``.  So do not mutate the tables in place after a query,
+    and ``validate_op2``, which reads ``occupants``, counts as one
     (``dataclasses.replace`` starts fresh indexes), except that ``paths``
     may be read while the other three tables are filled, as
     ``equivalences._generate`` does; ``occupants`` may not.
@@ -455,14 +456,15 @@ def validate_op1(X: FiniteOpOneCat) -> ValidationReport:
 
     Every phase runs a layer of ``X.paths`` at a time: one ``map`` over
     ``comp`` gives its rows and totality (a missing key or a longer ``comp``
-    is walked key by key), frames are compared as lists against the end
-    edges' endpoints and each generator's side (the rows of its collapsed
-    keys) against the whole paths' rows.  Only a layer whose two sides differ
-    is walked key by key, so the witnesses come in key order, the generators
-    of one key in the order above.  ``notes`` holds ``arity_bound`` and, once
-    substitution runs, ``checked``: the instances compared per generator
-    (``left unit``, ``right unit``, ``bracket left``, ``bracket right``,
-    ``peel``), summed from layer lengths.
+    is walked key by key), frames, read as tuples whatever their container,
+    are compared as lists against the end edges' endpoints and each
+    generator's side (the rows of its collapsed keys) against the whole
+    paths' rows.  Only a layer whose two sides differ is walked key by key,
+    so the witnesses come in key order, the generators of one key in the
+    order above.  ``notes`` holds ``arity_bound`` and, once substitution
+    runs, ``checked``: the instances compared per generator (``left unit``,
+    ``right unit``, ``bracket left``, ``bracket right``, ``peel``), summed
+    from layer lengths.
 
     A layer m >= 3 reads its ``peel`` side (at m = 3 also ``bracket left``)
     off the binary rows by position, and its frames by induction on m.  Once
@@ -480,8 +482,9 @@ def validate_op1(X: FiniteOpOneCat) -> ValidationReport:
     if rejected is not None:
         return rejected
     out = _Collector()
-    comp, cells1, bound = X.comp, X.cells1, X.arity_bound
-    _unknown_ends(out, cells1, X.objects)
+    comp, bound = X.comp, X.arity_bound
+    _unknown_ends(out, X.cells1, X.objects)
+    cells1 = {f: tuple(ends) for f, ends in X.cells1.items()}  # a frame by its endpoints
     if not all(map(cells1.__contains__, comp.values())):
         for key, result in comp.items():
             if result not in cells1:
@@ -599,6 +602,7 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
         return rejected
     out = _Collector()
     _unknown_ends(out, X.cells1, X.objects)
+    frames = {f: tuple(ends) for f, ends in X.cells1.items()}  # a frame by its endpoints
     for cid, cell in X.cells2.items():
         if cid != cell.id:
             out.add("dangling id", (cid,), "cell stored under a different id")
@@ -610,7 +614,7 @@ def validate_op2(X: FiniteOpTwoCat) -> ValidationReport:
         except (DanglingId, FrameMismatch) as exc:
             out.add("dangling id", (cid,), str(exc))
             continue
-        if X.cells1[cell.target] != (s, t):
+        if frames[cell.target] != (s, t):
             out.add("frame", (cid,), "source path endpoints differ from target endpoints")
         if cell.source.arity > X.arity_bound:
             out.add("dangling id", (cid,), "2-cell on a path that does not exist at this bound")
@@ -674,9 +678,7 @@ def _table_phase(X: FiniteOpTwoCat, out: _Collector) -> tuple:
     """
     bound, graft_table = X.arity_bound, X.graft
     arity = {cid: cell.source.arity for cid, cell in X.cells2.items()}
-    occupants: dict[tuple, list[str]] = {}  # as X.occupants, which validation leaves unbuilt
-    for cid, cell in X.cells2.items():
-        occupants.setdefault(cell.source.key(), []).append(cid)
+    occupants = X.occupants
     canon = {key: key for key in occupants}  # one key object per path: compared by identity
     source = {cid: key for key, ids in occupants.items() for cid in ids}
     edges = {key: key[1:] if key[0] else () for key in occupants}  # by path

@@ -25,8 +25,17 @@ The bodies are kept as they were; only the imports are adjusted, and
 ``validate_lax_functor`` calls this module's ``_hom_pairs``, which takes the
 whole bicategory and gives the same pairs.
 
-``bracketed_value`` evaluates one bracketed composite leaf by leaf.  Only
-tests call it, so it lives here rather than in ``opetokit.bicat``.
+``validate_category`` was written for the tests from the axioms: it scans
+every pair and triple of arrows for composability, where the library takes
+them from ``composable_pairs`` and ``composable_triples``.
+
+This module owns the labelled trees: ``_tree_of`` turns a ``Bracketing``
+of a chain into a tree of ``_LEAF`` and ``_NODE`` tuples; the library walks
+the bracketing itself.  ``bracketed_value`` evaluates one bracketed
+composite leaf by leaf, and ``coherence_cell`` builds the canonical cell by
+normalising both trees through this module's ``_normalize``, as the library
+did before it walked bracketings.  Only tests call them, so they live here
+rather than in ``opetokit.bicat``.
 
 ``_comb_tree`` and ``_whisker_at`` are generation's helpers from before its
 legs came from flat memos: ``_comb_tree`` chains subtrees into a head-first
@@ -40,10 +49,8 @@ from __future__ import annotations
 from opetokit.bicat import (
     Bracketing,
     FiniteBicategory,
+    FiniteCategory,
     LaxFunctor,
-    _LEAF,
-    _NODE,
-    _tree_of,
     chain_value,
     invert_two_cell,
     is_invertible_2cell,
@@ -62,10 +69,24 @@ from opetokit.errors import (
     InvalidBiasing,
     InvalidInput,
     MissingComposite,
+    PathMismatch,
     ValidationReport,
     _Collector,
 )
 from opetokit.universality import check_coherence
+
+# labeled trees: leaves carry a 1-cell id.
+_LEAF, _NODE = "leaf", "node"
+
+
+def _tree_of(b: Bracketing, edges: tuple[str, ...]):
+    if b.size != len(edges):
+        raise PathMismatch(f"bracketing has {b.size} leaves, path has {len(edges)}")
+    if b.is_leaf:
+        return (_LEAF, edges[0])
+    k = b.left.size
+    return (_NODE, _tree_of(b.left, edges[:k]), _tree_of(b.right, edges[k:]))
+
 
 _UNIT = "unit"  # the leaf of a labeled tree that stands for an object's unit
 
@@ -144,6 +165,25 @@ def _tree_value(B: FiniteBicategory, t) -> str:
 def bracketed_value(B: FiniteBicategory, edges, g: Bracketing) -> str:
     """Evaluate one bracketed composite of a chain of 1-cells."""
     return _tree_value(B, _tree_of(g, tuple(edges)))
+
+
+def coherence_cell(B: FiniteBicategory, edges, g1: Bracketing, g2: Bracketing) -> str:
+    """The canonical invertible 2-cell from one bracketed composite of
+    ``edges`` to another, independent of the rewrite route."""
+    edges = tuple(edges)
+    if not edges:
+        raise PathMismatch("coherence cells need at least one edge")
+    for e in edges:
+        if e not in B.one_cells:
+            raise DanglingId(f"unknown 1-cell {e!r}")
+    t1 = _tree_of(g1, edges)
+    t2 = _tree_of(g2, edges)
+    _, _, iso1 = _normalize(B, t1)
+    _, _, iso2 = _normalize(B, t2)
+    back = invert_two_cell(B, iso2)
+    if back is None:
+        raise MissingComposite(f"normalisation leg {iso2!r} has no inverse")
+    return B.then2(iso1, back)
 
 
 def _hom_pairs(B: FiniteBicategory):
@@ -324,6 +364,54 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
         rhs = B.then2(B.assoc[(g, B.id1[mid], f)], B.beside2(B.id2[g], B.lunit[f]))
         if lhs != rhs:
             out.add("triangle", (g, f))
+    return out.report()
+
+
+def validate_category(C: FiniteCategory) -> ValidationReport:
+    """The category axioms read off directly: every pair and triple of arrows
+    is scanned for composability, with the library's rules, messages,
+    witness order and early returns."""
+    out = _Collector()
+    arrows, identities, compose = C.arrows, C.identities, C.compose
+    for f, (s, t) in arrows.items():
+        if s not in C.objects or t not in C.objects:
+            out.add("dangling id", (f,), "endpoint object missing")
+    for a in C.objects:
+        i = identities.get(a)
+        if i is None or i not in arrows:
+            out.add("identity", (a,), "no identity arrow")
+        elif arrows[i] != (a, a):
+            out.add("identity", (a, i), "identity endpoints are wrong")
+    for a in identities:
+        if a not in C.objects:
+            out.add("dangling id", (a,), "identities entry for an unknown object")
+    if out.items:
+        return out.report()
+    for (g, f), h in compose.items():
+        if g not in arrows or f not in arrows or h not in arrows:
+            out.add("dangling id", (g, f, h), "compose entry for an unknown arrow")
+        elif arrows[f][1] != arrows[g][0]:
+            out.add("frame", (g, f), "entry for a non-composable pair")
+        elif arrows[h] != (arrows[f][0], arrows[g][1]):
+            out.add("frame", (g, f, h), "composite endpoints are wrong")
+    for f in arrows:
+        for g in arrows:
+            if arrows[f][1] == arrows[g][0] and (g, f) not in compose:
+                out.add("totality", (g, f), "composable pair missing from the table")
+    if out.items:
+        return out.report()
+    # g after f is compose[(g, f)]
+    for f, (s, t) in arrows.items():
+        if compose[(identities[t], f)] != f:
+            out.add("unit", (f,), "left identity law fails")
+        if compose[(f, identities[s])] != f:
+            out.add("unit", (f,), "right identity law fails")
+    for f in arrows:
+        for g in arrows:
+            for h in arrows:
+                if arrows[f][1] == arrows[g][0] and arrows[g][1] == arrows[h][0]:
+                    if compose[(h, compose[(g, f)])] != compose[(compose[(h, g)], f)]:
+                        out.add("associativity", (h, g, f))
     return out.report()
 
 

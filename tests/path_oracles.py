@@ -11,11 +11,10 @@ and ``_whisker_at`` of ``classical_oracles``, which keep no memo.
 
 from __future__ import annotations
 
-from classical_oracles import _UNIT, _comb_tree, _normalize, _whisker_at
+from classical_oracles import _LEAF, _UNIT, _comb_tree, _normalize, _whisker_at
 from opetokit.bicat import (
     FiniteBicategory,
     FiniteCategory,
-    _LEAF,
     chain_value,
     invert_two_cell,
     validate_category,

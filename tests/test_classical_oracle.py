@@ -17,6 +17,10 @@ the bicategory's ``after`` index.  The two must give:
   generated from those corruptions and on presentations with one swapped
   graft row under a chosen occupant (or the same exception);
 - equal ``_normalize`` results on every bracketed chain of up to four edges;
+- equal ``validate_category`` reports against the oracle that scans every
+  pair and triple of arrows, on z2, the 673 family members, and every
+  single-entry drop or reassignment of ``compose`` and ``identities`` on z2
+  and a seeded sample of 100 family members (9,205 corruptions);
 - equal composition tables of the category family, in order, and equal
   sequences of tables, each in insertion order, from ``_category_tables`` on
   every configuration of at most 3 non-identity arrows on 3 objects (220
@@ -44,12 +48,13 @@ import classical_oracles as old
 import opetokit.equivalences as eq
 from opetokit import fixtures
 from opetokit.bicat import (
+    Bracketing,
     FiniteBicategory,
-    _LEAF,
+    FiniteCategory,
     _normalize,
-    _tree_of,
     all_bracketings,
     validate_bicategory,
+    validate_category,
 )
 from opetokit.universality import is_universal_1cell_op1
 from test_bicat import labelled_z2_bicategory
@@ -79,6 +84,7 @@ BASES = {
 }
 TABLES = ("vcomp", "hcomp1", "hcomp2", "assoc", "lunit", "runit", "id1", "id2")
 SEEDS_PER_TABLE = 20  # 8 bases x 8 tables x 20 = 1,280 corruptions
+CATEGORY_SAMPLE = 100  # family members corrupted entry by entry, beside z2
 
 
 @functools.cache
@@ -223,10 +229,11 @@ def test_normalize_agrees_on_bracketed_chains(name):
         if all(B.tgt1(f) == B.src1(g) for f, g in zip(edges, edges[1:]))
     ]
     for edges in chains:
-        trees = [_tree_of(g, edges) for g in all_bracketings(len(edges))]
-        trees.append(old._comb_tree([(_LEAF, e) for e in edges]))
-        for t in trees:
-            assert _outcome(_normalize, B, t) == _outcome(old._normalize, B, t), (edges, t)
+        pairs = [(g, old._tree_of(g, edges)) for g in all_bracketings(len(edges))]
+        comb = old._comb_tree([(old._LEAF, e) for e in edges])
+        pairs.append((Bracketing.canonical(len(edges)), comb))
+        for g, t in pairs:
+            assert _outcome(_normalize, B, g, edges, {}, {}) == _outcome(old._normalize, B, t), (edges, t)
 
 
 @functools.cache
@@ -244,6 +251,31 @@ def test_category_family_agrees_with_oracle():
     for n, (C, D) in enumerate(zip(new, oracle)):
         assert C == D, n
         assert list(C.compose.items()) == list(D.compose.items()), n
+
+
+def _category_corruptions(C: FiniteCategory):
+    """``C`` with one entry of ``compose`` or ``identities`` dropped, or
+    reassigned to another arrow or to an unknown one, in each way."""
+    for field in ("compose", "identities"):
+        table = getattr(C, field)
+        for key, value in table.items():
+            yield dataclasses.replace(C, **{field: {k: v for k, v in table.items() if k != key}})
+            for f in (*C.arrows, "zz"):
+                if f != value:
+                    yield dataclasses.replace(C, **{field: {**table, key: f}})
+
+
+def test_category_reports_agree_with_oracle():
+    family = _families()[0]
+    for n, C in enumerate([fixtures.z2_category(), *family]):
+        assert validate_category(C) == old.validate_category(C), n
+    rules = set()
+    for C in [fixtures.z2_category(), *random.Random(5).sample(family, CATEGORY_SAMPLE)]:
+        for D in _category_corruptions(C):
+            report = validate_category(D)
+            assert report == old.validate_category(D), D
+            rules |= report.rules()
+    assert rules == {"dangling id", "identity", "frame", "totality", "unit", "associativity"}
 
 
 def _arrow_configurations(objects: tuple[str, ...], extra: int):

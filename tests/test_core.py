@@ -123,12 +123,21 @@ def test_op2_right_unit_violation(idem_op):
     assert "right unit" in validate_op2(broken).rules()
 
 
-def test_op2_frame_violation(idem_op):
+def _framed(X, frames: type):
+    """``X`` with each 1-cell's frame held in a ``frames`` container."""
+    return dataclasses.replace(X, cells1={f: frames(ends) for f, ends in X.cells1.items()})
+
+
+@pytest.mark.parametrize("frames", (tuple, list))
+def test_op2_frame_violation(idem_op, frames):
+    # a frame is judged by its endpoints, not by its container
     X, _ = idem_op
     broken = dataclasses.replace(
         X, graft={**X.graft, ("t", 0, X.ident2["i"]): "@pt|t"}
     )
     assert "frame" in validate_op2(broken).rules()
+    for Y in (X, broken):
+        assert validate_op2(_framed(Y, frames)) == validate_op2(Y)
 
 
 def test_op2_totality_violation(idem_op):

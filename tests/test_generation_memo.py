@@ -5,13 +5,17 @@
 (``inverses``).  ``_generate`` keeps one such pair for a call, beside its
 flat memos of combs, legs, whiskerings and tail composites.  A memo may only
 hand back what the same call already computed without raising.  So one pair
-shared by a ``_join`` walk of every bracketed chain of a bicategory gives
-each chain the outcome of the verbatim ``_normalize`` in
+shared by ``_normalize``'s walk of every bracketed chain of a bicategory
+gives each chain the outcome of the verbatim tree walk ``_normalize`` in
 ``classical_oracles``, and no entry whose computation raises is left in
-either memo.  Within one generation each leg and each whiskering is
-computed once, and two generations back to back, on a bicategory and on a
-corrupt copy of it in either order, each give the row-by-row oracle's
-outcome.  Neither generation nor ``coherence_cell`` leaves cyclic garbage.
+either memo.  ``coherence_cell``, which shares one pair between its two
+bracketings, gives the cell or the first exception of the verbatim
+``coherence_cell`` there on every ordered pair of bracketings.  Within one
+generation each leg and each whiskering is computed once, and two
+generations back to back, on a bicategory and on a corrupt copy of it in
+either order, each give the row-by-row oracle's outcome; a replay that
+meets nothing re-raises the first exception.  Neither generation nor
+``coherence_cell`` leaves cyclic garbage.
 """
 
 from __future__ import annotations
@@ -28,10 +32,9 @@ import opetokit.equivalences as eq
 import path_oracles
 from opetokit.bicat import (
     FiniteBicategory,
-    _LEAF,
     _join,
     _merge,
-    _tree_of,
+    _normalize,
     all_bracketings,
     coherence_cell,
     invert_two_cell,
@@ -51,42 +54,42 @@ def _chains(B: FiniteBicategory, lengths=(2, 3, 4)):
                 yield edges
 
 
-def _trees(B: FiniteBicategory):
-    """Every bracketing of every chain of two to four edges."""
-    for edges in _chains(B):
-        yield from (_tree_of(g, edges) for g in all_bracketings(len(edges)))
-
-
-def _walk(B: FiniteBicategory, t, merges: dict, inverses: dict):
-    """``_normalize``'s tree walk, with one pair of ``_join`` memos for every tree."""
-    if t[0] == _LEAF:
-        return (t[1],), t[1], B.id2[t[1]]
-    left = _walk(B, t[1], merges, inverses)
-    return _join(B, left, _walk(B, t[2], merges, inverses), merges, inverses)
-
-
-def _assert_shared_memo_agrees(B: FiniteBicategory) -> int:
-    """Walk every tree through one pair of memos; return how many raised."""
+def _assert_shared_memo_agrees(B: FiniteBicategory) -> tuple[int, int]:
+    """Normalise every bracketing of every chain of two to four edges through
+    one pair of memos, and build the coherence cell of every ordered pair of
+    bracketings of every chain of one to four edges; return how many of each
+    raised."""
     merges, inverses, raised = {}, {}, 0
-    for t in _trees(B):
-        new = _outcome(_walk, B, t, merges, inverses)
-        assert new == _outcome(old._normalize, B, t), t
-        raised += not isinstance(new[0], tuple)  # an exception: (type, message)
+    for edges in _chains(B):
+        for g in all_bracketings(len(edges)):
+            new = _outcome(_normalize, B, g, edges, merges, inverses)
+            assert new == _outcome(old._normalize, B, old._tree_of(g, edges)), (edges, g)
+            raised += not isinstance(new[0], tuple)  # an exception: (type, message)
     for (xs, rv), value in merges.items():
         assert _merge(B, xs, rv, {}, {}) == value, (xs, rv)
     for a, inverse in inverses.items():
         assert invert_two_cell(B, a) == inverse, a
-    return raised
+    cells_raised = 0
+    for edges in _chains(B, (1, 2, 3, 4)):
+        for g1, g2 in itertools.product(all_bracketings(len(edges)), repeat=2):
+            new = _outcome(coherence_cell, B, edges, g1, g2)
+            assert new == _outcome(old.coherence_cell, B, edges, g1, g2), (edges, g1, g2)
+            cells_raised += isinstance(new[0], type)
+    return raised, cells_raised
 
 
 @pytest.mark.parametrize("name", ("sign", "twisted", "arrow", "z3"))
 def test_one_memo_normalises_every_bracketed_chain(name):
-    assert _assert_shared_memo_agrees(_base(name)) == 0
+    assert _assert_shared_memo_agrees(_base(name)) == (0, 0)
 
 
 def test_one_memo_normalises_the_chains_of_corrupt_bicategories():
     raised = [_assert_shared_memo_agrees(_corrupt_bicategory(seed)[0]) for seed in CORRUPTION_SEEDS]
-    assert sum(n > 0 for n in raised) >= 100  # 110 of the 240 seeds raise on some tree
+    assert sum(n > 0 for n, _ in raised) >= 100  # 110 of the 240 seeds raise on some tree
+    assert sum(n > 0 for _, n in raised) >= 100  # 117 raise on some coherence cell
+    # with no identity 2-cells every leaf raises on its own 1-cell, so a walk
+    # that reads a node's right part first raises on another leaf
+    assert _assert_shared_memo_agrees(dataclasses.replace(_base("sign"), id2={}))[1] > 0
 
 
 def test_each_leg_and_whiskering_is_computed_once(monkeypatch):
@@ -149,8 +152,8 @@ def test_leg_and_whisker_steps_raise_where_the_tree_walk_does(seed):
         B = _without_identity(bad, f)
         for edges in _chains(B, (1, 2, 3)):
             for slot, q in itertools.product(range(len(edges)), inner):
-                trees = [(_LEAF, e) for e in edges]
-                trees[slot] = old._comb_tree([(_LEAF, e) for e in q[1:]]) if q[0] else (old._UNIT, q[1])
+                trees = [(old._LEAF, e) for e in edges]
+                trees[slot] = old._comb_tree([(old._LEAF, e) for e in q[1:]]) if q[0] else (old._UNIT, q[1])
                 new = _outcome(eq._leg, B, edges, slot, q, {}, {}, {}, {})
                 assert new == _outcome(old._normalize, B, old._comb_tree(trees)), (f, edges, slot, q)
             for slot, beta in itertools.product(range(len(edges)), B.two_cells):
@@ -194,6 +197,24 @@ def test_generation_and_coherence_cells_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_replay_that_meets_nothing_raises_the_first_exception(monkeypatch):
+    # a whiskering that raises once and then succeeds leaves the replay
+    # nothing to meet, so the exception first met is raised
+    calls, first, whisk = [], RuntimeError("first whiskering"), eq._whisk
+
+    def once(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise first
+        return whisk(*args)
+
+    monkeypatch.setattr(eq, "_whisk", once)
+    with pytest.raises(RuntimeError) as info:
+        eq._generate(_bicategory("sign"), 3)
+    assert info.value is first
+    assert len(calls) == 33  # the first, then the replay's of every occupant's rows
 
 
 def _generations(B: FiniteBicategory, bound: int):

@@ -4,9 +4,9 @@ library only, every private module-level name the package defines is read
 somewhere in the package, the command line writes stdout from ``main``
 only, no function rebuilds a structure's by-source index that the
 structure keeps, only the memoised getter calls the path-layer builder, and
-the oracles that generation is compared with take none
-of its normalisation from the library; the checks read the source with
-``ast`` only."""
+no oracle module (``tests/*oracles.py``) takes the library's normalisation,
+generation, path fold or ``validate_op2`` phases; the checks read the source
+with ``ast`` only."""
 
 from __future__ import annotations
 
@@ -291,12 +291,16 @@ def test_the_check_finds_library_names():
     ]
 
 
-GENERATION = {"_join", "_merge", "_normalize", "_generate"}
+# normalisation and generation (bicat, equivalences), the path fold and
+# validate_op2's phases (core)
+COMPARED = {"_join", "_merge", "_normalize", "_generate", "fold_paths", "_extensions",
+            "_table_phase", "_sequential", "_parallel"}
 
 
-@pytest.mark.parametrize("oracle", ("path_oracles.py", "classical_oracles.py"))
+@pytest.mark.parametrize("oracle", sorted(p.name for p in TESTS.glob("*oracles.py")))
 def test_the_generation_oracles_take_no_normalisation_from_the_library(oracle):
-    # the oracles keep their own tree walk, merge, whiskering and comb trees,
-    # so a fault in the library's cannot reach both sides of a comparison
+    # the oracles keep their own tree walk, merge, whiskering, comb trees,
+    # folds and table scans, so a fault in the library's cannot reach both
+    # sides of a comparison
     names = library_names((TESTS / oracle).read_text(encoding="utf-8"))
-    assert GENERATION.isdisjoint(names), oracle
+    assert COMPARED.isdisjoint(names), oracle

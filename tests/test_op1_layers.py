@@ -26,6 +26,7 @@ from opetokit.equivalences import from_bicategory, from_category
 from opetokit.errors import ValidationReport, _Collector
 from opetokit.fixtures import sign_bicategory, z2_category
 from path_oracles import iter_paths as oracle_iter_paths
+from test_core import _framed
 from test_op1_oracle import FAMILY, _corrupt
 
 # ---------------------------------------------------------------------------
@@ -222,10 +223,15 @@ def test_the_last_layer_is_walked_alone():
     assert [(len(v.witness[0]) - 1, v.witness[1:]) for v in report.violations] == [(5, (0, 4))]
 
 
-def test_a_misframed_row_is_found_in_its_own_layer():
+@pytest.mark.parametrize("frames", (tuple, list))
+def test_a_misframed_row_is_found_in_its_own_layer(frames):
+    # a frame is judged by its endpoints, not by its container
     for name, m in (("misframed binary row", 2), ("misframed last-layer row", 5)):
         report = validate_op1(AIMED[name])
         assert [len(v.witness[0]) - 1 for v in report.violations] == [m], name
+        assert validate_op1(_framed(AIMED[name], frames)) == report, name
+    X = _two_objects()
+    assert validate_op1(_framed(X, frames)) == validate_op1(X)
 
 
 def test_a_wrong_binary_row_is_walked_in_every_longer_layer():
