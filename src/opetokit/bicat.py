@@ -156,7 +156,9 @@ class Bracketing:
     """A binary parenthesisation of a composable chain, unit-free.
 
     Leaves are positional: the i-th leaf (left to right) stands for the i-th
-    1-cell of the path being bracketed.
+    1-cell of the path being bracketed.  ``size``, the number of leaves, is
+    derived once per node from its children's; it is not a field, so
+    equality, hash and ``repr`` see only the tree.
     """
 
     left: "Bracketing | None" = None
@@ -165,16 +167,12 @@ class Bracketing:
     def __post_init__(self):
         if (self.left is None) != (self.right is None):
             raise ValueError("a bracketing node needs both children")
+        size = 1 if self.left is None else self.left.size + self.right.size
+        object.__setattr__(self, "size", size)
 
     @property
     def is_leaf(self) -> bool:
         return self.left is None
-
-    @property
-    def size(self) -> int:
-        if self.is_leaf:
-            return 1
-        return self.left.size + self.right.size
 
     @staticmethod
     def leaf() -> "Bracketing":
@@ -361,7 +359,7 @@ def _images(out: _Collector, table: str, what: str, images: dict, cells, targets
         image = images.get(c)
         if image is None or image not in targets:
             out.add("totality", (c,), f"{what} has no image")
-        elif ends is not None and targets[image] != tuple(map(ends.get, cells[c])):
+        elif ends is not None and tuple(targets[image]) != tuple(map(ends.get, cells[c])):
             out.add("frame", (c,), mismatch)
     _unknown_keys(out, images, cells, f"{table} entry for an unknown {what}")
 
@@ -390,18 +388,19 @@ def _missing_composites(out: _Collector, table: dict, cells: dict, message: str)
 def validate_category(C: FiniteCategory) -> ValidationReport:
     out = _Collector()
     _unknown_ends(out, C.arrows, C.objects)
+    arrows = {f: tuple(ends) for f, ends in C.arrows.items()}  # a frame by its endpoints
     for a in C.objects:
         i = C.identities.get(a)
-        if i is None or i not in C.arrows:
+        if i is None or i not in arrows:
             out.add("identity", (a,), "no identity arrow")
-        elif C.arrows[i] != (a, a):
+        elif arrows[i] != (a, a):
             out.add("identity", (a, i), "identity endpoints are wrong")
     _unknown_keys(out, C.identities, C.objects, "identities entry for an unknown object")
     if out.items:
         return out.report()
-    _composites(out, C.compose, C.arrows, "frame", "compose entry for an unknown arrow",
+    _composites(out, C.compose, arrows, "frame", "compose entry for an unknown arrow",
                 "entry for a non-composable pair", "composite endpoints are wrong")
-    _missing_composites(out, C.compose, C.arrows, "composable pair missing from the table")
+    _missing_composites(out, C.compose, arrows, "composable pair missing from the table")
     if out.items:
         return out.report()
     for f in C.arrows:
@@ -431,33 +430,35 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
     """
     out = _Collector()
     _unknown_ends(out, B.one_cells, B.objects)
-    for a, (x, y) in B.two_cells.items():
-        if x not in B.one_cells or y not in B.one_cells:
+    one_cells = {f: tuple(ends) for f, ends in B.one_cells.items()}  # frames by their endpoints
+    two_cells = {a: tuple(ends) for a, ends in B.two_cells.items()}
+    for a, (x, y) in two_cells.items():
+        if x not in one_cells or y not in one_cells:
             out.add("dangling id", (a,), "endpoint 1-cell missing")
-        elif B.one_cells[x] != B.one_cells[y]:
+        elif one_cells[x] != one_cells[y]:
             out.add("frame", (a,), "2-cell endpoints live in different frames")
     for A in B.objects:
         i = B.id1.get(A)
-        if i is None or i not in B.one_cells or B.one_cells[i] != (A, A):
+        if i is None or i not in one_cells or one_cells[i] != (A, A):
             out.add("frame", (A,), "identity 1-cell missing or mistyped")
     _unknown_keys(out, B.id1, B.objects, "id1 entry for an unknown object")
     if out.items:
         return out.report()
 
     # each hom is a category
-    for f in B.one_cells:
+    for f in one_cells:
         i = B.id2.get(f)
-        if i is None or i not in B.two_cells or B.two_cells[i] != (f, f):
+        if i is None or i not in two_cells or two_cells[i] != (f, f):
             out.add("hom category", (f,), "identity 2-cell missing or mistyped")
-    _unknown_keys(out, B.id2, B.one_cells, "id2 entry for an unknown 1-cell")
-    _composites(out, B.vcomp, B.two_cells, "hom category", "vcomp entry for an unknown 2-cell",
+    _unknown_keys(out, B.id2, one_cells, "id2 entry for an unknown 1-cell")
+    _composites(out, B.vcomp, two_cells, "hom category", "vcomp entry for an unknown 2-cell",
                 "vertical entry for a non-composable pair", "vertical composite mistyped")
-    _missing_composites(out, B.vcomp, B.two_cells, "vertical composite missing")
+    _missing_composites(out, B.vcomp, two_cells, "vertical composite missing")
     if out.items:
         return out.report()
     # from here on every read is of a composable pair, of typed cells, in a
     # table just checked total on such pairs, so the tables are read directly
-    vcomp, hcomp1, hcomp2, two_cells = B.vcomp, B.hcomp1, B.hcomp2, B.two_cells
+    vcomp, hcomp1, hcomp2 = B.vcomp, B.hcomp1, B.hcomp2
     for a, (x, y) in two_cells.items():
         if vcomp[(B.id2[y], a)] != a or vcomp[(a, B.id2[x])] != a:
             out.add("hom category", (a,), "identity 2-cell is not neutral")
@@ -466,17 +467,17 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
             out.add("hom category", (c, b, a), "vertical associativity fails")
 
     # horizontal composition tables
-    _missing_composites(out, B.hcomp1, B.one_cells, "1-cell composite missing")
-    _composites(out, B.hcomp1, B.one_cells, "frame", "hcomp1 entry for an unknown 1-cell",
+    _missing_composites(out, B.hcomp1, one_cells, "1-cell composite missing")
+    _composites(out, B.hcomp1, one_cells, "frame", "hcomp1 entry for an unknown 1-cell",
                 "hcomp1 entry for a non-composable pair", "1-cell composite mistyped")
     for (b, a), c in B.hcomp2.items():
-        if not B.two_cells.keys() >= {b, a, c}:
+        if not two_cells.keys() >= {b, a, c}:
             out.add("dangling id", (b, a, c), "hcomp2 entry for an unknown 2-cell")
         elif B.tgt1(B.src2(a)) != B.src1(B.src2(b)):
             out.add("frame", (b, a), "hcomp2 entry for a non-composable pair")
     if out.items:
         return out.report()
-    for b, a in _hom_pairs(B.one_cells, B.two_cells):
+    for b, a in _hom_pairs(one_cells, two_cells):
         if (b, a) not in B.hcomp2:
             out.add("totality", (b, a), "2-cell horizontal composite missing")
             continue
@@ -485,18 +486,18 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
             B.beside1(B.src2(b), B.src2(a)),
             B.beside1(B.tgt2(b), B.tgt2(a)),
         )
-        if B.two_cells[c] != want:
+        if two_cells[c] != want:
             out.add("frame", (b, a, c), "2-cell horizontal composite mistyped")
     if out.items:
         return out.report()
 
     # functoriality of horizontal composition
-    comp1 = [(g, f) for f, g in composable_pairs(B.one_cells)]
+    comp1 = [(g, f) for f, g in composable_pairs(one_cells)]
     for g, f in comp1:
         if hcomp2[(B.id2[g], B.id2[f])] != B.id2[hcomp1[(g, f)]]:
             out.add("hcomp identity", (g, f))
     by_target = _by_source({x: (t, s) for x, (s, t) in two_cells.items()})
-    for b2, a2 in _hom_pairs(B.one_cells, two_cells):
+    for b2, a2 in _hom_pairs(one_cells, two_cells):
         for b1 in by_target.get(two_cells[b2][0], ()):
             for a1 in by_target.get(two_cells[a2][0], ()):
                 lhs = hcomp2[(vcomp[(b2, b1)], vcomp[(a2, a1)])]
@@ -505,25 +506,25 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
                     out.add("interchange", (b2, b1, a2, a1))
 
     # associator: typing, invertibility, naturality
-    comp3 = [(h, g, f) for f, g, h in composable_triples(B.one_cells)]
+    comp3 = [(h, g, f) for f, g, h in composable_triples(one_cells)]
     for h, g, f in comp3:
         a = B.assoc.get((h, g, f))
         if a is None:
             out.add("totality", (h, g, f), "associator component missing")
             continue
         want = (B.beside1(B.beside1(h, g), f), B.beside1(h, B.beside1(g, f)))
-        if B.two_cells.get(a) != want:
+        if two_cells.get(a) != want:
             out.add("frame", (h, g, f, a), "associator component mistyped")
         elif not is_invertible_2cell(B, a):
             out.add("associator invertible", (h, g, f, a))
     for h, g, f in B.assoc:
-        if not B.one_cells.keys() >= {h, g, f}:
+        if not one_cells.keys() >= {h, g, f}:
             out.add("dangling id", (h, g, f), "assoc entry for an unknown 1-cell")
         elif B.tgt1(f) != B.src1(g) or B.tgt1(g) != B.src1(h):
             out.add("frame", (h, g, f), "assoc entry for a non-composable triple")
     if out.items:
         return out.report()
-    backwards = {x: B.one_cells[f][::-1] for x, (f, _) in B.two_cells.items()}
+    backwards = {x: one_cells[f][::-1] for x, (f, _) in two_cells.items()}
     for c, b, a in composable_triples(backwards):
         (c1, c2), (b1, b2), (a1, a2) = two_cells[c], two_cells[b], two_cells[a]
         src_comp = B.assoc[(c1, b1, a1)]
@@ -534,24 +535,24 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
             out.add("associator naturality", (c, b, a))
 
     # unitors: typing, invertibility, naturality
-    for f in B.one_cells:
+    for f in one_cells:
         r = B.runit.get(f)
         l = B.lunit.get(f)
-        s, t = B.one_cells[f]
-        if r is None or B.two_cells.get(r) != (B.beside1(f, B.id1[s]), f):
+        s, t = one_cells[f]
+        if r is None or two_cells.get(r) != (B.beside1(f, B.id1[s]), f):
             out.add("frame", (f, r), "right unitor missing or mistyped")
         elif not is_invertible_2cell(B, r):
             out.add("unitor invertible", (f, r))
-        if l is None or B.two_cells.get(l) != (B.beside1(B.id1[t], f), f):
+        if l is None or two_cells.get(l) != (B.beside1(B.id1[t], f), f):
             out.add("frame", (f, l), "left unitor missing or mistyped")
         elif not is_invertible_2cell(B, l):
             out.add("unitor invertible", (f, l))
-    _unknown_keys(out, B.runit, B.one_cells, "runit entry for an unknown 1-cell")
-    _unknown_keys(out, B.lunit, B.one_cells, "lunit entry for an unknown 1-cell")
+    _unknown_keys(out, B.runit, one_cells, "runit entry for an unknown 1-cell")
+    _unknown_keys(out, B.lunit, one_cells, "lunit entry for an unknown 1-cell")
     if out.items:
         return out.report()
     for a, (f1, f2) in two_cells.items():
-        s, t = B.one_cells[f1]
+        s, t = one_cells[f1]
         lhs = vcomp[(B.runit[f2], hcomp2[(a, B.id2[B.id1[s]])])]
         rhs = vcomp[(a, B.runit[f1])]
         if lhs != rhs:
@@ -563,7 +564,7 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
 
     # pentagon
     for (h, g, f) in comp3:
-        for k in B.after.get(B.one_cells[h][1], ()):
+        for k in B.after.get(one_cells[h][1], ()):
             gf = hcomp1[(g, f)]
             hg = hcomp1[(h, g)]
             kh = hcomp1[(k, h)]
@@ -577,7 +578,7 @@ def validate_bicategory(B: FiniteBicategory) -> ValidationReport:
 
     # triangle
     for g, f in comp1:
-        mid = B.one_cells[f][1]
+        mid = one_cells[f][1]
         lhs = hcomp2[(B.runit[g], B.id2[f])]
         rhs = vcomp[(hcomp2[(B.id2[g], B.lunit[f])], B.assoc[(g, B.id1[mid], f)])]
         if lhs != rhs:
@@ -625,7 +626,7 @@ def _lax_functor_structure(F: LaxFunctor, B: FiniteBicategory, B2: FiniteBicateg
             B2.beside1(F.on_one_cells[g], F.on_one_cells[f]),
             F.on_one_cells[B.beside1(g, f)],
         )
-        if B2.two_cells[p] != want:
+        if tuple(B2.two_cells[p]) != want:
             out.add("frame", (g, f, p), "pair constraint mistyped")
     for g, f in F.phi_pair:
         if not B.one_cells.keys() >= {g, f}:
@@ -638,7 +639,7 @@ def _lax_functor_structure(F: LaxFunctor, B: FiniteBicategory, B2: FiniteBicateg
             out.add("totality", (A,), "object constraint missing")
             continue
         want = (B2.id1[F.on_objects[A]], F.on_one_cells[B.id1[A]])
-        if B2.two_cells[p] != want:
+        if tuple(B2.two_cells[p]) != want:
             out.add("frame", (A, p), "object constraint mistyped")
     _unknown_keys(out, F.phi_obj, B.objects, "phi_obj entry for an unknown object")
     if out.items:

@@ -184,7 +184,7 @@ def _check_level_maps(F: OpMorphism, X, Y) -> None:
         ff = F.on_one_cells.get(f)
         if ff is None or ff not in Y.cells1:
             raise InvalidInput(f"1-cell {f!r} has no valid image")
-        if Y.cells1[ff] != (F.on_objects[s], F.on_objects[t]):
+        if tuple(Y.cells1[ff]) != (F.on_objects[s], F.on_objects[t]):
             raise InvalidInput(f"image of 1-cell {f!r} breaks its frame")
 
 
@@ -338,37 +338,32 @@ def _cell_name(key: tuple, alpha: str) -> str:
     return f"{';'.join(key[1:])}|{alpha}"
 
 
-def _comb(B: FiniteBicategory, edges: tuple, combs: dict, merges: dict, inverses: dict):
-    """The normal form of the comb of ``edges``, kept in ``combs`` (see ``_generate``)."""
-    if edges not in combs:
-        head = (edges[0],), edges[0], B.id2[edges[0]]
-        if len(edges) > 1:
-            head = _join(B, head, _comb(B, edges[1:], combs, merges, inverses), merges, inverses)
-        combs[edges] = head
-    return combs[edges]
-
-
 def _leg(
-    B: FiniteBicategory, edges: tuple, slot: int, q: tuple, legs: dict, combs: dict, merges: dict,
-    inverses: dict,
+    B: FiniteBicategory, edges: tuple, slot: int, q: tuple, legs: dict, merges: dict, inverses: dict
 ):
     """The normal form of the comb of ``edges`` with the comb of the inner
     path ``q``, or its unit, in place of ``edges[slot]``; kept in ``legs``
-    (see ``_generate``)."""
+    (see ``_generate``).  The comb of ``edges`` is the leg ``(edges, 0, (1,
+    edges[0]))``: at slot 0 the inner part (the unit, a one-edge path's
+    leaf, or the comb of a longer path's edges) is built before the comb of
+    ``edges[1:]``, as a node's left part before its right."""
     key = edges, slot, q
     if key not in legs:
         if slot:
             head = (edges[0],), edges[0], B.id2[edges[0]]
-            rest = _leg(B, edges[1:], slot - 1, q, legs, combs, merges, inverses)
+            rest = _leg(B, edges[1:], slot - 1, q, legs, merges, inverses)
             leg = _join(B, head, rest, merges, inverses)
         else:
-            if q[0]:
-                leg = _comb(B, q[1:], combs, merges, inverses)
-            else:
+            if not q[0]:
                 unit = B.id1[q[1]]
                 leg = (), unit, B.id2[unit]
+            elif len(q) == 2:
+                leg = q[1:], q[1], B.id2[q[1]]
+            else:
+                leg = _leg(B, q[1:], 0, q[:2], legs, merges, inverses)
             if len(edges) > 1:
-                leg = _join(B, leg, _comb(B, edges[1:], combs, merges, inverses), merges, inverses)
+                rest = _leg(B, edges[1:], 0, (1, edges[1]), legs, merges, inverses)
+                leg = _join(B, leg, rest, merges, inverses)
         legs[key] = leg
     return legs[key]
 
@@ -413,15 +408,17 @@ def _generate(B: FiniteBicategory, bound: int) -> _Generated:
 
     No bracketing tree is built.  Flat memos live for the one call, and an
     entry past slot 0 is one step over an entry of ``edges[1:]``, computed
-    first if missing.  ``combs[edges]`` is the normal form of the comb of
-    ``edges``, ``edges[0]``'s leaf ``_join``ed to ``combs[edges[1:]]``.
-    ``legs[(edges, slot, q)]`` has the row's normalisation leg as its iso:
-    at slot 0 the comb of ``q`` (or its unit) joined to ``combs[edges[1:]]``,
-    or alone on a one-edge path, and at a later slot ``edges[0]``'s leaf
-    joined to ``legs[(edges[1:], slot - 1, q)]``.  ``whisks[(edges, slot,
-    label)]`` is the label whiskered into the path: at slot 0 beside the
-    identity on ``tails[edges[1:]]``, the tail's composite, and at a later
-    slot ``whisks[(edges[1:], slot - 1, label)]`` beside the identity on
+    first if missing.  ``legs[(edges, slot, q)]`` is the normal form of the
+    comb of ``edges`` with the comb of ``q`` in place of ``edges[slot]``; a
+    row's entry has the row's normalisation leg as its iso.  At slot 0 it is
+    the inner part (``q``'s unit, its one edge's leaf, or ``legs[(q[1:], 0,
+    q[:2])]``) joined to the comb of ``edges[1:]``, which is
+    ``legs[(edges[1:], 0, (1, edges[1]))]``, or alone on a one-edge path;
+    at a later slot it is ``edges[0]``'s leaf joined to ``legs[(edges[1:],
+    slot - 1, q)]``.  ``whisks[(edges, slot, label)]`` is the label
+    whiskered into the path: at slot 0 beside the identity on
+    ``tails[edges[1:]]``, the tail's composite, and at a later slot
+    ``whisks[(edges[1:], slot - 1, label)]`` beside the identity on
     ``edges[0]``.  ``merges`` and ``inverses`` are ``_join``'s memos, and
     ``inverses`` also holds the inverse of each leg.  Each step evaluates
     its arguments in the order of the tree walk it replaces (a node's left
@@ -463,7 +460,7 @@ def _generate(B: FiniteBicategory, bound: int) -> _Generated:
     X.ident2.update({f: _cell_name((1, f), B.id2[f]) for f in B.one_cells})
 
     merges, inverses = {}, {}  # _join's memos: merges by (leaves, value); inverses by 2-cell
-    combs, legs, whisks, tails = {}, {}, {}, {}  # the flat memos of the docstring
+    legs, whisks, tails = {}, {}, {}  # the flat memos of the docstring
     post: dict[str, dict[str, str]] = {}  # post[b][a] = B.vcomp[(b, a)], b after a
     for (b, a), c in B.vcomp.items():
         post.setdefault(b, {})[a] = c
@@ -476,7 +473,7 @@ def _generate(B: FiniteBicategory, bound: int) -> _Generated:
             last = None
             for inner_id, q, inner, alpha_i in by_target[e][: bisect_right(arities[e], fits)]:
                 if q != last:  # a bucket holds the cells of one inner path together
-                    sigma = _leg(B, edges, slot, q, legs, combs, merges, inverses)[2]
+                    sigma = _leg(B, edges, slot, q, legs, merges, inverses)[2]
                     if sigma not in inverses:
                         inverses[sigma] = invert_two_cell(B, sigma)
                     coh = inverses[sigma]

@@ -353,34 +353,21 @@ def _exhaustive_small_categories():
 
 
 def _poset_categories():
-    """All posets on at most 3 points, as thin categories (at most 6 arrows)."""
+    """All posets on at most 3 points, as thin categories (at most 6 arrows):
+    each reflexive, antisymmetric relation has one composition table if it
+    is transitive and none otherwise."""
     for n in range(1, 4):
         objs = tuple(f"p{i}" for i in range(n))
+        identities = {objs[i]: f"r{i}{i}" for i in range(n)}
         off_diag = [(i, j) for i in range(n) for j in range(n) if i != j]
         for bits in itertools.product((False, True), repeat=len(off_diag)):
             rel = {(i, i) for i in range(n)}
             rel.update(p for p, keep in zip(off_diag, bits) if keep)
             if any((j, i) in rel for (i, j) in rel if i != j):
                 continue
-            if any(
-                (i, k) not in rel
-                for (i, j) in rel
-                for (j2, k) in rel
-                if j == j2
-            ):
-                continue
             arrows = {f"r{i}{j}": (objs[i], objs[j]) for (i, j) in sorted(rel)}
-            compose = {}
-            for (i, j) in rel:
-                for (j2, k) in rel:
-                    if j == j2:
-                        compose[(f"r{j}{k}", f"r{i}{j}")] = f"r{i}{k}"
-            yield FiniteCategory(
-                objects=objs,
-                arrows=arrows,
-                identities={objs[i]: f"r{i}{i}" for i in range(n)},
-                compose=compose,
-            )
+            for table in _category_tables(objs, arrows, identities):
+                yield FiniteCategory(objs, arrows, dict(identities), table)
 
 
 def _group_category(order: int, mul) -> FiniteCategory:

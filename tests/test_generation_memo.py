@@ -3,16 +3,17 @@
 ``bicat._join`` builds a node's normal form from its children's, through
 ``_merge``'s memo (``merges``) and a memo of ``invert_two_cell``
 (``inverses``).  ``_generate`` keeps one such pair for a call, beside its
-flat memos of combs, legs, whiskerings and tail composites.  A memo may only
-hand back what the same call already computed without raising.  So one pair
-shared by ``_normalize``'s walk of every bracketed chain of a bicategory
-gives each chain the outcome of the verbatim tree walk ``_normalize`` in
+flat memos of legs (the comb of a chain is its leg at its own first edge),
+whiskerings and tail composites.  A memo may only hand back what the same
+call already computed without raising.  So one pair shared by
+``_normalize``'s walk of every bracketed chain of a bicategory gives each
+chain the outcome of the verbatim tree walk ``_normalize`` in
 ``classical_oracles``, and no entry whose computation raises is left in
 either memo.  ``coherence_cell``, which shares one pair between its two
 bracketings, gives the cell or the first exception of the verbatim
 ``coherence_cell`` there on every ordered pair of bracketings.  Within one
-generation each leg and each whiskering is computed once, and two
-generations back to back, on a bicategory and on a corrupt copy of it in
+generation each leg, combs included, and each whiskering is computed once,
+and two generations back to back, on a bicategory and on a corrupt copy of it in
 either order, each give the row-by-row oracle's outcome; a replay that
 meets nothing re-raises the first exception.  Neither generation nor
 ``coherence_cell`` leaves cyclic garbage.
@@ -107,7 +108,6 @@ def test_each_leg_and_whiskering_is_computed_once(monkeypatch):
 
         monkeypatch.setattr(eq, name, counted)
 
-    count("_comb", lambda args: args[1], 2)
     count("_leg", lambda args: args[1:4], 4)
     count("_whisk", lambda args: args[1:4], 4)
     joins = Counter()
@@ -126,12 +126,9 @@ def test_each_leg_and_whiskering_is_computed_once(monkeypatch):
     ]
     assert {("_leg", (edges, slot, q)) for edges, slot, q, _ in rows} <= computed.keys()
     assert {("_whisk", (edges, slot, label)) for edges, slot, _, label in rows} <= computed.keys()
-    # a comb joins past its first edge, a leg past slot 0 of a one-edge path
-    combs = [key for name, key in computed if name == "_comb"]
+    # a leg, combs included, joins unless it is slot 0 of a one-edge path
     legs = [key for name, key in computed if name == "_leg"]
-    assert joins["_join"] == sum(len(edges) > 1 for edges in combs) + sum(
-        slot > 0 or len(edges) > 1 for edges, slot, _ in legs
-    )
+    assert joins["_join"] == sum(slot > 0 or len(edges) > 1 for edges, slot, _ in legs)
 
 
 def _without_identity(B: FiniteBicategory, f: str) -> FiniteBicategory:
@@ -154,7 +151,7 @@ def test_leg_and_whisker_steps_raise_where_the_tree_walk_does(seed):
             for slot, q in itertools.product(range(len(edges)), inner):
                 trees = [(old._LEAF, e) for e in edges]
                 trees[slot] = old._comb_tree([(old._LEAF, e) for e in q[1:]]) if q[0] else (old._UNIT, q[1])
-                new = _outcome(eq._leg, B, edges, slot, q, {}, {}, {}, {})
+                new = _outcome(eq._leg, B, edges, slot, q, {}, {}, {})
                 assert new == _outcome(old._normalize, B, old._comb_tree(trees)), (f, edges, slot, q)
             for slot, beta in itertools.product(range(len(edges)), B.two_cells):
                 new = _outcome(eq._whisk, B, edges, slot, beta, {}, {})
